@@ -14,7 +14,8 @@ report renders it NotApplicable instead of claiming compliance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -82,12 +83,15 @@ class Catalog:
     version: str
     source_note: str = ""
 
+    @cached_property
+    def _srs_by_id(self) -> dict[str, SecurityRequirement]:
+        return {sr.id: sr for sr in self.iter_srs()}
+
     def sr(self, sr_id: str) -> SecurityRequirement:
-        for fr in self.frs:
-            for sr in fr.srs:
-                if sr.id == sr_id:
-                    return sr
-        raise KeyError(f"unknown SR id {sr_id!r}")
+        try:
+            return self._srs_by_id[sr_id]
+        except KeyError:
+            raise KeyError(f"unknown SR id {sr_id!r}") from None
 
     def iter_srs(self):
         for fr in self.frs:
@@ -95,14 +99,7 @@ class Catalog:
 
     def attribute_kinds(self) -> dict[str, AttributeKind]:
         """All bound attribute ids mapped to their declared kind."""
-        kinds: dict[str, AttributeKind] = {}
-        for sr in self.iter_srs():
-            for binding in sr.bindings:
-                kinds[binding.attribute_id] = binding.kind
-            for enhancement in sr.enhancements:
-                for binding in enhancement.bindings:
-                    kinds[binding.attribute_id] = binding.kind
-        return kinds
+        return {binding.attribute_id: binding.kind for sr in self.iter_srs() for binding in all_bindings(sr)}
 
     def manual_attribute_ids(self) -> set[str]:
         return {
@@ -126,11 +123,13 @@ def default_catalog_path() -> Path:
     return Path(str(resources.files("otcms").joinpath("data/catalog-62443-3-3.json")))
 
 
-def _line_of(raw_text: str, needle: str) -> int | None:
+def _line_note(raw_text: str, needle: str) -> str:
+    """`` (line N)`` for the first quoted occurrence of ``needle``, else empty."""
     position = raw_text.find(f'"{needle}"')
     if position < 0:
-        return None
-    return raw_text.count("\n", 0, position) + 1
+        return ""
+    line = raw_text.count("\n", 0, position) + 1
+    return f" (line {line})"
 
 
 def _parse_binding(raw: dict, where: str) -> AttributeBinding:
@@ -166,9 +165,7 @@ def parse_catalog(text: str) -> Catalog:
             if not sr_id:
                 raise CatalogError(f"{fr_id}: SR without an id")
             if sr_id in seen_srs:
-                line = _line_of(text, sr_id)
-                suffix = f" (line {line})" if line else ""
-                raise CatalogError(f"duplicate SR id {sr_id!r}{suffix}")
+                raise CatalogError(f"duplicate SR id {sr_id!r}{_line_note(text, sr_id)}")
             seen_srs.add(sr_id)
             bindings = tuple(
                 _parse_binding(raw, sr_id) for raw in sr_raw.get("bindings", [])
@@ -190,11 +187,7 @@ def parse_catalog(text: str) -> Catalog:
                 )
             not_monitorable = bool(sr_raw.get("not_monitorable", False))
             if not bindings and not enhancements and not not_monitorable:
-                line = _line_of(text, sr_id)
-                suffix = f" (line {line})" if line else ""
-                raise CatalogError(
-                    f"{sr_id}: no bindings and not flagged not_monitorable{suffix}"
-                )
+                raise CatalogError(f"{sr_id}: no bindings and not flagged not_monitorable{_line_note(text, sr_id)}")
             srs.append(
                 SecurityRequirement(
                     id=sr_id,
@@ -275,9 +268,7 @@ def serialize_catalog(catalog: Catalog) -> str:
     return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
 
 
-def validate_catalog(
-    catalog: Catalog, known_attribute_ids: set[str] | Mapping[str, AttributeKind]
-) -> list[ValidationIssue]:
+def validate_catalog(catalog: Catalog, kind_map: Mapping[str, AttributeKind]) -> list[ValidationIssue]:
     """Cross-check the catalog against the detector registry.
 
     Reports dangling traffic/logical attribute ids, SRs without bindings or
@@ -286,20 +277,15 @@ def validate_catalog(
     data, not failures; an empty result means the catalog is internally
     consistent and fully resolvable.
     """
-    kind_map: Mapping[str, AttributeKind] | None = (
-        known_attribute_ids if isinstance(known_attribute_ids, Mapping) else None
-    )
-    known = set(known_attribute_ids)
-
     issues: list[ValidationIssue] = []
 
-    def check_binding(sr_id: str, binding: AttributeBinding, floor: int = 1) -> None:
+    def check_binding(sr_id: str, binding: AttributeBinding) -> None:
         if binding.min_sl not in _SL_RANGE:
             issues.append(
                 ValidationIssue(sr_id, "min_sl_range", f"{binding.attribute_id}: min_sl {binding.min_sl} outside 1..4")
             )
         if binding.kind is AttributeKind.MANUAL:
-            if binding.attribute_id in known:
+            if binding.attribute_id in kind_map:
                 issues.append(
                     ValidationIssue(
                         sr_id,
@@ -308,7 +294,7 @@ def validate_catalog(
                     )
                 )
             return
-        if binding.attribute_id not in known:
+        if binding.attribute_id not in kind_map:
             issues.append(
                 ValidationIssue(
                     sr_id,
@@ -316,7 +302,7 @@ def validate_catalog(
                     f"{binding.attribute_id}: no detector produces this {binding.kind.value} attribute",
                 )
             )
-        elif kind_map is not None and kind_map[binding.attribute_id] is not binding.kind:
+        elif kind_map[binding.attribute_id] is not binding.kind:
             issues.append(
                 ValidationIssue(
                     sr_id,
@@ -355,41 +341,19 @@ def required_attributes(catalog: Catalog, sr_id: str, sl_target: int) -> list[At
     """
     if sl_target not in _SL_RANGE:
         raise ValueError(f"sl_target must be 1..4, got {sl_target}")
-    sr = catalog.sr(sr_id)
-
-    chosen: dict[str, AttributeBinding] = {}
-
-    def add(binding: AttributeBinding, effective_min_sl: int) -> None:
-        if effective_min_sl > sl_target:
-            return
-        current = chosen.get(binding.attribute_id)
-        if current is None or effective_min_sl < current.min_sl:
-            chosen[binding.attribute_id] = AttributeBinding(
-                attribute_id=binding.attribute_id, kind=binding.kind, min_sl=effective_min_sl
-            )
-
-    for binding in sr.bindings:
-        add(binding, binding.min_sl)
-    for enhancement in sr.enhancements:
-        for binding in enhancement.bindings:
-            add(binding, max(enhancement.min_sl, binding.min_sl))
-
-    return [chosen[attribute_id] for attribute_id in sorted(chosen)]
+    return [binding for binding in all_bindings(catalog.sr(sr_id)) if binding.min_sl <= sl_target]
 
 
 def all_bindings(sr: SecurityRequirement) -> list[AttributeBinding]:
     """Every binding of ``sr`` with its effective min_sl, for achieved-SL math."""
+    effective = [(binding, binding.min_sl) for binding in sr.bindings] + [
+        (binding, max(enhancement.min_sl, binding.min_sl))
+        for enhancement in sr.enhancements
+        for binding in enhancement.bindings
+    ]
     merged: dict[str, AttributeBinding] = {}
-    for binding in sr.bindings:
+    for binding, min_sl in effective:
         current = merged.get(binding.attribute_id)
-        if current is None or binding.min_sl < current.min_sl:
-            merged[binding.attribute_id] = binding
-    for enhancement in sr.enhancements:
-        for binding in enhancement.bindings:
-            effective = max(enhancement.min_sl, binding.min_sl)
-            current = merged.get(binding.attribute_id)
-            if current is None or effective < current.min_sl:
-                merged[binding.attribute_id] = AttributeBinding(
-                    attribute_id=binding.attribute_id, kind=binding.kind, min_sl=effective
-                )
+        if current is None or min_sl < current.min_sl:
+            merged[binding.attribute_id] = replace(binding, min_sl=min_sl)
     return [merged[attribute_id] for attribute_id in sorted(merged)]

@@ -41,6 +41,17 @@ def _resolve_catalog_path(flag_value: str | None) -> Path:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.session_gap_ms <= 0:
+        _err(f"--session-gap-ms must be positive, got {args.session_gap_ms}")
+        return 2
+    generated_at = args.generated_at
+    if generated_at is None:
+        env_value = os.environ.get(GENERATED_AT_ENV)
+        try:
+            generated_at = int(env_value) if env_value else int(time.time() * 1000)
+        except ValueError:
+            _err(f"{GENERATED_AT_ENV} must be an integer (epoch ms), got {env_value!r}")
+            return 2
     catalog_path = _resolve_catalog_path(args.catalog)
     try:
         catalog = load_catalog(catalog_path)
@@ -68,11 +79,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except (EvidenceError, UnicodeDecodeError) as exc:
         _err(f"{args.evidence}: {exc}")
         return 2
-
-    generated_at = args.generated_at
-    if generated_at is None:
-        env_value = os.environ.get(GENERATED_AT_ENV)
-        generated_at = int(env_value) if env_value else int(time.time() * 1000)
 
     report = run_evaluation(
         catalog,

@@ -14,7 +14,7 @@ a distinction the 1..4 scale itself cannot carry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from otcms.catalog import Catalog, SecurityRequirement, all_bindings, required_attributes
@@ -62,14 +62,6 @@ class ComplianceReport:
     def noncompliant_sr_ids(self) -> list[str]:
         return [s.sr_id for s in self.per_sr if s.status is ComplianceStatus.NON_COMPLIANT]
 
-    def violated_attribute_ids(self) -> set[str]:
-        seen = set()
-        for sr in self.per_sr:
-            for attribute_id, status in sr.required:
-                if status is Status.VIOLATED:
-                    seen.add(attribute_id)
-        return seen
-
 
 def evaluate_sr(
     sr: SecurityRequirement,
@@ -101,11 +93,12 @@ def evaluate_sr(
     else:
         overall = ComplianceStatus.COMPLIANT
 
+    bindings = all_bindings(sr)
     achieved = 0
     for level in (1, 2, 3, 4):
         if all(
             status_of(binding.attribute_id) in _OK_STATUSES
-            for binding in all_bindings(sr)
+            for binding in bindings
             if binding.min_sl <= level
         ):
             achieved = level
@@ -145,13 +138,7 @@ def build_report(
             refs: list[int] = []
             for attribute_id, _ in sr_status.required:
                 refs.extend(finding_refs.get(attribute_id, ()))
-            sr_status = SRStatus(
-                sr_id=sr_status.sr_id,
-                status=sr_status.status,
-                achieved_sl=sr_status.achieved_sl,
-                required=sr_status.required,
-                findings_ref=tuple(sorted(refs)),
-            )
+            sr_status = replace(sr_status, findings_ref=tuple(sorted(refs)))
             per_sr.append(sr_status)
             fr_statuses.append(sr_status.status)
         per_fr[fr.id] = max(fr_statuses, key=lambda s: _SEVERITY_ORDER[s])

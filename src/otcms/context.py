@@ -13,7 +13,7 @@ from __future__ import annotations
 import ipaddress
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -72,10 +72,7 @@ class PasswordPolicy:
 class CryptoPolicy:
     approved_suites: frozenset[str] = frozenset()
     min_key_bits: int = 128
-    min_protocol_versions: dict[str, str] = field(default_factory=dict)
-
-    def __hash__(self) -> int:  # dict field; hashed by identity-relevant parts
-        return hash((self.approved_suites, self.min_key_bits, tuple(sorted(self.min_protocol_versions.items()))))
+    min_protocol_versions: dict[str, str] = field(default_factory=dict, hash=False)
 
 
 @dataclass
@@ -234,12 +231,43 @@ def classify_entity(identifier: str, scheme, ctx: ContextSpec) -> EntityClass:
     )
 
 
-def _as_set(value, name: str) -> frozenset:
+#: The plain string-set sections, read and written by name.
+_STRING_SETS = tuple(f for f in fields(ContextSpec) if f.type == "frozenset[str]")
+
+
+def _of(kind: type, value) -> bool:
+    """``isinstance`` that does not count a bool as an integer."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _int(section: dict, key: str, default: int | None = None) -> int | None:
+    """``section[key]`` as an integer; absent gives ``default``, and null is
+    accepted only where the default is null."""
+    value = section.get(key, default)
+    if _of(int, value) or (value is None and default is None):
+        return value
+    raise ContextError(f"{key} must be an integer, got {value!r}")
+
+
+def _collection(section: dict, key: str, kind: type, item_type: type = object):
+    """A copy of the list (or object) ``section[key]`` whose items (or
+    values) are all of ``item_type``; absent or null gives an empty one."""
+    value = section.get(key)
     if value is None:
-        return frozenset()
-    if not isinstance(value, list):
-        raise ContextError(f"{name} must be a list")
-    return frozenset(value)
+        return kind()
+    items = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or not all(_of(item_type, item) for item in items):
+        raise ContextError(f"{key} must be a {kind.__name__} of {item_type.__name__} values, got {value!r}")
+    return kind(value)
+
+
+def _object(data: dict, key: str) -> dict | None:
+    """An optional policy section: absent gives None, anything but an object fails."""
+    if key not in data:
+        return None
+    if not isinstance(data[key], dict):
+        raise ContextError(f"{key} must be a JSON object, got {data[key]!r}")
+    return data[key]
 
 
 def context_from_dict(data: dict) -> ContextSpec:
@@ -248,7 +276,7 @@ def context_from_dict(data: dict) -> ContextSpec:
         raise ContextError("context file must contain a JSON object")
 
     comms = []
-    for raw in data.get("expected_communications", []):
+    for raw in _collection(data, "expected_communications", list):
         if not isinstance(raw, dict) or not {"src", "dst", "protocol"} <= raw.keys():
             raise ContextError(f"expected_communications entry must have src/dst/protocol: {raw!r}")
         comms.append(
@@ -261,8 +289,8 @@ def context_from_dict(data: dict) -> ContextSpec:
         )
 
     processes = set()
-    for raw in data.get("known_software_processes", []):
-        if isinstance(raw, dict):
+    for raw in _collection(data, "known_software_processes", list):
+        if isinstance(raw, dict) and {"process_id", "device_id"} <= raw.keys():
             processes.add((str(raw["process_id"]), str(raw["device_id"])))
         elif isinstance(raw, list) and len(raw) == 2:
             processes.add((str(raw[0]), str(raw[1])))
@@ -270,73 +298,58 @@ def context_from_dict(data: dict) -> ContextSpec:
             raise ContextError(f"known_software_processes entry malformed: {raw!r}")
 
     rate_spec: dict[tuple[str, str], RateLimit] = {}
-    for raw in data.get("rate_spec", []):
-        pair = raw.get("pair")
+    for raw in _collection(data, "rate_spec", list):
+        pair = raw.get("pair") if isinstance(raw, dict) else None
         if not isinstance(pair, list) or len(pair) != 2:
             raise ContextError(f"rate_spec entry needs a two-element pair: {raw!r}")
         window_ms = raw.get("window_ms")
-        if not isinstance(window_ms, int) or window_ms <= 0:
+        if not _of(int, window_ms) or window_ms <= 0:
             raise ContextError(f"rate_spec window_ms must be a positive integer: {raw!r}")
         key = tuple(sorted((str(pair[0]), str(pair[1]))))
         rate_spec[key] = RateLimit(
             window_ms=window_ms,
-            max_events_per_window=raw.get("max_events_per_window"),
-            max_bytes_per_window=raw.get("max_bytes_per_window"),
+            max_events_per_window=_int(raw, "max_events_per_window"),
+            max_bytes_per_window=_int(raw, "max_bytes_per_window"),
         )
 
     password_policy = None
-    if "password_policy" in data:
-        raw = data["password_policy"]
+    if (raw := _object(data, "password_policy")) is not None:
         password_policy = PasswordPolicy(
-            min_length=int(raw.get("min_length", 8)),
-            max_lifetime_days=raw.get("max_lifetime_days"),
+            min_length=_int(raw, "min_length", 8),
+            max_lifetime_days=_int(raw, "max_lifetime_days"),
         )
 
     crypto_policy = None
-    if "crypto_policy" in data:
-        raw = data["crypto_policy"]
+    if (raw := _object(data, "crypto_policy")) is not None:
         crypto_policy = CryptoPolicy(
-            approved_suites=_as_set(raw.get("approved_suites"), "approved_suites"),
-            min_key_bits=int(raw.get("min_key_bits", 128)),
-            min_protocol_versions=dict(raw.get("min_protocol_versions", {})),
+            approved_suites=frozenset(_collection(raw, "approved_suites", list, str)),
+            min_key_bits=_int(raw, "min_key_bits", 128),
+            min_protocol_versions=_collection(raw, "min_protocol_versions", dict, str),
         )
 
-    kwargs = dict(
-        expected_protocols=_as_set(data.get("expected_protocols"), "expected_protocols"),
+    string_sets = {
+        f.name: frozenset(_collection(data, f.name, list, str)) if f.name in data else f.default for f in _STRING_SETS
+    }
+    return ContextSpec(
         expected_communications=tuple(comms),
-        expected_ports=frozenset(int(p) for p in data.get("expected_ports", [])),
+        expected_ports=frozenset(_collection(data, "expected_ports", list, int)),
         known_software_processes=frozenset(processes),
-        human_identifiers=_as_set(data.get("human_identifiers"), "human_identifiers"),
-        mobile_device_identifiers=_as_set(
-            data.get("mobile_device_identifiers"), "mobile_device_identifiers"
-        ),
-        zone_map={str(k): str(v) for k, v in data.get("zone_map", {}).items()},
-        zone_sl_target={str(k): int(v) for k, v in data.get("zone_sl_target", {}).items()},
-        trusted_zones=_as_set(data.get("trusted_zones"), "trusted_zones"),
-        control_zones=_as_set(data.get("control_zones"), "control_zones"),
-        external_prefixes=tuple(data.get("external_prefixes", [])),
+        zone_map=_collection(data, "zone_map", dict, str),
+        zone_sl_target=_collection(data, "zone_sl_target", dict, int),
+        external_prefixes=tuple(_collection(data, "external_prefixes", list, str)),
         rate_spec=rate_spec,
         password_policy=password_policy,
-        max_failed_attempts=data.get("max_failed_attempts"),
-        session_max_ms=int(data.get("session_max_ms", DEFAULT_SESSION_MAX_MS)),
+        max_failed_attempts=_int(data, "max_failed_attempts"),
+        session_max_ms=_int(data, "session_max_ms", DEFAULT_SESSION_MAX_MS),
         crypto_policy=crypto_policy,
-        p2p_bandwidth_limit_bytes_per_s=data.get("p2p_bandwidth_limit_bytes_per_s"),
+        p2p_bandwidth_limit_bytes_per_s=_int(data, "p2p_bandwidth_limit_bytes_per_s"),
+        **string_sets,
     )
-    for name, default in (
-        ("wireless_protocols", DEFAULT_WIRELESS_PROTOCOLS),
-        ("p2p_protocols", DEFAULT_P2P_PROTOCOLS),
-        ("iac_capable_protocols", DEFAULT_IAC_PROTOCOLS),
-        ("x509_capable_protocols", DEFAULT_X509_PROTOCOLS),
-        ("management_protocols", DEFAULT_MANAGEMENT_PROTOCOLS),
-    ):
-        kwargs[name] = _as_set(data[name], name) if name in data else default
-    return ContextSpec(**kwargs)
 
 
 def context_to_dict(ctx: ContextSpec) -> dict:
     """JSON object form of a :class:`ContextSpec` (inverse of ``context_from_dict``)."""
     data: dict = {
-        "expected_protocols": sorted(ctx.expected_protocols),
         "expected_communications": [
             {
                 "src": e.src,
@@ -350,18 +363,9 @@ def context_to_dict(ctx: ContextSpec) -> dict:
         "known_software_processes": [
             {"process_id": p, "device_id": d} for p, d in sorted(ctx.known_software_processes)
         ],
-        "human_identifiers": sorted(ctx.human_identifiers),
-        "mobile_device_identifiers": sorted(ctx.mobile_device_identifiers),
         "zone_map": dict(sorted(ctx.zone_map.items())),
         "zone_sl_target": dict(sorted(ctx.zone_sl_target.items())),
-        "trusted_zones": sorted(ctx.trusted_zones),
-        "control_zones": sorted(ctx.control_zones),
         "external_prefixes": list(ctx.external_prefixes),
-        "wireless_protocols": sorted(ctx.wireless_protocols),
-        "p2p_protocols": sorted(ctx.p2p_protocols),
-        "iac_capable_protocols": sorted(ctx.iac_capable_protocols),
-        "x509_capable_protocols": sorted(ctx.x509_capable_protocols),
-        "management_protocols": sorted(ctx.management_protocols),
         "rate_spec": [
             {
                 "pair": list(pair),
@@ -381,6 +385,7 @@ def context_to_dict(ctx: ContextSpec) -> dict:
         ],
         "session_max_ms": ctx.session_max_ms,
     }
+    data.update((f.name, sorted(getattr(ctx, f.name))) for f in _STRING_SETS)
     if ctx.password_policy is not None:
         data["password_policy"] = {"min_length": ctx.password_policy.min_length}
         if ctx.password_policy.max_lifetime_days is not None:

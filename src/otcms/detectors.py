@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from otcms.catalog import AttributeKind
-from otcms.context import ContextSpec, classify_entity
+from otcms.context import ContextSpec, RateLimit, classify_entity
 from otcms.evidence import EvidenceEvent, IdScheme, Session
 
 #: Length of the protocol run taken as evidence of a directory-backed
@@ -193,10 +193,6 @@ REGISTRY: dict[str, AttributeInfo] = {
 }
 
 
-def registry_ids() -> set[str]:
-    return set(REGISTRY)
-
-
 def registry_kinds() -> dict[str, AttributeKind]:
     return {attribute_id: info.kind for attribute_id, info in REGISTRY.items()}
 
@@ -218,10 +214,13 @@ def _info(detector: str, message: str, *seqs: int) -> Finding:
     return Finding(detector=detector, message=message, severity=Severity.INFO, seq_refs=tuple(seqs))
 
 
-def _judge(attribute_id: str, offenders: list[Finding]) -> AttributeVerdict:
+def _judge(attribute_id: str, offenders: list[Finding], evidenced: bool = True) -> AttributeVerdict:
+    """Violated with offenders; otherwise fulfilled when ``evidenced``, else
+    indeterminate. ``evidenced`` matters only without offenders, so callers
+    guard a costly evidence scan with ``not offenders and ...``."""
     if offenders:
         return _verdict(attribute_id, Status.VIOLATED, offenders)
-    return _verdict(attribute_id, Status.FULFILLED)
+    return _verdict(attribute_id, Status.FULFILLED if evidenced else Status.INDETERMINATE)
 
 
 # --------------------------------------------------------------------------
@@ -443,12 +442,8 @@ def detect_cleartext_authenticators(events: list[EvidenceEvent], ctx: ContextSpe
         for e in events
         if e.cleartext_password and e.tls_present is not True
     ]
-    if offenders:
-        return [_verdict("authenticator_obscured", Status.VIOLATED, offenders)]
-    has_auth_evidence = any(e.auth_result is not None or e.cleartext_password for e in events)
-    if has_auth_evidence:
-        return [_verdict("authenticator_obscured", Status.FULFILLED)]
-    return [_verdict("authenticator_obscured", Status.INDETERMINATE)]
+    evidenced = not offenders and any(e.auth_result is not None or e.cleartext_password for e in events)
+    return [_judge("authenticator_obscured", offenders, evidenced)]
 
 
 # --------------------------------------------------------------------------
@@ -504,12 +499,7 @@ def detect_session_violations(sessions: list[Session], ctx: ContextSpec) -> list
         for s in sessions
         if s.duration_ms > ctx.session_max_ms
     ]
-    if offenders:
-        verdicts.append(_verdict("session_termination", Status.VIOLATED, offenders))
-    elif sessions:
-        verdicts.append(_verdict("session_termination", Status.FULFILLED))
-    else:
-        verdicts.append(_verdict("session_termination", Status.INDETERMINATE))
+    verdicts.append(_judge("session_termination", offenders, bool(sessions)))
 
     occurrences: dict[str, list[tuple[int, tuple[str, str], int]]] = {}
     for session in sessions:
@@ -541,13 +531,7 @@ def detect_session_violations(sessions: list[Session], ctx: ContextSpec) -> list
                     )
                 )
                 break
-    if id_offenders:
-        verdicts.append(_verdict("session_id_integrity", Status.VIOLATED, id_offenders))
-    elif occurrences:
-        verdicts.append(_verdict("session_id_integrity", Status.FULFILLED))
-    else:
-        verdicts.append(_verdict("session_id_integrity", Status.INDETERMINATE))
-
+    verdicts.append(_judge("session_id_integrity", id_offenders, bool(occurrences)))
     return verdicts
 
 
@@ -577,13 +561,9 @@ def detect_integrity_anomalies(events: list[EvidenceEvent], sessions: list[Sessi
                 offenders.append(
                     _violation(name, f"{marker} on unprotected conduit {e.src_id} -> {e.dst_id}", e.seq)
                 )
-    if offenders:
-        return [_verdict("data_integrity", Status.VIOLATED, offenders)]
-    if not events:
-        return [_verdict("data_integrity", Status.INDETERMINATE)]
-    if anomalies == 0 and all(_protected(e) for e in events):
-        return [_verdict("data_integrity", Status.FULFILLED)]
-    return [_verdict("data_integrity", Status.INDETERMINATE)]
+    # offenders imply anomalies, so the protection scan runs only without them
+    evidenced = anomalies == 0 and bool(events) and all(_protected(e) for e in events)
+    return [_judge("data_integrity", offenders, evidenced)]
 
 
 # --------------------------------------------------------------------------
@@ -664,13 +644,8 @@ def detect_pki_best_practice(events: list[EvidenceEvent], ctx: ContextSpec) -> l
         for e in cert_events
         if e.tls_present is False
     ]
-    if offenders:
-        best = _verdict("pki_best_practice", Status.VIOLATED, offenders)
-    elif all(e.tls_present is True for e in cert_events):
-        best = _verdict("pki_best_practice", Status.FULFILLED)
-    else:
-        best = _verdict("pki_best_practice", Status.INDETERMINATE)
-    return [present, best]
+    evidenced = not offenders and all(e.tls_present is True for e in cert_events)
+    return [present, _judge("pki_best_practice", offenders, evidenced)]
 
 
 # --------------------------------------------------------------------------
@@ -886,9 +861,6 @@ def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec) -> AttributeVerdi
         dst = classify_entity(e.dst_id, e.id_scheme_dst, ctx)
         if src.is_human is True and dst.is_human is True:
             p2p_events.append((e, src, dst))
-    if not p2p_events:
-        return _verdict("p2p_restriction", Status.FULFILLED)
-
     offenders: list[Finding] = []
     unverifiable = False
     low_sl: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
@@ -913,8 +885,6 @@ def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec) -> AttributeVerdi
             unverifiable = True
 
     if ctx.p2p_bandwidth_limit_bytes_per_s is not None:
-        from otcms.context import RateLimit
-
         limit = RateLimit(window_ms=1000, max_bytes_per_window=ctx.p2p_bandwidth_limit_bytes_per_s)
         for pair in sorted(low_sl):
             finding = _window_violations(sorted(low_sl[pair]), limit, name, pair)
@@ -923,11 +893,7 @@ def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec) -> AttributeVerdi
                     _violation(name, finding.message + " (person-to-person bandwidth restriction)", *finding.seq_refs)
                 )
 
-    if offenders:
-        return _verdict("p2p_restriction", Status.VIOLATED, offenders)
-    if unverifiable:
-        return _verdict("p2p_restriction", Status.INDETERMINATE)
-    return _verdict("p2p_restriction", Status.FULFILLED)
+    return _judge("p2p_restriction", offenders, not unverifiable)
 
 
 # --------------------------------------------------------------------------
@@ -1008,12 +974,7 @@ def run_detectors(
     indeterminate rather than vacuously fulfilled.
     """
     if not events:
-        return {
-            attribute_id: AttributeVerdict(
-                attribute_id=attribute_id, kind=info.kind, status=Status.INDETERMINATE
-            )
-            for attribute_id, info in REGISTRY.items()
-        }
+        return {attribute_id: _verdict(attribute_id, Status.INDETERMINATE) for attribute_id in REGISTRY}
 
     verdicts: list[AttributeVerdict] = []
     verdicts += detect_unknown_factors(events, ctx)

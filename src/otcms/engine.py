@@ -35,34 +35,17 @@ def manual_verdicts(catalog: Catalog, manual: ManualAttributeFile | None) -> dic
     for attribute_id in sorted(catalog.manual_attribute_ids()):
         entry = entries.get(attribute_id)
         if entry is None:
-            verdicts[attribute_id] = AttributeVerdict(
-                attribute_id=attribute_id, kind=AttributeKind.MANUAL, status=Status.INDETERMINATE
-            )
+            status, findings = Status.INDETERMINATE, ()
         elif entry.value:
             note = f" ({entry.note})" if entry.note else ""
-            finding = Finding(
-                detector="manual",
-                message=f"asserted fulfilled by {entry.set_by or 'auditor'}{note}",
-                severity=Severity.INFO,
-            )
-            verdicts[attribute_id] = AttributeVerdict(
-                attribute_id=attribute_id,
-                kind=AttributeKind.MANUAL,
-                status=Status.FULFILLED,
-                findings=(finding,),
-            )
+            message = f"asserted fulfilled by {entry.set_by or 'auditor'}{note}"
+            status, findings = Status.FULFILLED, (Finding("manual", message, Severity.INFO),)
         else:
-            finding = Finding(
-                detector="manual",
-                message=f"asserted not fulfilled by {entry.set_by or 'auditor'}",
-                severity=Severity.VIOLATION,
-            )
-            verdicts[attribute_id] = AttributeVerdict(
-                attribute_id=attribute_id,
-                kind=AttributeKind.MANUAL,
-                status=Status.VIOLATED,
-                findings=(finding,),
-            )
+            message = f"asserted not fulfilled by {entry.set_by or 'auditor'}"
+            status, findings = Status.VIOLATED, (Finding("manual", message, Severity.VIOLATION),)
+        verdicts[attribute_id] = AttributeVerdict(
+            attribute_id=attribute_id, kind=AttributeKind.MANUAL, status=status, findings=findings
+        )
     return verdicts
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
@@ -93,10 +93,6 @@ class Injection:
 
     attribute_id: str
     at_ms: int | None = None
-    params: dict[str, str] = field(default_factory=dict)
-
-    def __hash__(self) -> int:
-        return hash((self.attribute_id, self.at_ms, tuple(sorted(self.params.items()))))
 
 
 @dataclass
@@ -267,29 +263,26 @@ def _secure(t: int, src: str, dst: str, protocol: str, port: int | None, sid: st
 
 
 def _baseline_records(scenario: Scenario, rng: random.Random) -> list[dict]:
+    """Compliant traffic. Each stream takes a fresh session id for every
+    ``session_max_ms`` window after the first, so no baseline session
+    outlives the limit however long the scenario runs."""
     records: list[dict] = []
+    window_ms = scenario.spec.session_max_ms
     for pattern in scenario.traffic_profile:
         count = max(1, round(pattern.rate_per_s * scenario.duration_ms / 1000))
         spacing = scenario.duration_ms / count
+        stream = pattern.session_id or f"{pattern.src}|{pattern.dst}"
         for k in range(count):
             t = (k + 0.5) * spacing + rng.uniform(-0.3, 0.3) * spacing
             t = min(max(int(t), 0), scenario.duration_ms - 1)
             nbytes = rng.randint(64, 512)
-            if pattern.flavor == "auth":
-                records.append(
-                    _secure(t, pattern.src, pattern.dst, pattern.protocol, pattern.port,
-                            pattern.session_id, nbytes, auth_result="Success")
-                )
-            elif pattern.flavor == "process":
-                records.append(
-                    _secure(t, pattern.src, pattern.dst, pattern.protocol, pattern.port,
-                            pattern.session_id, nbytes)
-                )
-            else:
-                src, dst = (pattern.src, pattern.dst) if k % 2 == 0 else (pattern.dst, pattern.src)
-                records.append(
-                    _secure(t, src, dst, pattern.protocol, pattern.port, pattern.session_id, nbytes)
-                )
+            window = t // window_ms
+            sid = f"{stream}~{window}" if window else pattern.session_id
+            src, dst = pattern.src, pattern.dst
+            if k % 2 and pattern.flavor not in ("auth", "process"):
+                src, dst = dst, src  # data streams alternate direction
+            extra = {"auth_result": "Success"} if pattern.flavor == "auth" else {}
+            records.append(_secure(t, src, dst, pattern.protocol, pattern.port, sid, nbytes, **extra))
     return records
 
 
@@ -297,7 +290,7 @@ def _baseline_records(scenario: Scenario, rng: random.Random) -> list[dict]:
 # Injection registry
 # --------------------------------------------------------------------------
 
-Builder = Callable[[Scenario, int, random.Random, dict], list[dict]]
+Builder = Callable[[Scenario, int], list[dict]]
 
 
 @dataclass(frozen=True)
@@ -308,50 +301,7 @@ class InjectionSpec:
     build: Builder
 
 
-def _unknown_protocol(sc: Scenario, t0: int, rng: random.Random, params: dict) -> list[dict]:
-    return [_record(t0, PLC1, HMI1, "Telnet", port=23, bytes=128, tls_present=True)]
-
-
-def _unknown_communication(sc, t0, rng, params):
-    return [_secure(t0, PLC2, PLC1, "MQTT", 8883, None, 128)]
-
-
-def _unknown_software_process(sc, t0, rng, params):
-    return [_secure(t0, ROGUE_PROC, HMI1, "OPCUA", 4840, None, 128)]
-
-
-def _abnormal_behavior(sc, t0, rng, params):
-    return [
-        _secure(t0 + i * 5, PLC1, HMI1, "OPCUA", 4840, None, 80)
-        for i in range(60)
-    ]
-
-
-def _weak_encryption(sc, t0, rng, params):
-    return [_secure(t0, HMI1, SCADA, "MQTT", 8883, None, 128, key_bits=64)]
-
-
-def _insecure_protocol(sc, t0, rng, params):
-    return [_record(t0, HIST, DC, "FTP", port=21, bytes=2048, tls_present=True)]
-
-
-def _password_policy(sc, t0, rng, params):
-    return [
-        _secure(t0, HMI1, SCADA, "MQTT", 8883, None, 96,
-                cleartext_password="abcdef", auth_result="Success"),
-        _secure(t0 + 50, HMI1, SCADA, "MQTT", 8883, None, 96,
-                cleartext_password="abcdefghijkl", auth_result="Success"),
-    ]
-
-
-def _authenticator_obscured(sc, t0, rng, params):
-    return [
-        _record(t0, HMI1, SCADA, "MQTT", port=8883, bytes=96,
-                tls_present=False, cleartext_password="hunter2hunter12")
-    ]
-
-
-def _login_attempt_limit(sc, t0, rng, params):
+def _login_attempt_limit(sc: Scenario, t0: int) -> list[dict]:
     # max_failed_attempts + 2 consecutive failures on one directed pair
     limit = sc.spec.max_failed_attempts if sc.spec.max_failed_attempts is not None else 3
     return [
@@ -360,7 +310,7 @@ def _login_attempt_limit(sc, t0, rng, params):
     ]
 
 
-def _session_termination(sc, t0, rng, params):
+def _session_termination(sc: Scenario, t0: int) -> list[dict]:
     # spaced below the assembly gap so the events stay one session, whose
     # span then exceeds session_max_ms
     step = 59_000
@@ -371,77 +321,7 @@ def _session_termination(sc, t0, rng, params):
     ]
 
 
-def _session_id_integrity(sc, t0, rng, params):
-    return [
-        _secure(t0, PLC1, HMI1, "OPCUA", 4840, "inj-dup", 128),
-        _secure(t0 + 100, SCADA, HIST, "MQTT", 8883, "inj-dup", 128),
-    ]
-
-
-def _data_integrity(sc, t0, rng, params):
-    return [
-        _record(t0, HMI1, SCADA, "MQTT", port=8883, bytes=256,
-                tls_present=False, cert_present=False, fragmented=True)
-    ]
-
-
-def _pki_best_practice(sc, t0, rng, params):
-    return [
-        _record(t0, HMI1, SCADA, "MQTT", port=8883, bytes=256,
-                tls_present=False, cert_present=True)
-    ]
-
-
-def _wireless_iac(sc, t0, rng, params):
-    return [_record(t0, BT_DEV, HMI1, "Bluetooth", bytes=64, tls_present=True)]
-
-
-def _untrusted_access(sc, t0, rng, params):
-    return [
-        _record(t0, EXTERNAL, SCADA, "HTTP", port=80, bytes=512,
-                tls_present=True, direction_external=True)
-    ]
-
-
-def _mobile_code(sc, t0, rng, params):
-    return [
-        _record(t0, TABLET, HMI1, "HTTP", port=80, bytes=4096,
-                tls_present=True, cert_present=False, mobile_code=True)
-    ]
-
-
-def _logical_segmentation(sc, t0, rng, params):
-    return [_secure(t0, PLC1, HIST, "MQTT", 8883, None, 256)]
-
-
-def _boundary_default_deny(sc, t0, rng, params):
-    return [_secure(t0, HMI1, HIST, "OPCUA", 4840, None, 256)]
-
-
-def _non_control_independence(sc, t0, rng, params):
-    return [_record(t0, SCADA, PLC1, "ICMP", bytes=64)]
-
-
-def _p2p_restriction(sc, t0, rng, params):
-    return [_record(t0, ALICE, BOB, "HTTP", port=80, bytes=2048, tls_present=True)]
-
-
-def _data_partitioning(sc, t0, rng, params):
-    return [_record(t0, HMI1, HIST, "SFTP", port=22, bytes=8192, tls_present=True)]
-
-
-def _least_functionality(sc, t0, rng, params):
-    return [_secure(t0, PLC1, HMI1, "OPCUA", 9999, None, 128)]
-
-
-def _audit_timestamped(sc, t0, rng, params):
-    return [
-        _secure(t0, SCADA, HIST, "MQTT", 8883, None, 512,
-                audit_record=True, record_timestamp=False)
-    ]
-
-
-def _iac_management(sc, t0, rng, params):
+def _iac_management(sc: Scenario, t0: int) -> list[dict]:
     records = []
     for i in range(7):
         src, dst = (HMI1, DC) if i % 2 == 0 else (DC, HMI1)
@@ -450,25 +330,6 @@ def _iac_management(sc, t0, rng, params):
                     tls_present=True, session_id="sess-ldap")
         )
     return records
-
-
-def _audit_log_exists(sc, t0, rng, params):
-    return [
-        _secure(t0, SCADA, HIST, "MQTT", 8883, None, 512,
-                audit_record=True, record_timestamp=True)
-    ]
-
-
-def _authorization_enforced(sc, t0, rng, params):
-    return [_record(t0, SCADA, HIST, "IPSec", bytes=256)]
-
-
-def _continuous_monitoring(sc, t0, rng, params):
-    return [_secure(t0, SCADA, HIST, "MQTT", 8883, None, 64, ids_heartbeat=True)]
-
-
-def _pki_present(sc, t0, rng, params):
-    return [_secure(t0, HMI1, SCADA, "MQTT", 8883, None, 256)]
 
 
 def _v(*ids: str) -> frozenset[str]:
@@ -480,28 +341,41 @@ _SEGMENTATION_COUPLING = _v("logical_segmentation", "boundary_default_deny", "un
 INJECTIONS: dict[str, InjectionSpec] = {
     "unknown_protocol": InjectionSpec(
         "event over a protocol outside the expected set",
-        _v("unknown_protocol", "least_functionality"), _v(), _unknown_protocol),
+        _v("unknown_protocol", "least_functionality"), _v(),
+        lambda sc, t0: [_record(t0, PLC1, HMI1, "Telnet", port=23, bytes=128, tls_present=True)]),
     "unknown_communication": InjectionSpec(
         "same-zone communication between a pair missing from the whitelist",
-        _v("unknown_communication"), _v(), _unknown_communication),
+        _v("unknown_communication"), _v(),
+        lambda sc, t0: [_secure(t0, PLC2, PLC1, "MQTT", 8883, None, 128)]),
     "unknown_software_process": InjectionSpec(
         "traffic from a software process absent from the known-process list",
-        _v("unknown_software_process"), _v(), _unknown_software_process),
+        _v("unknown_software_process"), _v(),
+        lambda sc, t0: [_secure(t0, ROGUE_PROC, HMI1, "OPCUA", 4840, None, 128)]),
     "abnormal_behavior": InjectionSpec(
         "event burst exceeding the per-pair rate window",
-        _v("abnormal_behavior"), _v(), _abnormal_behavior),
+        _v("abnormal_behavior"), _v(),
+        lambda sc, t0: [_secure(t0 + i * 5, PLC1, HMI1, "OPCUA", 4840, None, 80) for i in range(60)]),
     "weak_encryption": InjectionSpec(
         "key size below the crypto policy minimum",
-        _v("weak_encryption"), _v(), _weak_encryption),
+        _v("weak_encryption"), _v(),
+        lambda sc, t0: [_secure(t0, HMI1, SCADA, "MQTT", 8883, None, 128, key_bits=64)]),
     "insecure_protocol": InjectionSpec(
         "FTP on a conduit whose expected protocol is SFTP",
-        _v("insecure_protocol"), _v(), _insecure_protocol),
+        _v("insecure_protocol"), _v(),
+        lambda sc, t0: [_record(t0, HIST, DC, "FTP", port=21, bytes=2048, tls_present=True)]),
     "password_policy": InjectionSpec(
         "observed password below the minimum length (plus unequal lengths)",
-        _v("password_policy"), _v(), _password_policy),
+        _v("password_policy"), _v(),
+        lambda sc, t0: [
+            _secure(t0, HMI1, SCADA, "MQTT", 8883, None, 96, cleartext_password="abcdef", auth_result="Success"),
+            _secure(t0 + 50, HMI1, SCADA, "MQTT", 8883, None, 96,
+                    cleartext_password="abcdefghijkl", auth_result="Success"),
+        ]),
     "authenticator_obscured": InjectionSpec(
         "cleartext password on an unencrypted flow",
-        _v("authenticator_obscured"), _v(), _authenticator_obscured),
+        _v("authenticator_obscured"), _v(),
+        lambda sc, t0: [_record(t0, HMI1, SCADA, "MQTT", port=8883, bytes=96,
+                                tls_present=False, cleartext_password="hunter2hunter12")]),
     "login_attempt_limit": InjectionSpec(
         "consecutive failed logins beyond the allowed maximum",
         _v("login_attempt_limit"), _v(), _login_attempt_limit),
@@ -510,58 +384,82 @@ INJECTIONS: dict[str, InjectionSpec] = {
         _v("session_termination"), _v(), _session_termination),
     "session_id_integrity": InjectionSpec(
         "one session id reused by two disjoint participant pairs",
-        _v("session_id_integrity"), _v(), _session_id_integrity),
+        _v("session_id_integrity"), _v(),
+        lambda sc, t0: [
+            _secure(t0, PLC1, HMI1, "OPCUA", 4840, "inj-dup", 128),
+            _secure(t0 + 100, SCADA, HIST, "MQTT", 8883, "inj-dup", 128),
+        ]),
     "data_integrity": InjectionSpec(
         "fragmented traffic on an unprotected conduit",
-        _v("data_integrity"), _v(), _data_integrity),
+        _v("data_integrity"), _v(),
+        lambda sc, t0: [_record(t0, HMI1, SCADA, "MQTT", port=8883, bytes=256,
+                                tls_present=False, cert_present=False, fragmented=True)]),
     "pki_best_practice": InjectionSpec(
         "certificate exchanged without TLS/DTLS",
-        _v("pki_best_practice"), _v(), _pki_best_practice),
+        _v("pki_best_practice"), _v(),
+        lambda sc, t0: [_record(t0, HMI1, SCADA, "MQTT", port=8883, bytes=256,
+                                tls_present=False, cert_present=True)]),
     "wireless_iac": InjectionSpec(
         "wireless device outside the expected wireless communication list",
-        _v("wireless_iac", "unknown_communication"), _v(), _wireless_iac),
+        _v("wireless_iac", "unknown_communication"), _v(),
+        lambda sc, t0: [_record(t0, BT_DEV, HMI1, "Bluetooth", bytes=64, tls_present=True)]),
     "untrusted_access_control": InjectionSpec(
         "external origin over a protocol without IAC capability",
-        _v("untrusted_access_control"), _v(), _untrusted_access),
+        _v("untrusted_access_control"), _v(),
+        lambda sc, t0: [_record(t0, EXTERNAL, SCADA, "HTTP", port=80, bytes=512,
+                                tls_present=True, direction_external=True)]),
     "mobile_code_control": InjectionSpec(
         "mobile code from a mobile device without integrity certification",
-        _v("mobile_code_control"), _v(), _mobile_code),
+        _v("mobile_code_control"), _v(),
+        lambda sc, t0: [_record(t0, TABLET, HMI1, "HTTP", port=80, bytes=4096,
+                                tls_present=True, cert_present=False, mobile_code=True)]),
     "logical_segmentation": InjectionSpec(
         "cross-zone traffic outside the configured conduits",
-        _SEGMENTATION_COUPLING, _v(), _logical_segmentation),
+        _SEGMENTATION_COUPLING, _v(),
+        lambda sc, t0: [_secure(t0, PLC1, HIST, "MQTT", 8883, None, 256)]),
     "boundary_default_deny": InjectionSpec(
         "zone-boundary crossing missing from the whitelist",
-        _SEGMENTATION_COUPLING, _v(), _boundary_default_deny),
+        _SEGMENTATION_COUPLING, _v(),
+        lambda sc, t0: [_secure(t0, HMI1, HIST, "OPCUA", 4840, None, 256)]),
     "non_control_independence": InjectionSpec(
         "process-mandatory management traffic from the control zone",
-        _v("non_control_independence"), _v(), _non_control_independence),
+        _v("non_control_independence"), _v(),
+        lambda sc, t0: [_record(t0, SCADA, PLC1, "ICMP", bytes=64)]),
     "p2p_restriction": InjectionSpec(
         "person-to-person protocol between two humans in an SL 3 zone",
-        _v("p2p_restriction"), _v(), _p2p_restriction),
+        _v("p2p_restriction"), _v(),
+        lambda sc, t0: [_record(t0, ALICE, BOB, "HTTP", port=80, bytes=2048, tls_present=True)]),
     "data_partitioning": InjectionSpec(
         "file transfer across a zone boundary",
-        _v("data_partitioning"), _v(), _data_partitioning),
+        _v("data_partitioning"), _v(),
+        lambda sc, t0: [_record(t0, HMI1, HIST, "SFTP", port=22, bytes=8192, tls_present=True)]),
     "least_functionality": InjectionSpec(
         "expected protocol on an unexpected port",
-        _v("least_functionality"), _v(), _least_functionality),
+        _v("least_functionality"), _v(),
+        lambda sc, t0: [_secure(t0, PLC1, HMI1, "OPCUA", 9999, None, 128)]),
     "audit_timestamped": InjectionSpec(
         "audit record transferred without a timestamp",
-        _v("audit_timestamped"), _v("audit_log_exists"), _audit_timestamped),
+        _v("audit_timestamped"), _v("audit_log_exists"),
+        lambda sc, t0: [_secure(t0, SCADA, HIST, "MQTT", 8883, None, 512, audit_record=True, record_timestamp=False)]),
     "iac_management": InjectionSpec(
         "directory-protocol run evidencing an IAC management system (positive)",
         _v(), _v("iac_management"), _iac_management),
     "audit_log_exists": InjectionSpec(
         "timestamped audit record transfer (positive)",
-        _v(), _v("audit_log_exists", "audit_timestamped"), _audit_log_exists),
+        _v(), _v("audit_log_exists", "audit_timestamped"),
+        lambda sc, t0: [_secure(t0, SCADA, HIST, "MQTT", 8883, None, 512, audit_record=True, record_timestamp=True)]),
     "authorization_enforced": InjectionSpec(
         "IPSec traffic evidencing an authorization mechanism (positive)",
-        _v(), _v("authorization_enforced"), _authorization_enforced),
+        _v(), _v("authorization_enforced"),
+        lambda sc, t0: [_record(t0, SCADA, HIST, "IPSec", bytes=256)]),
     "continuous_monitoring": InjectionSpec(
         "monitoring infrastructure heartbeat (positive)",
-        _v(), _v("continuous_monitoring"), _continuous_monitoring),
+        _v(), _v("continuous_monitoring"),
+        lambda sc, t0: [_secure(t0, SCADA, HIST, "MQTT", 8883, None, 64, ids_heartbeat=True)]),
     "pki_present": InjectionSpec(
         "certificate on an x509-capable protocol (positive)",
-        _v(), _v("pki_present"), _pki_present),
+        _v(), _v("pki_present"),
+        lambda sc, t0: [_secure(t0, HMI1, SCADA, "MQTT", 8883, None, 256)]),
 }
 
 
@@ -614,7 +512,7 @@ def generate_scenario(scenario: Scenario, catalog: Catalog | None = None) -> tup
     for injection in scenario.injections:
         spec = INJECTIONS[injection.attribute_id]
         t0 = injection.at_ms if injection.at_ms is not None else scenario.duration_ms
-        records.extend(spec.build(scenario, t0, rng, injection.params))
+        records.extend(spec.build(scenario, t0))
         violated |= spec.violates
         fulfilled |= spec.fulfills
 
@@ -650,18 +548,33 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             {
                 "attribute_id": injection.attribute_id,
                 **({"at_ms": injection.at_ms} if injection.at_ms is not None else {}),
-                **({"params": injection.params} if injection.params else {}),
             }
             for injection in scenario.injections
         ],
     }
 
 
+def _field(raw: dict, key: str, default, types: tuple[type, ...] = (int,)):
+    """``raw[key]`` (``default`` when absent) if its exact type is one of ``types``."""
+    value = raw.get(key, default)
+    if type(value) not in types:
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ScenarioError(f"{key} must be {names}, got {value!r}")
+    return value
+
+
+def _entries(data: dict, key: str) -> list[dict]:
+    raws = data.get(key, [])
+    if not isinstance(raws, list) or not all(isinstance(raw, dict) for raw in raws):
+        raise ScenarioError(f"{key} must be a list of objects")
+    return raws
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict) or "name" not in data:
         raise ScenarioError("scenario file must be a JSON object with at least a name")
     profile = []
-    for raw in data.get("traffic_profile", []):
+    for raw in _entries(data, "traffic_profile"):
         pair = raw.get("pair")
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioError(f"traffic_profile entry needs a two-element pair: {raw!r}")
@@ -669,27 +582,26 @@ def scenario_from_dict(data: dict) -> Scenario:
             TrafficPattern(
                 src=str(pair[0]),
                 dst=str(pair[1]),
-                protocol=str(raw["protocol"]),
-                rate_per_s=float(raw.get("rate_per_s", 1.0)),
-                port=raw.get("port"),
-                session_id=raw.get("session_id"),
-                flavor=str(raw.get("flavor", "data")),
+                protocol=_field(raw, "protocol", None, (str,)),
+                rate_per_s=float(_field(raw, "rate_per_s", 1.0, (int, float))),
+                port=_field(raw, "port", None, (int, type(None))),
+                session_id=_field(raw, "session_id", None, (str, type(None))),
+                flavor=_field(raw, "flavor", "data", (str,)),
             )
         )
     injections = tuple(
         Injection(
-            attribute_id=str(raw["attribute_id"]),
-            at_ms=raw.get("at_ms"),
-            params={str(k): str(v) for k, v in raw.get("params", {}).items()},
+            attribute_id=_field(raw, "attribute_id", None, (str,)),
+            at_ms=_field(raw, "at_ms", None, (int, type(None))),
         )
-        for raw in data.get("injections", [])
+        for raw in _entries(data, "injections")
     )
     return Scenario(
         name=str(data["name"]),
-        seed=int(data.get("seed", 0)),
+        seed=_field(data, "seed", 0),
         spec=context_from_dict(data.get("context", {})),
-        duration_ms=int(data.get("duration_ms", 20_000)),
-        sl_target=int(data.get("sl_target", 2)),
+        duration_ms=_field(data, "duration_ms", 20_000),
+        sl_target=_field(data, "sl_target", 2),
         traffic_profile=tuple(profile),
         injections=injections,
     )

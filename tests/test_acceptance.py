@@ -268,7 +268,7 @@ def test_criterion_6_monotonicity(catalog):
             verdicts_before, report_before = run_pipeline(catalog, scenario, events)
 
             t0 = events[-1].timestamp + 1_000
-            extra_records = INJECTIONS[second].build(scenario, t0, random.Random(trial), {})
+            extra_records = INJECTIONS[second].build(scenario, t0)
             extra_records.sort(key=lambda r: r["timestamp"])
             appended = list(events)
             for record in extra_records:

@@ -110,6 +110,60 @@ class TestEvaluate:
         assert main(["evaluate", "--evidence", str(mangled), "--context", str(context),
                      "--lenient", "--out", str(tmp_path / "l.json")]) == 0
 
+    def test_generated_at_env_not_integer_exit_two(self, scenario_dir, tmp_path, monkeypatch, capsys):
+        evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+        monkeypatch.setenv("CMS_GENERATED_AT", "abc")
+        capsys.readouterr()
+        assert main(["evaluate", "--evidence", str(evidence), "--context", str(context)]) == 2
+        assert "otcms: error: CMS_GENERATED_AT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gap", ["0", "-5"])
+    def test_session_gap_not_positive_exit_two(self, scenario_dir, tmp_path, capsys, gap):
+        evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+        capsys.readouterr()
+        code = main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--session-gap-ms", gap])
+        assert code == 2
+        assert "otcms: error: --session-gap-ms" in capsys.readouterr().err
+
+
+MALFORMED_CONTEXT = {
+    "max_failed_attempts_string": {"max_failed_attempts": "3"},
+    "max_failed_attempts_bool": {"max_failed_attempts": True},
+    "p2p_bandwidth_string": {"p2p_bandwidth_limit_bytes_per_s": "5"},
+    "password_policy_number": {"password_policy": 5},
+    "crypto_policy_list": {"crypto_policy": [1]},
+    "rate_spec_number_entry": {"rate_spec": [5]},
+    "process_without_device": {"known_software_processes": [{"process_id": "proc-1"}]},
+    "zone_sl_target_null": {"zone_sl_target": {"cell": None}},
+    "zone_map_list": {"zone_map": ["a"]},
+    "min_protocol_versions_list": {"crypto_policy": {"min_protocol_versions": [1]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONTEXT))
+def test_malformed_context_exit_two(scenario_dir, tmp_path, capsys, case):
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    context.write_text(json.dumps({**json.loads(context.read_text()), **MALFORMED_CONTEXT[case]}))
+    capsys.readouterr()
+    assert main(["evaluate", "--evidence", str(evidence), "--context", str(context)]) == 2
+    assert "otcms: error: cannot load context" in capsys.readouterr().err
+
+
+MALFORMED_SCENARIO = {
+    "injection_without_attribute_id": lambda sc: sc["injections"].append({"at_ms": 5}),
+    "profile_without_protocol": lambda sc: sc["traffic_profile"][0].pop("protocol"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIO))
+def test_malformed_scenario_exit_two(tmp_path, capsys, case):
+    sc = scenario_to_dict(default_scenario(name="bad", seed=1))
+    MALFORMED_SCENARIO[case](sc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(sc))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "otcms: error:" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_two_files(self, scenario_dir, tmp_path):

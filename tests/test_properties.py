@@ -1,11 +1,14 @@
 """Property-based checks over the engine's core invariants."""
 
+from dataclasses import fields
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otcms.context import ContextSpec, RateLimit, context_from_dict
+from otcms.context import ContextError, ContextSpec, RateLimit, context_from_dict, context_to_dict
 from otcms.detectors import Status, detect_abnormal_behavior, run_detectors
 from otcms.evidence import EvidenceEvent, IdScheme, assemble_sessions, parse_evidence, to_jsonl
+from otcms.simulator import INJECTIONS, Injection, default_context, default_scenario, generate_scenario
 
 HOSTS = ["h1", "h2", "h3", "p9"]
 PROTOCOLS = ["MQTT", "OPCUA", "Telnet", "FTP", "HTTP", "LDAP", "Bluetooth", "ICMP"]
@@ -205,3 +208,34 @@ def test_appending_events_never_unviolates(events, data):
     for attribute_id, verdict in before.items():
         if verdict.status is Status.VIOLATED:
             assert after[attribute_id].status is Status.VIOLATED
+
+
+# Nested keys the context sections read, so generated objects reach past the
+# top level; arbitrary keys are mixed in.
+SECTION_KEYS = [
+    "src", "dst", "protocol", "mandatory", "process_id", "device_id", "pair", "window_ms",
+    "max_events_per_window", "max_bytes_per_window", "min_length", "max_lifetime_days",
+    "approved_suites", "min_key_bits", "min_protocol_versions", "MQTT", "cell",
+]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SECTION_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+DEFAULT_CONTEXT = context_to_dict(default_context())
+SAMPLE_EVENTS, _ = generate_scenario(
+    default_scenario(seed=3, injections=tuple(Injection(attribute_id=a) for a in sorted(INJECTIONS)))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from([f.name for f in fields(ContextSpec)]), value=json_values)
+def test_any_json_in_a_context_section_loads_or_raises_context_error(key, value):
+    """A context section holding any JSON value either loads into a context
+    the detectors run on, or fails with ContextError (exit 2 on the CLI)."""
+    try:
+        ctx = context_from_dict({**DEFAULT_CONTEXT, key: value})
+    except ContextError:
+        return
+    run_detectors(SAMPLE_EVENTS, assemble_sessions(SAMPLE_EVENTS), ctx)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from otcms.compliance import build_report
 from otcms.detectors import REGISTRY, Status
 from otcms.engine import evaluate_verdicts
 from otcms.evidence import parse_evidence, to_jsonl
@@ -166,3 +167,34 @@ def test_parse_of_simulator_output_is_lossless(catalog):
     sc = default_scenario(seed=31, injections=(Injection(attribute_id="password_policy"),))
     events, _ = generate_scenario(sc, catalog)
     assert parse_evidence(to_jsonl(events).splitlines()) == events
+
+
+LONG_MIXES = {
+    "none": (),
+    "violation": ("weak_encryption",),
+    "positive": ("iac_management",),
+    "all": tuple(sorted(INJECTIONS)),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(LONG_MIXES))
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("duration_ms", [700_000, 3_600_000, 7_200_000])
+def test_oracle_holds_beyond_session_max(catalog, duration_ms, seed, mix):
+    """Baseline sessions rotate, so verdicts equal ground truth however far
+    the scenario runs past the context's session_max_ms."""
+    names = LONG_MIXES[mix]
+    injections = tuple(
+        Injection(attribute_id=name, at_ms=duration_ms * (i + 1) // (len(names) + 1)) for i, name in enumerate(names)
+    )
+    sc = default_scenario(seed=seed, injections=injections, duration_ms=duration_ms)
+    assert duration_ms > sc.spec.session_max_ms
+    events, truth = generate_scenario(sc, catalog)
+    verdicts = evaluate_verdicts(catalog, sc.spec, events)
+    violated = {a for a, v in verdicts.items() if v.status is Status.VIOLATED}
+    assert violated == truth.expected_violated
+    # a positive injection's label yields to a violation of the same attribute
+    fulfilled = {a for a, v in verdicts.items() if v.status is Status.FULFILLED}
+    assert truth.expected_fulfilled - truth.expected_violated <= fulfilled
+    report = build_report(catalog, verdicts, sc.sl_target, "sha256:oracle")
+    assert set(report.noncompliant_sr_ids()) == truth.expected_noncompliant_srs
