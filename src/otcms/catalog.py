@@ -14,12 +14,14 @@ report renders it NotApplicable instead of claiming compliance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
+
+from otcms.jsonfield import from_json, one_of
 
 _SL_RANGE = (1, 2, 3, 4)
 
@@ -34,6 +36,14 @@ class AttributeKind(str, Enum):
     TRAFFIC = "traffic"  # measured directly in gathered evidence
     LOGICAL = "logical"  # deduced from evidence plus context knowledge
     MANUAL = "manual"  # asserted by an auditor, never monitored
+
+    @classmethod
+    def _missing_(cls, value):
+        """Kinds match case-insensitively."""
+        for kind in cls:
+            if str(value).lower() == kind.value:
+                return kind
+        raise ValueError(f"unknown attribute kind {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,14 +64,14 @@ class RequirementEnhancement:
     """An SR add-on mandatory only from ``min_sl`` upward."""
 
     id: str
-    min_sl: int
+    min_sl: int = field(metadata=one_of(*_SL_RANGE))
     bindings: tuple[AttributeBinding, ...] = ()
 
 
 @dataclass(frozen=True)
 class SecurityRequirement:
     id: str
-    title: str
+    title: str = ""
     bindings: tuple[AttributeBinding, ...] = ()
     enhancements: tuple[RequirementEnhancement, ...] = ()
     not_monitorable: bool = False
@@ -71,7 +81,7 @@ class SecurityRequirement:
 @dataclass(frozen=True)
 class FunctionalRequirement:
     id: str
-    title: str
+    title: str = ""
     srs: tuple[SecurityRequirement, ...] = ()
 
 
@@ -80,7 +90,7 @@ class Catalog:
     """FR -> SR -> RE hierarchy with SL-conditional attribute bindings."""
 
     frs: tuple[FunctionalRequirement, ...]
-    version: str
+    version: str = ""
     source_note: str = ""
 
     @cached_property
@@ -132,85 +142,35 @@ def _line_note(raw_text: str, needle: str) -> str:
     return f" (line {line})"
 
 
-def _parse_binding(raw: dict, where: str) -> AttributeBinding:
-    if not isinstance(raw, dict) or "attribute_id" not in raw:
-        raise CatalogError(f"{where}: binding must be an object with attribute_id")
-    kind_raw = str(raw.get("kind", "")).lower()
-    try:
-        kind = AttributeKind(kind_raw)
-    except ValueError:
-        raise CatalogError(f"{where}: unknown attribute kind {raw.get('kind')!r}") from None
-    min_sl = raw.get("min_sl", 1)
-    if not isinstance(min_sl, int):
-        raise CatalogError(f"{where}: min_sl must be an integer")
-    return AttributeBinding(attribute_id=str(raw["attribute_id"]), kind=kind, min_sl=min_sl)
-
-
 def parse_catalog(text: str) -> Catalog:
-    """Parse catalog JSON text and enforce structural invariants."""
+    """Parse catalog JSON text and enforce structural invariants.
+
+    A binding's ``min_sl`` may be any integer here; :func:`validate_catalog`
+    reports one outside 1..4.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, dict) or "frs" not in data:
-        raise CatalogError("catalog must be a JSON object with an 'frs' array")
+    catalog = from_json(Catalog, data, CatalogError)
 
-    frs: list[FunctionalRequirement] = []
     seen_srs: set[str] = set()
-    for fr_raw in data["frs"]:
-        srs: list[SecurityRequirement] = []
-        fr_id = str(fr_raw.get("id", ""))
-        for sr_raw in fr_raw.get("srs", []):
-            sr_id = str(sr_raw.get("id", ""))
-            if not sr_id:
-                raise CatalogError(f"{fr_id}: SR without an id")
-            if sr_id in seen_srs:
-                raise CatalogError(f"duplicate SR id {sr_id!r}{_line_note(text, sr_id)}")
-            seen_srs.add(sr_id)
-            bindings = tuple(
-                _parse_binding(raw, sr_id) for raw in sr_raw.get("bindings", [])
-            )
-            enhancements = []
-            for enh_raw in sr_raw.get("enhancements", []):
-                enh_id = str(enh_raw.get("id", ""))
-                enh_min_sl = enh_raw.get("min_sl")
-                if enh_min_sl not in _SL_RANGE:
-                    raise CatalogError(f"{sr_id}: enhancement {enh_id!r} min_sl must be 1..4")
-                enhancements.append(
-                    RequirementEnhancement(
-                        id=enh_id,
-                        min_sl=enh_min_sl,
-                        bindings=tuple(
-                            _parse_binding(raw, enh_id) for raw in enh_raw.get("bindings", [])
-                        ),
-                    )
-                )
-            not_monitorable = bool(sr_raw.get("not_monitorable", False))
-            if not bindings and not enhancements and not not_monitorable:
-                raise CatalogError(f"{sr_id}: no bindings and not flagged not_monitorable{_line_note(text, sr_id)}")
-            srs.append(
-                SecurityRequirement(
-                    id=sr_id,
-                    title=str(sr_raw.get("title", "")),
-                    bindings=bindings,
-                    enhancements=tuple(enhancements),
-                    not_monitorable=not_monitorable,
-                    rationale=str(sr_raw.get("rationale", "")),
-                )
-            )
-        if not srs:
-            raise CatalogError(f"{fr_id}: functional requirement with no SRs")
-        frs.append(FunctionalRequirement(id=fr_id, title=str(fr_raw.get("title", "")), srs=tuple(srs)))
+    for fr in catalog.frs:
+        for sr in fr.srs:
+            if not sr.id:
+                raise CatalogError(f"{fr.id}: SR without an id")
+            if sr.id in seen_srs:
+                raise CatalogError(f"duplicate SR id {sr.id!r}{_line_note(text, sr.id)}")
+            seen_srs.add(sr.id)
+            if not sr.bindings and not sr.enhancements and not sr.not_monitorable:
+                raise CatalogError(f"{sr.id}: no bindings and not flagged not_monitorable{_line_note(text, sr.id)}")
+        if not fr.srs:
+            raise CatalogError(f"{fr.id}: functional requirement with no SRs")
 
     expected = [f"FR{i}" for i in range(1, 8)]
-    if [fr.id for fr in frs] != expected:
-        raise CatalogError(f"catalog must contain exactly FR1..FR7 in order, got {[fr.id for fr in frs]}")
-
-    return Catalog(
-        frs=tuple(frs),
-        version=str(data.get("version", "")),
-        source_note=str(data.get("source_note", "")),
-    )
+    if [fr.id for fr in catalog.frs] != expected:
+        raise CatalogError(f"catalog must contain exactly FR1..FR7 in order, got {[fr.id for fr in catalog.frs]}")
+    return catalog
 
 
 def load_catalog(path: str | Path) -> Catalog:

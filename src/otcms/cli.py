@@ -58,6 +58,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         _err(f"cannot load catalog {catalog_path}: {exc}")
         return 2
+    for issue in validate_catalog(catalog, registry_kinds()):
+        # parse_catalog keeps such a binding for validate to report; no SL requires it, so a report would drop it.
+        if issue.code == "min_sl_range":
+            _err(f"cannot evaluate with catalog {catalog_path}: {issue.sr_id}: {issue.message}")
+            return 2
     try:
         ctx = load_context(args.context)
     except (OSError, ValueError) as exc:

@@ -16,6 +16,9 @@ import logging
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from otcms.evidence import IdScheme
+from otcms.jsonfield import at_least, from_json, read
+
 logger = logging.getLogger(__name__)
 
 DEFAULT_WIRELESS_PROTOCOLS = frozenset({"Bluetooth", "Zigbee"})
@@ -57,7 +60,7 @@ class CommEntry:
 class RateLimit:
     """Sliding-window rate thresholds for one participant pair."""
 
-    window_ms: int
+    window_ms: int = field(metadata=at_least(1))
     max_events_per_window: int | None = None
     max_bytes_per_window: int | None = None
 
@@ -178,7 +181,7 @@ class EntityClass:
     zone_trusted: bool | None
 
 
-def classify_entity(identifier: str, scheme, ctx: ContextSpec) -> EntityClass:
+def classify_entity(identifier: str, scheme: IdScheme, ctx: ContextSpec) -> EntityClass:
     """Pure classification of ``identifier`` under ``ctx``.
 
     Humanity follows the identity list or the Username scheme; the list wins
@@ -186,14 +189,10 @@ def classify_entity(identifier: str, scheme, ctx: ContextSpec) -> EntityClass:
     configured external prefix, or when it is an unzoned globally routable
     address; private addresses without a zone stay internal.
     """
-    from otcms.evidence import IdScheme  # local import avoids a module cycle
-
-    scheme_value = scheme.value if isinstance(scheme, IdScheme) else str(scheme)
-
     is_human: bool | None = None
     if identifier in ctx.human_identifiers:
         is_human = True
-    elif scheme_value == IdScheme.USERNAME.value:
+    elif scheme is IdScheme.USERNAME:
         if ctx.human_identifiers:
             logger.debug(
                 "identifier %r uses the Username scheme but is not in the human list; "
@@ -235,115 +234,22 @@ def classify_entity(identifier: str, scheme, ctx: ContextSpec) -> EntityClass:
 _STRING_SETS = tuple(f for f in fields(ContextSpec) if f.type == "frozenset[str]")
 
 
-def _of(kind: type, value) -> bool:
-    """``isinstance`` that does not count a bool as an integer."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _int(section: dict, key: str, default: int | None = None) -> int | None:
-    """``section[key]`` as an integer; absent gives ``default``, and null is
-    accepted only where the default is null."""
-    value = section.get(key, default)
-    if _of(int, value) or (value is None and default is None):
-        return value
-    raise ContextError(f"{key} must be an integer, got {value!r}")
-
-
-def _collection(section: dict, key: str, kind: type, item_type: type = object):
-    """A copy of the list (or object) ``section[key]`` whose items (or
-    values) are all of ``item_type``; absent or null gives an empty one."""
-    value = section.get(key)
-    if value is None:
-        return kind()
-    items = value.values() if isinstance(value, dict) else value
-    if not isinstance(value, kind) or not all(_of(item_type, item) for item in items):
-        raise ContextError(f"{key} must be a {kind.__name__} of {item_type.__name__} values, got {value!r}")
-    return kind(value)
-
-
-def _object(data: dict, key: str) -> dict | None:
-    """An optional policy section: absent gives None, anything but an object fails."""
-    if key not in data:
-        return None
-    if not isinstance(data[key], dict):
-        raise ContextError(f"{key} must be a JSON object, got {data[key]!r}")
-    return data[key]
-
-
 def context_from_dict(data: dict) -> ContextSpec:
     """Build a :class:`ContextSpec` from its JSON object form."""
     if not isinstance(data, dict):
         raise ContextError("context file must contain a JSON object")
-
-    comms = []
-    for raw in _collection(data, "expected_communications", list):
-        if not isinstance(raw, dict) or not {"src", "dst", "protocol"} <= raw.keys():
-            raise ContextError(f"expected_communications entry must have src/dst/protocol: {raw!r}")
-        comms.append(
-            CommEntry(
-                src=str(raw["src"]),
-                dst=str(raw["dst"]),
-                protocol=str(raw["protocol"]),
-                mandatory=bool(raw.get("mandatory", False)),
-            )
-        )
-
     processes = set()
-    for raw in _collection(data, "known_software_processes", list):
-        if isinstance(raw, dict) and {"process_id", "device_id"} <= raw.keys():
-            processes.add((str(raw["process_id"]), str(raw["device_id"])))
-        elif isinstance(raw, list) and len(raw) == 2:
-            processes.add((str(raw[0]), str(raw[1])))
-        else:
-            raise ContextError(f"known_software_processes entry malformed: {raw!r}")
-
-    rate_spec: dict[tuple[str, str], RateLimit] = {}
-    for raw in _collection(data, "rate_spec", list):
-        pair = raw.get("pair") if isinstance(raw, dict) else None
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ContextError(f"rate_spec entry needs a two-element pair: {raw!r}")
-        window_ms = raw.get("window_ms")
-        if not _of(int, window_ms) or window_ms <= 0:
-            raise ContextError(f"rate_spec window_ms must be a positive integer: {raw!r}")
-        key = tuple(sorted((str(pair[0]), str(pair[1]))))
-        rate_spec[key] = RateLimit(
-            window_ms=window_ms,
-            max_events_per_window=_int(raw, "max_events_per_window"),
-            max_bytes_per_window=_int(raw, "max_bytes_per_window"),
-        )
-
-    password_policy = None
-    if (raw := _object(data, "password_policy")) is not None:
-        password_policy = PasswordPolicy(
-            min_length=_int(raw, "min_length", 8),
-            max_lifetime_days=_int(raw, "max_lifetime_days"),
-        )
-
-    crypto_policy = None
-    if (raw := _object(data, "crypto_policy")) is not None:
-        crypto_policy = CryptoPolicy(
-            approved_suites=frozenset(_collection(raw, "approved_suites", list, str)),
-            min_key_bits=_int(raw, "min_key_bits", 128),
-            min_protocol_versions=_collection(raw, "min_protocol_versions", dict, str),
-        )
-
-    string_sets = {
-        f.name: frozenset(_collection(data, f.name, list, str)) if f.name in data else f.default for f in _STRING_SETS
-    }
-    return ContextSpec(
-        expected_communications=tuple(comms),
-        expected_ports=frozenset(_collection(data, "expected_ports", list, int)),
-        known_software_processes=frozenset(processes),
-        zone_map=_collection(data, "zone_map", dict, str),
-        zone_sl_target=_collection(data, "zone_sl_target", dict, int),
-        external_prefixes=tuple(_collection(data, "external_prefixes", list, str)),
-        rate_spec=rate_spec,
-        password_policy=password_policy,
-        max_failed_attempts=_int(data, "max_failed_attempts"),
-        session_max_ms=_int(data, "session_max_ms", DEFAULT_SESSION_MAX_MS),
-        crypto_policy=crypto_policy,
-        p2p_bandwidth_limit_bytes_per_s=_int(data, "p2p_bandwidth_limit_bytes_per_s"),
-        **string_sets,
+    raws = read(data.get("known_software_processes", []), list, ContextError, "known_software_processes")
+    for index, raw in enumerate(raws):
+        if type(raw) is dict:  # {process_id, device_id}, or else a [process_id, device_id] pair
+            raw = [raw.get("process_id"), raw.get("device_id")]
+        processes.add(read(raw, tuple[str, str], ContextError, f"known_software_processes[{index}]"))
+    rate_spec = {}
+    for index, raw in enumerate(read(data.get("rate_spec", []), tuple[dict, ...], ContextError, "rate_spec")):
+        pair = read(raw.get("pair"), tuple[str, str], ContextError, f"rate_spec[{index}]: pair")
+        rate_spec[tuple(sorted(pair))] = read(raw, RateLimit, ContextError, f"rate_spec[{index}]")
+    return from_json(
+        ContextSpec, data, ContextError, known_software_processes=frozenset(processes), rate_spec=rate_spec
     )
 
 
@@ -442,15 +348,8 @@ def load_manual_attributes(path: str | Path, catalog) -> ManualAttributeFile:
             raise ContextError(
                 f"manual override refused for {attribute_id!r}: attribute is monitored ({kind.value})"
             )
-        if isinstance(raw, bool):
+        if type(raw) is bool:
             entries[attribute_id] = ManualEntry(value=raw)
-        elif isinstance(raw, dict) and isinstance(raw.get("value"), bool):
-            entries[attribute_id] = ManualEntry(
-                value=raw["value"],
-                set_by=str(raw.get("set_by", "")),
-                date=str(raw.get("date", "")),
-                note=str(raw.get("note", "")),
-            )
         else:
-            raise ContextError(f"manual entry for {attribute_id!r} must carry a boolean value")
+            entries[attribute_id] = read(raw, ManualEntry, ContextError, f"manual entry {attribute_id}")
     return ManualAttributeFile(entries=entries)

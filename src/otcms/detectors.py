@@ -964,7 +964,6 @@ def run_detectors(
     events: list[EvidenceEvent],
     sessions: list[Session],
     ctx: ContextSpec,
-    iac_run_len: int = IAC_RUN_LEN,
 ) -> dict[str, AttributeVerdict]:
     """Run every detector once; returns attribute_id -> verdict.
 
@@ -984,7 +983,7 @@ def run_detectors(
     verdicts += detect_auth_attempts(events, ctx)
     verdicts += detect_session_violations(sessions, ctx)
     verdicts += detect_integrity_anomalies(events, sessions)
-    verdicts += detect_iac_management(events, run_len=iac_run_len)
+    verdicts += detect_iac_management(events)
     verdicts += detect_pki_best_practice(events, ctx)
     verdicts += detect_wireless_iac(events, ctx)
     verdicts += detect_untrusted_access(events, ctx)

@@ -8,14 +8,7 @@ import hashlib
 from otcms.catalog import AttributeKind, Catalog
 from otcms.compliance import ComplianceReport, build_report
 from otcms.context import ContextSpec, ManualAttributeFile
-from otcms.detectors import (
-    IAC_RUN_LEN,
-    AttributeVerdict,
-    Finding,
-    Severity,
-    Status,
-    run_detectors,
-)
+from otcms.detectors import AttributeVerdict, Finding, Severity, Status, run_detectors
 from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceEvent, assemble_sessions, to_jsonl
 
 
@@ -55,12 +48,9 @@ def evaluate_verdicts(
     events: list[EvidenceEvent],
     manual: ManualAttributeFile | None = None,
     gap_ms: int = DEFAULT_SESSION_GAP_MS,
-    explicit_ids: bool = True,
-    iac_run_len: int = IAC_RUN_LEN,
 ) -> dict[str, AttributeVerdict]:
     """Sessions + detector suite + manual merge; the full verdict map."""
-    sessions = assemble_sessions(events, gap_ms=gap_ms, explicit_ids=explicit_ids)
-    verdicts = run_detectors(events, sessions, ctx, iac_run_len=iac_run_len)
+    verdicts = run_detectors(events, assemble_sessions(events, gap_ms=gap_ms), ctx)
     verdicts.update(manual_verdicts(catalog, manual))
     return verdicts
 
@@ -72,16 +62,11 @@ def run_evaluation(
     manual: ManualAttributeFile | None = None,
     sl_target: int = 2,
     gap_ms: int = DEFAULT_SESSION_GAP_MS,
-    explicit_ids: bool = True,
     digest: str | None = None,
     generated_at: int = 0,
-    iac_run_len: int = IAC_RUN_LEN,
 ) -> ComplianceReport:
     """Run the full pipeline over parsed events and return the report."""
-    verdicts = evaluate_verdicts(
-        catalog, ctx, events, manual=manual, gap_ms=gap_ms,
-        explicit_ids=explicit_ids, iac_run_len=iac_run_len,
-    )
+    verdicts = evaluate_verdicts(catalog, ctx, events, manual=manual, gap_ms=gap_ms)
     if digest is None:
         digest = evidence_digest(to_jsonl(events).encode("utf-8"))
     return build_report(

@@ -16,25 +16,16 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
+from otcms.jsonfield import at_least, from_json, one_of
+
 logger = logging.getLogger(__name__)
 
 DEFAULT_SESSION_GAP_MS = 60_000
-
-#: Payload markers standing in for deep-payload parsing. Adapters set them
-#: when the corresponding content was observed inside a packet payload.
-MARKER_FIELDS = (
-    "access_list_transfer",
-    "mobile_code",
-    "audit_record",
-    "record_timestamp",
-    "ids_heartbeat",
-    "snapshot_transfer",
-)
 
 
 class EvidenceError(ValueError):
@@ -53,17 +44,25 @@ class IdScheme(str, Enum):
     NETBIOS = "NetBIOS"
     OTHER = "Other"
 
-
-_SCHEMES = {s.value: s for s in IdScheme}
-_AUTH_RESULTS = ("Success", "Failure")
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown identifier scheme {value!r}")
 
 
 @dataclass(frozen=True)
 class EvidenceEvent:
-    """One observed network communication record."""
+    """One observed network communication record.
+
+    The annotations are the evidence format: :func:`parse_evidence` reads
+    each JSON key by its field's exact type, and :func:`event_to_record`
+    leaves a field out while it holds its absent default (null, false,
+    ``Other``). The payload markers, ``access_list_transfer`` to
+    ``snapshot_transfer``, stand in for deep-payload parsing: adapters set
+    them when the corresponding content was observed inside a packet payload.
+    """
 
     seq: int
-    timestamp: int  # milliseconds since epoch
+    timestamp: int = field(metadata=at_least(0))  # milliseconds since epoch
     src_id: str
     dst_id: str
     protocol: str
@@ -74,13 +73,13 @@ class EvidenceEvent:
     tls_present: bool | None = None
     cert_present: bool | None = None
     cipher_suite: str | None = None
-    key_bits: int | None = None
+    key_bits: int | None = field(default=None, metadata=at_least(1))
     cleartext_password: str | None = None
-    auth_result: str | None = None  # "Success" | "Failure"
+    auth_result: str | None = field(default=None, metadata=one_of("Success", "Failure"))
     session_id: str | None = None
     error_code: str | None = None
     fragmented: bool = False
-    bytes: int = 0
+    bytes: int = field(default=0, metadata=at_least(0))
     direction_external: bool | None = None
     access_list_transfer: bool = False
     mobile_code: bool = False
@@ -123,73 +122,6 @@ class Session:
         return self.end - self.start
 
 
-_REQUIRED = ("timestamp", "src_id", "dst_id", "protocol")
-
-
-def _event_from_record(record: dict, seq: int, line_no: int) -> EvidenceEvent:
-    for name in _REQUIRED:
-        if record.get(name) is None:
-            raise EvidenceError(f"line {line_no}: missing {name}")
-
-    def fail(reason: str) -> EvidenceError:
-        return EvidenceError(f"line {line_no}: {reason}")
-
-    timestamp = record["timestamp"]
-    if not isinstance(timestamp, int) or timestamp < 0:
-        raise fail(f"timestamp must be a non-negative integer, got {timestamp!r}")
-    nbytes = record.get("bytes", 0)
-    if not isinstance(nbytes, int) or nbytes < 0:
-        raise fail(f"bytes must be a non-negative integer, got {nbytes!r}")
-    key_bits = record.get("key_bits")
-    if key_bits is not None and (not isinstance(key_bits, int) or key_bits <= 0):
-        raise fail(f"key_bits must be a positive integer, got {key_bits!r}")
-    port = record.get("port")
-    if port is not None and not isinstance(port, int):
-        raise fail(f"port must be an integer, got {port!r}")
-    auth_result = record.get("auth_result")
-    if auth_result is not None and auth_result not in _AUTH_RESULTS:
-        raise fail(f"auth_result must be one of {_AUTH_RESULTS}, got {auth_result!r}")
-
-    schemes = {}
-    for side in ("id_scheme_src", "id_scheme_dst"):
-        raw = record.get(side)
-        if raw is None:
-            schemes[side] = IdScheme.OTHER
-        elif raw in _SCHEMES:
-            schemes[side] = _SCHEMES[raw]
-        else:
-            raise fail(f"unknown identifier scheme {raw!r}")
-
-    return EvidenceEvent(
-        seq=seq,
-        timestamp=timestamp,
-        src_id=str(record["src_id"]),
-        dst_id=str(record["dst_id"]),
-        protocol=str(record["protocol"]),
-        id_scheme_src=schemes["id_scheme_src"],
-        id_scheme_dst=schemes["id_scheme_dst"],
-        protocol_version=record.get("protocol_version"),
-        port=port,
-        tls_present=record.get("tls_present"),
-        cert_present=record.get("cert_present"),
-        cipher_suite=record.get("cipher_suite"),
-        key_bits=key_bits,
-        cleartext_password=record.get("cleartext_password"),
-        auth_result=auth_result,
-        session_id=record.get("session_id"),
-        error_code=record.get("error_code"),
-        fragmented=bool(record.get("fragmented", False)),
-        bytes=nbytes,
-        direction_external=record.get("direction_external"),
-        access_list_transfer=bool(record.get("access_list_transfer", False)),
-        mobile_code=bool(record.get("mobile_code", False)),
-        audit_record=bool(record.get("audit_record", False)),
-        record_timestamp=bool(record.get("record_timestamp", False)),
-        ids_heartbeat=bool(record.get("ids_heartbeat", False)),
-        snapshot_transfer=bool(record.get("snapshot_transfer", False)),
-    )
-
-
 def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEvent]:
     """Parse a JSON Lines evidence stream into events in file order.
 
@@ -204,18 +136,12 @@ def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEv
         if not stripped:
             continue
         try:
-            record = json.loads(stripped)
-            if not isinstance(record, dict):
-                raise EvidenceError(f"line {line_no}: expected a JSON object")
-            events.append(_event_from_record(record, seq=len(events), line_no=line_no))
-        except EvidenceError:
+            events.append(from_json(EvidenceEvent, json.loads(stripped), EvidenceError, seq=len(events)))
+        except (EvidenceError, json.JSONDecodeError) as exc:
+            reason = f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError) else str(exc)
             if strict:
-                raise
-            logger.warning("skipping malformed evidence line %d", line_no)
-        except json.JSONDecodeError as exc:
-            if strict:
-                raise EvidenceError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            logger.warning("skipping unparseable evidence line %d", line_no)
+                raise EvidenceError(f"line {line_no}: {reason}") from exc
+            logger.warning("skipping malformed evidence line %d: %s", line_no, reason)
     return events
 
 
@@ -225,25 +151,22 @@ def load_evidence(path: str | Path, strict: bool = True) -> list[EvidenceEvent]:
     return parse_evidence(text.splitlines(), strict=strict)
 
 
-_EVENT_FIELD_ORDER = [f.name for f in fields(EvidenceEvent)]
+#: Each field with its default where that default means "not observed"
+#: (null, false, ``Other``) and is left out of a record; MISSING for the
+#: fields always written, the required ones and ``bytes``.
+_ABSENT = [
+    (f.name, f.default if f.default is None or type(f.default) in (bool, IdScheme) else MISSING)
+    for f in fields(EvidenceEvent)
+]
 
 
 def event_to_record(event: EvidenceEvent) -> dict:
     """Serializable record; optional fields are omitted when absent."""
     record: dict = {}
-    for name in _EVENT_FIELD_ORDER:
+    for name, absent in _ABSENT:
         value = getattr(event, name)
-        if isinstance(value, IdScheme):
-            if value is not IdScheme.OTHER:
-                record[name] = value.value
-            continue
-        if name in MARKER_FIELDS or name == "fragmented":
-            if value:
-                record[name] = True
-            continue
-        if value is None:
-            continue
-        record[name] = value
+        if value is not absent:
+            record[name] = value.value if type(value) is IdScheme else value
     return record
 
 

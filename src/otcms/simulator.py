@@ -30,6 +30,7 @@ from typing import Callable
 from otcms.catalog import Catalog, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
 from otcms.evidence import EvidenceEvent, IdScheme, to_jsonl
+from otcms.jsonfield import from_json, read
 
 PLC1 = "10.0.1.10"
 PLC2 = "10.0.1.11"
@@ -81,7 +82,7 @@ class TrafficPattern:
     src: str
     dst: str
     protocol: str
-    rate_per_s: float
+    rate_per_s: float = 1.0
     port: int | None = None
     session_id: str | None = None
     flavor: str = "data"
@@ -554,57 +555,18 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _field(raw: dict, key: str, default, types: tuple[type, ...] = (int,)):
-    """``raw[key]`` (``default`` when absent) if its exact type is one of ``types``."""
-    value = raw.get(key, default)
-    if type(value) not in types:
-        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-        raise ScenarioError(f"{key} must be {names}, got {value!r}")
-    return value
-
-
-def _entries(data: dict, key: str) -> list[dict]:
-    raws = data.get(key, [])
-    if not isinstance(raws, list) or not all(isinstance(raw, dict) for raw in raws):
-        raise ScenarioError(f"{key} must be a list of objects")
-    return raws
-
-
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict) or "name" not in data:
-        raise ScenarioError("scenario file must be a JSON object with at least a name")
+    if not isinstance(data, dict):
+        raise ScenarioError("scenario file must be a JSON object")
     profile = []
-    for raw in _entries(data, "traffic_profile"):
-        pair = raw.get("pair")
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioError(f"traffic_profile entry needs a two-element pair: {raw!r}")
-        profile.append(
-            TrafficPattern(
-                src=str(pair[0]),
-                dst=str(pair[1]),
-                protocol=_field(raw, "protocol", None, (str,)),
-                rate_per_s=float(_field(raw, "rate_per_s", 1.0, (int, float))),
-                port=_field(raw, "port", None, (int, type(None))),
-                session_id=_field(raw, "session_id", None, (str, type(None))),
-                flavor=_field(raw, "flavor", "data", (str,)),
-            )
-        )
-    injections = tuple(
-        Injection(
-            attribute_id=_field(raw, "attribute_id", None, (str,)),
-            at_ms=_field(raw, "at_ms", None, (int, type(None))),
-        )
-        for raw in _entries(data, "injections")
-    )
-    return Scenario(
-        name=str(data["name"]),
-        seed=_field(data, "seed", 0),
-        spec=context_from_dict(data.get("context", {})),
-        duration_ms=_field(data, "duration_ms", 20_000),
-        sl_target=_field(data, "sl_target", 2),
-        traffic_profile=tuple(profile),
-        injections=injections,
-    )
+    raws = read(data.get("traffic_profile", []), tuple[dict, ...], ScenarioError, "traffic_profile")
+    for index, raw in enumerate(raws):
+        where = f"traffic_profile[{index}]"
+        src, dst = read(raw.get("pair"), tuple[str, str], ScenarioError, f"{where}: pair")
+        profile.append(read({**raw, "src": src, "dst": dst}, TrafficPattern, ScenarioError, where))
+    spec = context_from_dict(data.get("context", {}))
+    # A file may leave out the seed, which the dataclass requires.
+    return from_json(Scenario, {"seed": 0, **data}, ScenarioError, spec=spec, traffic_profile=tuple(profile))
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -137,6 +137,12 @@ MALFORMED_CONTEXT = {
     "zone_sl_target_null": {"zone_sl_target": {"cell": None}},
     "zone_map_list": {"zone_map": ["a"]},
     "min_protocol_versions_list": {"crypto_policy": {"min_protocol_versions": [1]}},
+    "mandatory_string": {
+        "expected_communications": [{"src": "a", "dst": "b", "protocol": "MQTT", "mandatory": "false"}]
+    },
+    "dst_null": {"expected_communications": [{"src": "a", "dst": None, "protocol": "MQTT"}]},
+    "process_pair_with_null": {"known_software_processes": [[1, None]]},
+    "password_policy_null": {"password_policy": None},
 }
 
 
@@ -152,6 +158,9 @@ def test_malformed_context_exit_two(scenario_dir, tmp_path, capsys, case):
 MALFORMED_SCENARIO = {
     "injection_without_attribute_id": lambda sc: sc["injections"].append({"at_ms": 5}),
     "profile_without_protocol": lambda sc: sc["traffic_profile"][0].pop("protocol"),
+    "rate_beyond_float_range": lambda sc: sc["traffic_profile"][0].update(rate_per_s=10**400),
+    "rate_infinite": lambda sc: sc["traffic_profile"][0].update(rate_per_s=float("inf")),
+    "port_string": lambda sc: sc["traffic_profile"][0].update(port="502"),
 }
 
 
@@ -163,6 +172,80 @@ def test_malformed_scenario_exit_two(tmp_path, capsys, case):
     path.write_text(json.dumps(sc))
     assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert "otcms: error:" in capsys.readouterr().err
+
+
+MALFORMED_EVIDENCE = {
+    "protocol_version": 5,
+    "cleartext_password": 12,
+    "audit_record": "false",
+    "port": True,
+    "fragmented": "false",
+    "tls_present": "no",
+    "src_id": 7,
+    "timestamp": True,
+}
+
+
+@pytest.mark.parametrize("field", sorted(MALFORMED_EVIDENCE))
+def test_malformed_evidence_exit_two_names_line_and_field(scenario_dir, tmp_path, capsys, field):
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    first, second = evidence.read_text().splitlines()[:2]
+    evidence.write_text(f"{first}\n{json.dumps({**json.loads(second), field: MALFORMED_EVIDENCE[field]})}\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--evidence", str(evidence), "--context", str(context)]) == 2
+    assert f"otcms: error: {evidence}: line 2: {field}:" in capsys.readouterr().err
+
+
+def _sr11(catalog: dict) -> dict:
+    return catalog["frs"][0]["srs"][0]
+
+
+# Each case: how to break the bundled catalog, and what the error must name.
+MALFORMED_CATALOG = {
+    "not_monitorable_string": (lambda c: _sr11(c).update(not_monitorable="false"), "srs[SR1.1]: not_monitorable:"),
+    "fr_number": (lambda c: c.update(frs=[5]), "frs[0]: expected an object"),
+    "bindings_number": (lambda c: _sr11(c).update(bindings=5), "srs[SR1.1]: bindings: expected a list"),
+    "min_sl_bool": (lambda c: _sr11(c)["bindings"][0].update(min_sl=True), "srs[SR1.1]: bindings[0]: min_sl:"),
+    "min_sl_out_of_range": (
+        lambda c: _sr11(c)["bindings"][0].update(min_sl=7), "SR1.1: unknown_communication: min_sl 7 outside 1..4"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CATALOG))
+def test_malformed_catalog_evaluate_exit_two(scenario_dir, tmp_path, capsys, case):
+    from otcms.catalog import default_catalog_path
+
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    data = json.loads(default_catalog_path().read_text())
+    mutate, named = MALFORMED_CATALOG[case]
+    mutate(data)
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--catalog", str(catalog)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("otcms: error: cannot") and named in err
+
+
+def test_min_sl_out_of_range_still_loads_for_validate(tmp_path, capsys):
+    from otcms.catalog import default_catalog_path
+
+    data = json.loads(default_catalog_path().read_text())
+    MALFORMED_CATALOG["min_sl_out_of_range"][0](data)
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(data))
+    assert main(["catalog", "validate", "--catalog", str(catalog)]) == 1
+    assert "SR1.1: min_sl_range:" in capsys.readouterr().out
+
+
+def test_manual_entry_mistyped_exit_two(scenario_dir, tmp_path, capsys):
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    manual = tmp_path / "manual.json"
+    manual.write_text(json.dumps({"entries": {"input_validation": {"value": True, "set_by": 5}}}))
+    capsys.readouterr()
+    assert main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--manual", str(manual)]) == 2
+    assert "otcms: error: cannot load manual attributes" in capsys.readouterr().err
 
 
 class TestSimulate:

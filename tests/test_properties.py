@@ -1,13 +1,22 @@
 """Property-based checks over the engine's core invariants."""
 
-from dataclasses import fields
+import json
+from dataclasses import fields, replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otcms.context import ContextError, ContextSpec, RateLimit, context_from_dict, context_to_dict
 from otcms.detectors import Status, detect_abnormal_behavior, run_detectors
-from otcms.evidence import EvidenceEvent, IdScheme, assemble_sessions, parse_evidence, to_jsonl
+from otcms.evidence import (
+    EvidenceError,
+    EvidenceEvent,
+    IdScheme,
+    assemble_sessions,
+    event_to_record,
+    parse_evidence,
+    to_jsonl,
+)
 from otcms.simulator import INJECTIONS, Injection, default_context, default_scenario, generate_scenario
 
 HOSTS = ["h1", "h2", "h3", "p9"]
@@ -239,3 +248,27 @@ def test_any_json_in_a_context_section_loads_or_raises_context_error(key, value)
     except ContextError:
         return
     run_detectors(SAMPLE_EVENTS, assemble_sessions(SAMPLE_EVENTS), ctx)
+
+
+# A record with most evidence fields set, so generated values replace present
+# ones as well as add absent ones.
+FULL_RECORD = {
+    **event_to_record(SAMPLE_EVENTS[0]),
+    "protocol_version": "1.2", "port": 8883, "tls_present": True, "cert_present": False,
+    "cipher_suite": "TLS_AES_128_GCM_SHA256", "key_bits": 256, "cleartext_password": "pw",
+    "auth_result": "Failure", "session_id": "s", "error_code": "0x1f", "fragmented": True,
+    "bytes": 10, "direction_external": False, "mobile_code": True,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from([f.name for f in fields(EvidenceEvent)]), value=json_values)
+def test_any_json_in_an_evidence_field_parses_or_raises_evidence_error(key, value):
+    """An evidence field holding any JSON value either parses into an event
+    the detectors run on, or fails with EvidenceError (exit 2 on the CLI)."""
+    try:
+        (event,) = parse_evidence([json.dumps({**FULL_RECORD, key: value})])
+    except EvidenceError:
+        return
+    events = [*SAMPLE_EVENTS, replace(event, seq=len(SAMPLE_EVENTS))]
+    run_detectors(events, assemble_sessions(events), default_context())
