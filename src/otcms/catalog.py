@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from otcms.jsonfield import from_json, one_of
+from otcms.jsonfield import from_json, one_of, to_json
 
 _SL_RANGE = (1, 2, 3, 4)
 
@@ -183,49 +183,7 @@ def load_catalog(path: str | Path) -> Catalog:
 
 def serialize_catalog(catalog: Catalog) -> str:
     """Render a catalog back to its file form; load(serialize(c)) == c."""
-
-    def binding_obj(binding: AttributeBinding) -> dict:
-        obj: dict = {"attribute_id": binding.attribute_id, "kind": binding.kind.value}
-        if binding.min_sl != 1:
-            obj["min_sl"] = binding.min_sl
-        return obj
-
-    data = {
-        "version": catalog.version,
-        "source_note": catalog.source_note,
-        "frs": [
-            {
-                "id": fr.id,
-                "title": fr.title,
-                "srs": [
-                    {
-                        "id": sr.id,
-                        "title": sr.title,
-                        **({"not_monitorable": True} if sr.not_monitorable else {}),
-                        **({"rationale": sr.rationale} if sr.rationale else {}),
-                        "bindings": [binding_obj(b) for b in sr.bindings],
-                        **(
-                            {
-                                "enhancements": [
-                                    {
-                                        "id": enh.id,
-                                        "min_sl": enh.min_sl,
-                                        "bindings": [binding_obj(b) for b in enh.bindings],
-                                    }
-                                    for enh in sr.enhancements
-                                ]
-                            }
-                            if sr.enhancements
-                            else {}
-                        ),
-                    }
-                    for sr in fr.srs
-                ],
-            }
-            for fr in catalog.frs
-        ],
-    }
-    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(to_json(catalog), indent=2, ensure_ascii=False) + "\n"
 
 
 def validate_catalog(catalog: Catalog, kind_map: Mapping[str, AttributeKind]) -> list[ValidationIssue]:

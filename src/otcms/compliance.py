@@ -19,6 +19,7 @@ from enum import Enum
 
 from otcms.catalog import Catalog, SecurityRequirement, all_bindings, required_attributes
 from otcms.detectors import AttributeVerdict, Finding, Severity, Status
+from otcms.jsonfield import from_json, to_json
 
 
 class ComplianceStatus(str, Enum):
@@ -164,36 +165,6 @@ def build_report(
 # Serialization
 # --------------------------------------------------------------------------
 
-def _report_dict(report: ComplianceReport) -> dict:
-    return {
-        "generated_at": report.generated_at,
-        "sl_target": report.sl_target,
-        "catalog_version": report.catalog_version,
-        "evidence_digest": report.evidence_digest,
-        "summary": dict(sorted(report.summary.items())),
-        "per_fr": {fr_id: status.value for fr_id, status in report.per_fr.items()},
-        "per_sr": [
-            {
-                "sr_id": s.sr_id,
-                "status": s.status.value,
-                "achieved_sl": s.achieved_sl,
-                "required": [[attribute_id, status.value] for attribute_id, status in s.required],
-                "findings_ref": list(s.findings_ref),
-            }
-            for s in report.per_sr
-        ],
-        "findings": [
-            {
-                "detector": f.detector,
-                "severity": f.severity.value,
-                "message": f.message,
-                "seq_refs": list(f.seq_refs),
-            }
-            for f in report.findings
-        ],
-    }
-
-
 def _canonical(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
@@ -202,7 +173,7 @@ def render_report(report: ComplianceReport, format: str = "structured") -> str:
     """Render the report: canonical JSON (``structured``) or a fixed-layout
     table grouped by FR (``human``)."""
     if format == "structured":
-        return _canonical(_report_dict(report)) + "\n"
+        return _canonical(to_json(report)) + "\n"
     if format == "human":
         return _render_human(report)
     raise ValueError(f"unknown report format {format!r}")
@@ -214,41 +185,15 @@ def report_body(report: ComplianceReport) -> bytes:
     Identical inputs produce identical bodies; this is the digest-checked
     and determinism-checked portion of a report.
     """
-    data = _report_dict(report)
+    data = to_json(report)
     del data["generated_at"]
     return _canonical(data).encode("utf-8")
 
 
 def parse_report(text: str) -> ComplianceReport:
-    """Inverse of ``render_report(..., "structured")``."""
-    data = json.loads(text)
-    return ComplianceReport(
-        generated_at=data["generated_at"],
-        sl_target=data["sl_target"],
-        catalog_version=data["catalog_version"],
-        evidence_digest=data["evidence_digest"],
-        per_sr=tuple(
-            SRStatus(
-                sr_id=raw["sr_id"],
-                status=ComplianceStatus(raw["status"]),
-                achieved_sl=raw["achieved_sl"],
-                required=tuple((attribute_id, Status(status)) for attribute_id, status in raw["required"]),
-                findings_ref=tuple(raw["findings_ref"]),
-            )
-            for raw in data["per_sr"]
-        ),
-        per_fr={fr_id: ComplianceStatus(value) for fr_id, value in data["per_fr"].items()},
-        summary=dict(data["summary"]),
-        findings=tuple(
-            Finding(
-                detector=raw["detector"],
-                message=raw["message"],
-                severity=Severity(raw["severity"]),
-                seq_refs=tuple(raw["seq_refs"]),
-            )
-            for raw in data["findings"]
-        ),
-    )
+    """Inverse of ``render_report(..., "structured")``; raises ValueError
+    naming the field for a report that does not match its dataclasses."""
+    return from_json(ComplianceReport, json.loads(text), ValueError)
 
 
 _GLYPHS = {

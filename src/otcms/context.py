@@ -13,11 +13,11 @@ from __future__ import annotations
 import ipaddress
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from otcms.evidence import IdScheme
-from otcms.jsonfield import at_least, from_json, read
+from otcms.jsonfield import at_least, from_json, read, to_json
 
 logger = logging.getLogger(__name__)
 
@@ -230,10 +230,6 @@ def classify_entity(identifier: str, scheme: IdScheme, ctx: ContextSpec) -> Enti
     )
 
 
-#: The plain string-set sections, read and written by name.
-_STRING_SETS = tuple(f for f in fields(ContextSpec) if f.type == "frozenset[str]")
-
-
 def context_from_dict(data: dict) -> ContextSpec:
     """Build a :class:`ContextSpec` from its JSON object form."""
     if not isinstance(data, dict):
@@ -255,57 +251,10 @@ def context_from_dict(data: dict) -> ContextSpec:
 
 def context_to_dict(ctx: ContextSpec) -> dict:
     """JSON object form of a :class:`ContextSpec` (inverse of ``context_from_dict``)."""
-    data: dict = {
-        "expected_communications": [
-            {
-                "src": e.src,
-                "dst": e.dst,
-                "protocol": e.protocol,
-                **({"mandatory": True} if e.mandatory else {}),
-            }
-            for e in ctx.expected_communications
-        ],
-        "expected_ports": sorted(ctx.expected_ports),
-        "known_software_processes": [
-            {"process_id": p, "device_id": d} for p, d in sorted(ctx.known_software_processes)
-        ],
-        "zone_map": dict(sorted(ctx.zone_map.items())),
-        "zone_sl_target": dict(sorted(ctx.zone_sl_target.items())),
-        "external_prefixes": list(ctx.external_prefixes),
-        "rate_spec": [
-            {
-                "pair": list(pair),
-                "window_ms": limit.window_ms,
-                **(
-                    {"max_events_per_window": limit.max_events_per_window}
-                    if limit.max_events_per_window is not None
-                    else {}
-                ),
-                **(
-                    {"max_bytes_per_window": limit.max_bytes_per_window}
-                    if limit.max_bytes_per_window is not None
-                    else {}
-                ),
-            }
-            for pair, limit in sorted(ctx.rate_spec.items())
-        ],
-        "session_max_ms": ctx.session_max_ms,
-    }
-    data.update((f.name, sorted(getattr(ctx, f.name))) for f in _STRING_SETS)
-    if ctx.password_policy is not None:
-        data["password_policy"] = {"min_length": ctx.password_policy.min_length}
-        if ctx.password_policy.max_lifetime_days is not None:
-            data["password_policy"]["max_lifetime_days"] = ctx.password_policy.max_lifetime_days
-    if ctx.max_failed_attempts is not None:
-        data["max_failed_attempts"] = ctx.max_failed_attempts
-    if ctx.crypto_policy is not None:
-        data["crypto_policy"] = {
-            "approved_suites": sorted(ctx.crypto_policy.approved_suites),
-            "min_key_bits": ctx.crypto_policy.min_key_bits,
-            "min_protocol_versions": dict(sorted(ctx.crypto_policy.min_protocol_versions.items())),
-        }
-    if ctx.p2p_bandwidth_limit_bytes_per_s is not None:
-        data["p2p_bandwidth_limit_bytes_per_s"] = ctx.p2p_bandwidth_limit_bytes_per_s
+    data = to_json(ctx)
+    # The two sections whose file shape is not their field's.
+    data["known_software_processes"] = [{"process_id": p, "device_id": d} for p, d in data["known_software_processes"]]
+    data["rate_spec"] = [{"pair": list(pair), **limit} for pair, limit in sorted(data["rate_spec"].items())]
     return data
 
 

@@ -68,7 +68,7 @@ class Finding:
 
     detector: str
     message: str
-    severity: Severity = Severity.VIOLATION
+    severity: Severity
     seq_refs: tuple[int, ...] = ()
 
 
@@ -207,7 +207,7 @@ def _verdict(attribute_id: str, status: Status, findings: list[Finding] | None =
 
 
 def _violation(detector: str, message: str, *seqs: int) -> Finding:
-    return Finding(detector=detector, message=message, seq_refs=tuple(seqs))
+    return Finding(detector=detector, message=message, severity=Severity.VIOLATION, seq_refs=tuple(seqs))
 
 
 def _info(detector: str, message: str, *seqs: int) -> Finding:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from otcms.jsonfield import at_least, from_json, one_of
+from otcms.jsonfield import at_least, from_json, one_of, to_json
 
 logger = logging.getLogger(__name__)
 
@@ -55,10 +55,12 @@ class EvidenceEvent:
 
     The annotations are the evidence format: :func:`parse_evidence` reads
     each JSON key by its field's exact type, and :func:`event_to_record`
-    leaves a field out while it holds its absent default (null, false,
-    ``Other``). The payload markers, ``access_list_transfer`` to
-    ``snapshot_transfer``, stand in for deep-payload parsing: adapters set
-    them when the corresponding content was observed inside a packet payload.
+    writes every field except one holding a null, false or enum default
+    (``Other``), which reads back as that default when absent; the required
+    fields and ``bytes`` are always written. The payload markers,
+    ``access_list_transfer`` to ``snapshot_transfer``, stand in for
+    deep-payload parsing: adapters set them when the corresponding content
+    was observed inside a packet payload.
     """
 
     seq: int
@@ -151,29 +153,15 @@ def load_evidence(path: str | Path, strict: bool = True) -> list[EvidenceEvent]:
     return parse_evidence(text.splitlines(), strict=strict)
 
 
-#: Each field with its default where that default means "not observed"
-#: (null, false, ``Other``) and is left out of a record; MISSING for the
-#: fields always written, the required ones and ``bytes``.
-_ABSENT = [
-    (f.name, f.default if f.default is None or type(f.default) in (bool, IdScheme) else MISSING)
-    for f in fields(EvidenceEvent)
-]
-
-
 def event_to_record(event: EvidenceEvent) -> dict:
-    """Serializable record; optional fields are omitted when absent."""
-    record: dict = {}
-    for name, absent in _ABSENT:
-        value = getattr(event, name)
-        if value is not absent:
-            record[name] = value.value if type(value) is IdScheme else value
-    return record
+    """Serializable record; a field holding its absent default is left out."""
+    return to_json(event)
 
 
 def to_jsonl(events: Iterable[EvidenceEvent]) -> str:
     """Canonical JSON Lines serialization (sorted keys, compact, trailing newline)."""
     lines = [
-        json.dumps(event_to_record(e), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        json.dumps(to_json(e), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         for e in events
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,4 +1,4 @@
-"""The one rule every input loader applies to JSON values, read off the
+"""The one rule every JSON file is read and written by, derived from the
 dataclass each JSON object fills.
 
 A field's annotation names the JSON values it takes, by exact type, so
@@ -19,6 +19,12 @@ field are ignored. :func:`at_least` and :func:`one_of` narrow a scalar
 field's values through its metadata. Every failure raises the error class
 the loader passes in, with the path to the value: ``rate_spec[0]: pair``,
 ``frs[FR1]: srs[SR1.1]: bindings[0]: min_sl``.
+
+:func:`to_json` writes the same forms back under the same keys: an enum as
+its value, a frozenset as a sorted list, a tuple as a list, a dataclass as
+an object. A field that holds a null, false or enum default is left out,
+which :func:`from_json` restores from the absent key; every other field is
+written, other defaults included.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from itertools import repeat
+from operator import attrgetter
 
 _NULL = type(None)
 _WORDS = {bool: "a boolean", int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -64,23 +71,24 @@ def _name(item, key):
 
 
 @cache
-def _spec(hint) -> tuple[tuple[type, ...], typing.Callable | None, str]:
-    """(JSON types, conversion or None, description) of a value annotated
-    ``hint``; a conversion raises ValueError on a value it refuses."""
+def _spec(hint) -> tuple[tuple[type, ...], typing.Callable | None, str, typing.Callable | None]:
+    """(JSON types, read conversion or None, description, write conversion
+    or None) of a value annotated ``hint``; a read conversion raises
+    ValueError on a value it refuses."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         (hint,) = (arg for arg in args if arg is not _NULL)  # null follows the field's default
         return _spec(hint)
     if hint is float:
-        return (int, float), _float, "a number"
+        return (int, float), _float, "a number", None
     if hint in _WORDS:
-        return (hint,), None, _WORDS[hint]
+        return (hint,), None, _WORDS[hint], None
     if isinstance(hint, type) and issubclass(hint, Enum):
         members = {member.value: member for member in hint}
         # The enum's own lookup only on a miss: it raises the enum's message.
-        return (str,), lambda value: members.get(value) or hint(value), "a string"
+        return (str,), lambda value: members.get(value) or hint(value), "a string", attrgetter("value")
     if is_dataclass(hint):
-        return (dict,), lambda value: from_json(hint, value, ValueError), "an object"
+        return (dict,), lambda value: from_json(hint, value, ValueError), "an object", to_json
     if origin in (tuple, frozenset):
         variadic = origin is frozenset or args[-1] is Ellipsis
         items = tuple(map(_spec, args[:1] if variadic else args))
@@ -90,10 +98,24 @@ def _spec(hint) -> tuple[tuple[type, ...], typing.Callable | None, str]:
                 raise _wrong(f"a list of {len(items)} items", value)
             return origin(_each(enumerate(value), repeat(items[0]) if variadic else items))
 
-        return (list,), convert, "a list"
+        writes = [spec[3] for spec in items]
+
+        def write(value) -> list:
+            if origin is frozenset:
+                value = sorted(value)
+            if not variadic:
+                return [item if each is None else each(item) for each, item in zip(writes, value)]
+            return list(value) if writes[0] is None else list(map(writes[0], value))
+
+        return (list,), convert, "a list", write
     if origin is dict:
         spec = _spec(args[1])
-        return (dict,), lambda value: dict(zip(value, _each(value.items(), repeat(spec)))), "an object"
+        each = spec[3]
+
+        def write(value: dict) -> dict:
+            return dict(value) if each is None else {key: each(item) for key, item in value.items()}
+
+        return (dict,), lambda value: dict(zip(value, _each(value.items(), repeat(spec)))), "an object", write
     raise TypeError(f"no JSON form for {hint!r}")
 
 
@@ -111,7 +133,7 @@ def _each(pairs, specs) -> list:
 
 def _check(value, spec: tuple):
     """``value`` checked against and converted by ``spec``; raises ValueError."""
-    kinds, convert, what = spec
+    kinds, convert, what, _ = spec
     if type(value) not in kinds:
         raise _wrong(what, value)
     return value if convert is None or value is None else convert(value)
@@ -125,22 +147,25 @@ def read(value, hint, error: type[ValueError], label: str):
         raise error(_under(label, exc)) from None
 
 
-def _fields(cls: type) -> tuple[dict[str, tuple], frozenset[str]]:
-    """Per JSON key: (field name, JSON types, conversion, description); and
-    the names of required fields."""
+def _fields(cls: type) -> tuple[dict[str, tuple], frozenset[str], tuple[tuple, ...]]:
+    """Per JSON key: (field name, JSON types, conversion, description); the
+    names of required fields; and per field in order: (name, the default
+    left out or MISSING, write conversion or None)."""
     hints = typing.get_type_hints(cls)
-    specs, required = {}, set()
+    specs, required, writes = {}, set(), []
     for f in fields(cls):
-        kinds, convert, what = _spec(hints[f.name])
+        kinds, convert, what, write = _spec(hints[f.name])
         if f.default is None and dict not in kinds:  # an object section is given or left out
             kinds, what = (*kinds, _NULL), f"{what} or null"
         elif f.default is MISSING and f.default_factory is MISSING:
             required.add(f.name)
         specs[f.name] = (f.name, kinds, f.metadata.get("check", convert), what)
-    return specs, frozenset(required)
+        omit = f.default is None or f.default is False or isinstance(f.default, Enum)
+        writes.append((f.name, f.default if omit else MISSING, write))
+    return specs, frozenset(required), tuple(writes)
 
 
-_FIELDS: dict[type, tuple[dict[str, tuple], frozenset[str]]] = {}
+_FIELDS: dict[type, tuple[dict[str, tuple], frozenset[str], tuple[tuple, ...]]] = {}
 
 
 def from_json(cls: type, raw, error: type[ValueError], **given):
@@ -148,7 +173,7 @@ def from_json(cls: type, raw, error: type[ValueError], **given):
     are passed as they are and their keys in ``raw`` ignored."""
     if type(raw) is not dict:
         raise error(str(_wrong("an object", raw)))
-    specs, required = _FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls))
+    specs, required, _ = _FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls))
     values = given  # a fresh dict on every call
     for key, value in raw.items():
         entry = specs.get(key)
@@ -168,6 +193,19 @@ def from_json(cls: type, raw, error: type[ValueError], **given):
     if not values.keys() >= required:
         raise error("missing " + next(name for name in specs if name in required and name not in values))
     return cls(**values)
+
+
+def to_json(obj) -> dict:
+    """The JSON object form of dataclass instance ``obj``, the inverse of
+    :func:`from_json`: a field holding a null, false or enum default is left
+    out."""
+    cls = type(obj)
+    record = {}
+    for name, omitted, write in (_FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls)))[2]:
+        value = getattr(obj, name)
+        if value is not omitted:
+            record[name] = value if write is None else write(value)
+    return record
 
 
 def at_least(low: int) -> dict:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
@@ -30,7 +30,7 @@ from typing import Callable
 from otcms.catalog import Catalog, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
 from otcms.evidence import EvidenceEvent, IdScheme, to_jsonl
-from otcms.jsonfield import from_json, read
+from otcms.jsonfield import at_least, from_json, one_of, read, to_json
 
 PLC1 = "10.0.1.10"
 PLC2 = "10.0.1.11"
@@ -85,7 +85,7 @@ class TrafficPattern:
     rate_per_s: float = 1.0
     port: int | None = None
     session_id: str | None = None
-    flavor: str = "data"
+    flavor: str = field(default="data", metadata=one_of("data", "process", "auth"))
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class Injection:
     """Targeted violation (or positive pattern) to weave into the stream."""
 
     attribute_id: str
-    at_ms: int | None = None
+    at_ms: int | None = field(default=None, metadata=at_least(0))
 
 
 @dataclass
@@ -109,11 +109,18 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.duration_ms <= 0:
             raise ScenarioError("duration_ms must be positive")
+        for index, pattern in enumerate(self.traffic_profile):
+            if not pattern.rate_per_s > 0:
+                raise ScenarioError(
+                    f"traffic_profile[{index}]: rate_per_s: expected a positive number, got {pattern.rate_per_s}"
+                )
         if self.sl_target not in (1, 2, 3, 4):
             raise ScenarioError("sl_target must be 1..4")
-        for injection in self.injections:
+        for index, injection in enumerate(self.injections):
             if injection.attribute_id not in INJECTIONS:
                 raise ScenarioError(f"unknown injection attribute_id {injection.attribute_id!r}")
+            if injection.at_ms is not None and injection.at_ms < 0:
+                raise ScenarioError(f"injections[{index}]: at_ms: expected at least 0, got {injection.at_ms}")
             if injection.at_ms is not None and injection.at_ms > self.duration_ms:
                 raise ScenarioError(
                     f"injection {injection.attribute_id!r} at_ms {injection.at_ms} beyond scenario "
@@ -528,31 +535,13 @@ def generate_scenario(scenario: Scenario, catalog: Catalog | None = None) -> tup
 # --------------------------------------------------------------------------
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "name": scenario.name,
-        "seed": scenario.seed,
-        "duration_ms": scenario.duration_ms,
-        "sl_target": scenario.sl_target,
-        "context": context_to_dict(scenario.spec),
-        "traffic_profile": [
-            {
-                "pair": [p.src, p.dst],
-                "protocol": p.protocol,
-                "rate_per_s": p.rate_per_s,
-                **({"port": p.port} if p.port is not None else {}),
-                **({"session_id": p.session_id} if p.session_id is not None else {}),
-                **({"flavor": p.flavor} if p.flavor != "data" else {}),
-            }
-            for p in scenario.traffic_profile
-        ],
-        "injections": [
-            {
-                "attribute_id": injection.attribute_id,
-                **({"at_ms": injection.at_ms} if injection.at_ms is not None else {}),
-            }
-            for injection in scenario.injections
-        ],
-    }
+    data = to_json(scenario)
+    # The file names the context ``context`` and a pattern's endpoints ``pair``.
+    del data["spec"]
+    data["context"] = context_to_dict(scenario.spec)
+    for pattern in data["traffic_profile"]:
+        pattern["pair"] = [pattern.pop("src"), pattern.pop("dst")]
+    return data
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -578,14 +567,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def ground_truth_to_dict(scenario: Scenario, truth: GroundTruth) -> dict:
-    return {
-        "scenario": scenario.name,
-        "seed": scenario.seed,
-        "sl_target": scenario.sl_target,
-        "expected_violated": sorted(truth.expected_violated),
-        "expected_fulfilled": sorted(truth.expected_fulfilled),
-        "expected_noncompliant_srs": sorted(truth.expected_noncompliant_srs),
-    }
+    return {"scenario": scenario.name, "seed": scenario.seed, "sl_target": scenario.sl_target, **to_json(truth)}
 
 
 def save_scenario_outputs(

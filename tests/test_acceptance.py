@@ -35,6 +35,7 @@ from otcms.detectors import (
     REGISTRY,
     AttributeVerdict,
     Finding,
+    Severity,
     Status,
     detect_abnormal_behavior,
     detect_auth_attempts,
@@ -303,7 +304,7 @@ def test_criterion_7_sl_monotonicity(catalog):
             for attribute_id in attribute_ids:
                 status = rng.choice(statuses)
                 findings = (
-                    (Finding(detector="t", message="m", seq_refs=(0,)),)
+                    (Finding(detector="t", message="m", severity=Severity.VIOLATION, seq_refs=(0,)),)
                     if status is Status.VIOLATED else ()
                 )
                 kind = registry_kinds().get(attribute_id)

@@ -160,6 +160,10 @@ MALFORMED_SCENARIO = {
     "profile_without_protocol": lambda sc: sc["traffic_profile"][0].pop("protocol"),
     "rate_beyond_float_range": lambda sc: sc["traffic_profile"][0].update(rate_per_s=10**400),
     "rate_infinite": lambda sc: sc["traffic_profile"][0].update(rate_per_s=float("inf")),
+    "rate_zero": lambda sc: sc["traffic_profile"][0].update(rate_per_s=0),
+    "rate_negative": lambda sc: sc["traffic_profile"][0].update(rate_per_s=-1),
+    "flavor_typo": lambda sc: sc["traffic_profile"][0].update(flavor="proces"),
+    "injection_before_start": lambda sc: sc["injections"].append({"attribute_id": "unknown_protocol", "at_ms": -5000}),
     "port_string": lambda sc: sc["traffic_profile"][0].update(port="502"),
 }
 

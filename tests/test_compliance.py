@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from otcms.compliance import (
     render_report,
     report_body,
 )
-from otcms.detectors import REGISTRY, AttributeVerdict, Finding, Status
+from otcms.detectors import REGISTRY, AttributeVerdict, Finding, Severity, Status
 from otcms.engine import manual_verdicts, run_evaluation
 from otcms.simulator import default_scenario, generate_scenario
 
@@ -23,7 +24,7 @@ def verdict(attribute_id, status, kind=None, findings=()):
     if kind is None:
         kind = REGISTRY[attribute_id].kind if attribute_id in REGISTRY else AttributeKind.MANUAL
     if status is Status.VIOLATED and not findings:
-        findings = (Finding(detector="test", message="forced", seq_refs=(0,)),)
+        findings = (Finding(detector="test", message="forced", severity=Severity.VIOLATION, seq_refs=(0,)),)
     return AttributeVerdict(attribute_id=attribute_id, kind=kind, status=status, findings=tuple(findings))
 
 
@@ -196,6 +197,24 @@ class TestRendering:
     def test_structured_round_trip(self, catalog):
         report = self._report(catalog)
         assert parse_report(render_report(report, "structured")) == report
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda data: data.update(per_sr=5), "per_sr: expected a list, got 5"),
+            (lambda data: data["findings"][0].pop("severity"), r"findings\[0\]: missing severity"),
+        ],
+        ids=["per_sr_number", "finding_without_severity"],
+    )
+    def test_parse_malformed_report_names_field(self, catalog, damage, named):
+        from otcms.simulator import Injection
+
+        sc = default_scenario(seed=2, injections=(Injection(attribute_id="weak_encryption"),))
+        events, _ = generate_scenario(sc, catalog)
+        data = json.loads(render_report(run_evaluation(catalog, sc.spec, events, sl_target=2)))
+        damage(data)
+        with pytest.raises(ValueError, match=named):
+            parse_report(json.dumps(data))
 
     def test_render_deterministic(self, catalog):
         report = self._report(catalog)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from otcms.simulator import (
     Scenario,
     ScenarioError,
     default_context,
+    default_profile,
     default_scenario,
     generate_scenario,
     ground_truth_for,
@@ -83,6 +85,10 @@ class TestInjections:
     def test_at_ms_beyond_duration_rejected(self):
         with pytest.raises(ScenarioError, match="beyond scenario duration"):
             default_scenario(injections=(Injection(attribute_id="weak_encryption", at_ms=99_999),))
+
+    def test_at_ms_before_start_rejected(self):
+        with pytest.raises(ScenarioError, match=r"injections\[1\]: at_ms: expected at least 0, got -5000"):
+            default_scenario(injections=(Injection("weak_encryption"), Injection("weak_encryption", at_ms=-5000)))
 
     def test_combined_injections_union(self, catalog):
         sc = default_scenario(
@@ -161,6 +167,13 @@ class TestScenarioFiles:
     def test_rejects_bad_duration(self):
         with pytest.raises(ScenarioError):
             Scenario(name="x", seed=0, spec=default_context(), duration_ms=0)
+
+    @pytest.mark.parametrize("rate", [0, -1.0, float("nan")])
+    def test_rejects_rate_not_positive(self, rate):
+        first, second = default_profile()[:2]
+        profile = (first, replace(second, rate_per_s=rate))
+        with pytest.raises(ScenarioError, match=r"traffic_profile\[1\]: rate_per_s: expected a positive number"):
+            Scenario(name="x", seed=0, spec=default_context(), traffic_profile=profile)
 
 
 def test_parse_of_simulator_output_is_lossless(catalog):
