@@ -48,13 +48,6 @@ class CommEntry:
     protocol: str
     mandatory: bool = False
 
-    def matches(self, src: str, dst: str, protocol: str) -> bool:
-        return (
-            self.src in ("*", src)
-            and self.dst in ("*", dst)
-            and self.protocol in ("*", protocol)
-        )
-
 
 @dataclass(frozen=True)
 class RateLimit:
@@ -78,12 +71,15 @@ class CryptoPolicy:
     min_protocol_versions: dict[str, str] = field(default_factory=dict, hash=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContextSpec:
     """Expected behavior, identity and zone knowledge, policies.
 
     Empty collections mean "not configured"; detectors that depend on an
     unconfigured section report Indeterminate instead of guessing.
+
+    A whitelist entry matches an observed ``(src, dst, protocol)`` when each
+    field equals the observed one or is ``*``; lookups probe the entry triples.
     """
 
     expected_protocols: frozenset[str] = frozenset()
@@ -126,22 +122,19 @@ class ContextSpec:
             except ValueError as exc:
                 raise ContextError(f"invalid external prefix {prefix!r}: {exc}") from exc
         object.__setattr__(self, "_external_networks", tuple(networks))
+        comms = self.expected_communications
+        object.__setattr__(self, "_triples", frozenset((c.src, c.dst, c.protocol) for c in comms))
+        object.__setattr__(self, "_mandatory", frozenset((c.src, c.dst, c.protocol) for c in comms if c.mandatory))
 
     def matches_communication(self, src: str, dst: str, protocol: str) -> bool:
-        return any(entry.matches(src, dst, protocol) for entry in self.expected_communications)
+        return _probe(self._triples, src, dst, (protocol, "*"))
 
     def demands_protocol(self, src: str, dst: str, protocol: str) -> bool:
-        """True when a non-wildcard entry expects exactly this protocol on the conduit."""
-        return any(
-            entry.protocol == protocol and entry.src in ("*", src) and entry.dst in ("*", dst)
-            for entry in self.expected_communications
-        )
+        """True when an entry expects exactly ``protocol``, not ``*``, on the conduit."""
+        return _probe(self._triples, src, dst, (protocol,))
 
     def mandatory_communication(self, src: str, dst: str, protocol: str) -> bool:
-        return any(
-            entry.mandatory and entry.matches(src, dst, protocol)
-            for entry in self.expected_communications
-        )
+        return _probe(self._mandatory, src, dst, (protocol, "*"))
 
     def is_external_address(self, identifier: str) -> bool:
         try:
@@ -149,6 +142,10 @@ class ContextSpec:
         except ValueError:
             return False
         return any(address in network for network in self._external_networks)
+
+
+def _probe(triples: frozenset, src: str, dst: str, protocols: tuple[str, ...]) -> bool:
+    return any((s, d, p) in triples for s in (src, "*") for d in (dst, "*") for p in protocols)
 
 
 @dataclass(frozen=True)

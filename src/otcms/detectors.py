@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from otcms.catalog import AttributeKind
 from otcms.context import ContextSpec, RateLimit, classify_entity
@@ -343,7 +344,7 @@ def detect_abnormal_behavior(sessions: list[Session], ctx: ContextSpec) -> list[
 def _version_tuple(version: str) -> tuple:
     parts = []
     for token in version.replace("-", ".").split("."):
-        parts.append(int(token) if token.isdigit() else token)
+        parts.append(int(token) if token.isdecimal() else token)
     return tuple(parts)
 
 
@@ -362,6 +363,7 @@ def detect_security_strength(events: list[EvidenceEvent], ctx: ContextSpec) -> l
         verdicts.append(_verdict("weak_encryption", Status.INDETERMINATE))
     else:
         policy = ctx.crypto_policy
+        below = cache(_version_below)
         offenders = []
         for e in events:
             if e.cipher_suite is not None and policy.approved_suites and e.cipher_suite not in policy.approved_suites:
@@ -372,7 +374,7 @@ def detect_security_strength(events: list[EvidenceEvent], ctx: ContextSpec) -> l
                 )
             if e.protocol_version is not None:
                 minimum = policy.min_protocol_versions.get(e.protocol)
-                if minimum is not None and _version_below(e.protocol_version, minimum):
+                if minimum is not None and below(e.protocol_version, minimum):
                     offenders.append(
                         _violation(
                             name,
@@ -683,15 +685,20 @@ def detect_wireless_iac(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
 # Access via untrusted networks
 # --------------------------------------------------------------------------
 
-def _untrusted_origin(e: EvidenceEvent, ctx: ContextSpec) -> bool:
+def _classifier(ctx: ContextSpec):
+    """``classify_entity`` under ``ctx``, once per distinct (identifier, scheme)."""
+    return cache(lambda identifier, scheme: classify_entity(identifier, scheme, ctx))
+
+
+def _untrusted_origin(e: EvidenceEvent, ctx: ContextSpec, classify) -> bool:
     """Untrusted: external address, or a source zone of lower SL target than
     the destination zone, or a zone outside the configured trusted set."""
-    src = classify_entity(e.src_id, e.id_scheme_src, ctx)
+    src = classify(e.src_id, e.id_scheme_src)
     if src.is_external is True:
         return True
     if src.zone is None:
         return False
-    dst = classify_entity(e.dst_id, e.id_scheme_dst, ctx)
+    dst = classify(e.dst_id, e.id_scheme_dst)
     if dst.zone is not None:
         src_sl = ctx.zone_sl_target.get(src.zone)
         dst_sl = ctx.zone_sl_target.get(dst.zone)
@@ -704,7 +711,8 @@ def detect_untrusted_access(events: list[EvidenceEvent], ctx: ContextSpec) -> li
     """Untrusted-origin connections must use protocols capable of IAC."""
     if not ctx.external_prefixes and not ctx.zone_map:
         return [_verdict("untrusted_access_control", Status.INDETERMINATE)]
-    untrusted = [e for e in events if _untrusted_origin(e, ctx)]
+    classify = _classifier(ctx)
+    untrusted = [e for e in events if _untrusted_origin(e, ctx, classify)]
     if not untrusted:
         return [_verdict("untrusted_access_control", Status.NOT_APPLICABLE)]
     offenders = [
@@ -820,19 +828,12 @@ def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
         ]
         verdicts.append(_judge("non_control_independence", dependence))
 
-    if unsanctioned:
-        verdicts.append(
-            _verdict(
-                "boundary_default_deny",
-                Status.VIOLATED,
-                [
-                    _violation(name, finding.message + "; boundary whitelisting not enforced", *finding.seq_refs)
-                    for finding in unsanctioned
-                ],
-            )
-        )
-    elif cross:
-        verdicts.append(_verdict("boundary_default_deny", Status.FULFILLED))
+    boundary = [
+        _violation(name, finding.message + "; boundary whitelisting not enforced", *finding.seq_refs)
+        for finding in unsanctioned
+    ]
+    if cross:
+        verdicts.append(_judge("boundary_default_deny", boundary))
     else:
         verdicts.append(_verdict("boundary_default_deny", Status.NOT_APPLICABLE))
 
@@ -853,12 +854,13 @@ def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
 
 def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec) -> AttributeVerdict:
     name = "detect_segmentation"
+    classify = _classifier(ctx)
     p2p_events = []
     for e in events:
         if e.protocol not in ctx.p2p_protocols:
             continue
-        src = classify_entity(e.src_id, e.id_scheme_src, ctx)
-        dst = classify_entity(e.dst_id, e.id_scheme_dst, ctx)
+        src = classify(e.src_id, e.id_scheme_src)
+        dst = classify(e.dst_id, e.id_scheme_dst)
         if src.is_human is True and dst.is_human is True:
             p2p_events.append((e, src, dst))
     offenders: list[Finding] = []

@@ -49,7 +49,7 @@ class IdScheme(str, Enum):
         raise ValueError(f"unknown identifier scheme {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceEvent:
     """One observed network communication record.
 

@@ -1,5 +1,6 @@
 import random
 
+from otcms import detectors
 from otcms.context import CommEntry, ContextSpec, CryptoPolicy, PasswordPolicy, RateLimit, context_from_dict
 from otcms.detectors import (
     REGISTRY,
@@ -197,6 +198,11 @@ class TestSecurityStrength:
 
     def test_incomparable_version_strings_never_violate(self):
         got = by_id(detect_security_strength([ev(protocol="MQTT", protocol_version="v5beta")], self._ctx()))
+        assert got["weak_encryption"].status is Status.FULFILLED
+
+    def test_non_decimal_digit_in_version_is_incomparable(self):
+        # "²" is a digit to str.isdigit but not a number to int()
+        got = by_id(detect_security_strength([ev(protocol="MQTT", protocol_version="3.²")], self._ctx()))
         assert got["weak_encryption"].status is Status.FULFILLED
 
     def test_ftp_where_sftp_expected(self):
@@ -638,6 +644,51 @@ class TestSegmentation:
         got = by_id(detect_segmentation([ev(src="alice", dst="bob", protocol="HTTP",
                                             scheme_src=IdScheme.USERNAME, scheme_dst=IdScheme.USERNAME)], ctx))
         assert got["p2p_restriction"].status is Status.INDETERMINATE
+
+
+class TestClassificationPerCall:
+    """The zone/identity detectors classify each distinct (identifier, scheme)
+    once per call, however many events carry it."""
+
+    def test_one_classification_per_identifier_and_scheme(self, monkeypatch):
+        calls = []
+        classify_entity = detectors.classify_entity
+
+        def counting(identifier, scheme, ctx):
+            calls.append((identifier, scheme))
+            return classify_entity(identifier, scheme, ctx)
+
+        monkeypatch.setattr(detectors, "classify_entity", counting)
+        ctx = ContextSpec(
+            external_prefixes=("198.51.100.0/24",),
+            zone_map={"alice": "eng", "bob": "eng", "10.0.0.2": "cell"},
+            zone_sl_target={"eng": 3, "cell": 2},
+            human_identifiers=frozenset({"alice", "bob"}),
+        )
+        ids = ["alice", "bob", "10.0.0.2", "198.51.100.7", "8.8.8.8"]
+        rng = random.Random(5)
+        events = [
+            ev(seq=i, src=rng.choice(ids), dst=rng.choice(ids), protocol="HTTP",
+               scheme_src=rng.choice((IdScheme.IP, IdScheme.USERNAME)),
+               scheme_dst=rng.choice((IdScheme.IP, IdScheme.USERNAME)))
+            for i in range(500)
+        ]
+        for detect in (detect_untrusted_access, detect_segmentation):
+            calls.clear()
+            detect(events, ctx)
+            assert calls
+            assert len(calls) == len(set(calls)), detect.__name__
+
+    def test_scheme_keeps_classifications_apart(self):
+        # "alice" and "bob" are human only under the Username scheme.
+        ctx = ContextSpec(zone_map={"alice": "eng", "bob": "eng"}, zone_sl_target={"eng": 3})
+        events = [
+            ev(seq=seq, src="alice", dst="bob", protocol="HTTP", scheme_src=scheme, scheme_dst=scheme)
+            for seq, scheme in enumerate((IdScheme.USERNAME, IdScheme.IP, IdScheme.USERNAME))
+        ]
+        got = by_id(detect_segmentation(events, ctx))["p2p_restriction"]
+        assert got.status is Status.VIOLATED
+        assert [f.seq_refs for f in got.findings] == [(0,), (2,)]
 
 
 class TestLeastFunctionality:

@@ -2,11 +2,12 @@
 
 import json
 from dataclasses import fields, replace
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otcms.context import ContextError, ContextSpec, RateLimit, context_from_dict, context_to_dict
+from otcms.context import CommEntry, ContextError, ContextSpec, RateLimit, context_from_dict, context_to_dict
 from otcms.detectors import Status, detect_abnormal_behavior, run_detectors
 from otcms.evidence import (
     EvidenceError,
@@ -272,3 +273,34 @@ def test_any_json_in_an_evidence_field_parses_or_raises_evidence_error(key, valu
         return
     events = [*SAMPLE_EVENTS, replace(event, seq=len(SAMPLE_EVENTS))]
     run_detectors(events, assemble_sessions(events), default_context())
+
+
+# One pool for identifiers and protocols, "*" included, so whitelist entries
+# and queries collide often and a literal "*" shows up on both sides.
+WHITELIST_POOL = ["h1", "h2", "MQTT", "*"]
+whitelist_entries = st.builds(
+    CommEntry,
+    src=st.sampled_from(WHITELIST_POOL),
+    dst=st.sampled_from(WHITELIST_POOL),
+    protocol=st.sampled_from(WHITELIST_POOL),
+    mandatory=st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(whitelist_entries, max_size=8))
+def test_indexed_whitelist_lookups_equal_a_scan(entries):
+    """The triple index answers every query as a scan over the entries does."""
+    ctx = ContextSpec(expected_communications=tuple(entries))
+    for src, dst, protocol in product(WHITELIST_POOL, repeat=3):
+        matching = [
+            entry for entry in entries
+            if entry.src in ("*", src) and entry.dst in ("*", dst) and entry.protocol in ("*", protocol)
+        ]
+        demanded = any(
+            entry.protocol == protocol and entry.src in ("*", src) and entry.dst in ("*", dst)
+            for entry in entries
+        )
+        assert ctx.matches_communication(src, dst, protocol) is bool(matching)
+        assert ctx.mandatory_communication(src, dst, protocol) is any(entry.mandatory for entry in matching)
+        assert ctx.demands_protocol(src, dst, protocol) is demanded
