@@ -18,7 +18,7 @@ from otcms.compliance import render_report
 from otcms.context import load_context, load_manual_attributes
 from otcms.detectors import registry_kinds
 from otcms.engine import evidence_digest, run_evaluation
-from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceError, parse_evidence
+from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceError, read_evidence
 from otcms.simulator import load_scenario, save_scenario_outputs
 
 CATALOG_ENV = "CMS_CATALOG"
@@ -77,7 +77,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             return 2
     try:
         raw = Path(args.evidence).read_bytes()
-        events = parse_evidence(raw.decode("utf-8").splitlines(), strict=not args.lenient)
+        events = read_evidence(raw, strict=not args.lenient)
     except OSError as exc:
         _err(f"cannot read evidence {args.evidence}: {exc}")
         return 2

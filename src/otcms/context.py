@@ -11,13 +11,12 @@ against the catalog; overriding a monitored attribute by hand is refused.
 from __future__ import annotations
 
 import ipaddress
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from otcms.evidence import IdScheme
-from otcms.jsonfield import at_least, from_json, read, to_json
+from otcms.jsonfield import at_least, from_json, load, read, to_json
 
 logger = logging.getLogger(__name__)
 
@@ -136,13 +135,6 @@ class ContextSpec:
     def mandatory_communication(self, src: str, dst: str, protocol: str) -> bool:
         return _probe(self._mandatory, src, dst, (protocol, "*"))
 
-    def is_external_address(self, identifier: str) -> bool:
-        try:
-            address = ipaddress.ip_address(identifier)
-        except ValueError:
-            return False
-        return any(address in network for network in self._external_networks)
-
 
 def _probe(triples: frozenset, src: str, dst: str, protocols: tuple[str, ...]) -> bool:
     return any((s, d, p) in triples for s in (src, "*") for d in (dst, "*") for p in protocols)
@@ -205,18 +197,17 @@ def classify_entity(identifier: str, scheme: IdScheme, ctx: ContextSpec) -> Enti
     if zone is not None and ctx.trusted_zones:
         zone_trusted = zone in ctx.trusted_zones
 
-    is_external: bool | None
-    if ctx.is_external_address(identifier):
+    try:
+        address = ipaddress.ip_address(identifier)
+    except ValueError:
+        address = None
+    is_external: bool | None = None
+    if address is not None and any(address in network for network in ctx._external_networks):
         is_external = True
     elif zone is not None:
         is_external = False
-    else:
-        try:
-            address = ipaddress.ip_address(identifier)
-        except ValueError:
-            is_external = None
-        else:
-            is_external = bool(address.is_global)
+    elif address is not None:
+        is_external = bool(address.is_global)
 
     return EntityClass(
         is_human=is_human,
@@ -257,11 +248,7 @@ def context_to_dict(ctx: ContextSpec) -> dict:
 
 def load_context(path: str | Path) -> ContextSpec:
     """Load a context file, applying documented defaults for absent sections."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ContextError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return context_from_dict(data)
+    return context_from_dict(load(path, ContextError))
 
 
 def load_manual_attributes(path: str | Path, catalog) -> ManualAttributeFile:
@@ -273,10 +260,7 @@ def load_manual_attributes(path: str | Path, catalog) -> ManualAttributeFile:
     """
     from otcms.catalog import AttributeKind
 
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ContextError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    data = load(path, ContextError)
     if not isinstance(data, dict):
         raise ContextError(f"{path}: manual attribute file must contain a JSON object")
 

@@ -14,6 +14,11 @@ property must not invent one. And existence-type checks (management
 systems, audit logs, monitoring infrastructure) degrade to indeterminate
 rather than violated when nothing is observed, because absence of traffic
 does not prove absence of the mechanism.
+
+:data:`REGISTRY` labels every finding with its attribute's detector, and its
+observation-only attributes (``violation_capable=False``) share one verdict:
+fulfilled with an INFO finding citing the first observing event, else
+indeterminate or not applicable.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import Iterable
 
 from otcms.catalog import AttributeKind
 from otcms.context import ContextSpec, RateLimit, classify_entity
@@ -207,12 +213,13 @@ def _verdict(attribute_id: str, status: Status, findings: list[Finding] | None =
     )
 
 
-def _violation(detector: str, message: str, *seqs: int) -> Finding:
-    return Finding(detector=detector, message=message, severity=Severity.VIOLATION, seq_refs=tuple(seqs))
+def _violation(attribute_id: str, message: str, *seqs: int) -> Finding:
+    """A finding against ``attribute_id``, labelled with its registry detector."""
+    return Finding(REGISTRY[attribute_id].detector, message, Severity.VIOLATION, seqs)
 
 
-def _info(detector: str, message: str, *seqs: int) -> Finding:
-    return Finding(detector=detector, message=message, severity=Severity.INFO, seq_refs=tuple(seqs))
+def _info(attribute_id: str, message: str, *seqs: int) -> Finding:
+    return Finding(REGISTRY[attribute_id].detector, message, Severity.INFO, seqs)
 
 
 def _judge(attribute_id: str, offenders: list[Finding], evidenced: bool = True) -> AttributeVerdict:
@@ -224,20 +231,31 @@ def _judge(attribute_id: str, offenders: list[Finding], evidenced: bool = True) 
     return _verdict(attribute_id, Status.FULFILLED if evidenced else Status.INDETERMINATE)
 
 
+def _observed(
+    attribute_id: str, seen: Iterable[tuple[int, str]], absent: Status = Status.INDETERMINATE, extras: Iterable[Finding] = ()
+) -> AttributeVerdict:
+    """Verdict of an observation-only attribute (``violation_capable=False``):
+    fulfilled with one INFO finding citing the first ``(seq, message)`` in
+    ``seen``, else ``absent``; ``extras`` follow either way. Only the first
+    item is drawn, so a generator stops at it."""
+    for seq, message in seen:
+        return _verdict(attribute_id, Status.FULFILLED, [_info(attribute_id, message, seq), *extras])
+    return _verdict(attribute_id, absent, list(extras))
+
+
 # --------------------------------------------------------------------------
 # Unknown factors: protocols, communications, software processes
 # --------------------------------------------------------------------------
 
 def detect_unknown_factors(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
     """Whitelist checks for protocols, communication triples and process ids."""
-    name = "detect_unknown_factors"
     verdicts: list[AttributeVerdict] = []
 
     if not ctx.expected_protocols:
         verdicts.append(_verdict("unknown_protocol", Status.INDETERMINATE))
     else:
         offenders = [
-            _violation(name, f"protocol {e.protocol!r} not in the expected protocol set", e.seq)
+            _violation("unknown_protocol", f"protocol {e.protocol!r} not in the expected protocol set", e.seq)
             for e in events
             if e.protocol not in ctx.expected_protocols
         ]
@@ -248,7 +266,7 @@ def detect_unknown_factors(events: list[EvidenceEvent], ctx: ContextSpec) -> lis
     else:
         offenders = [
             _violation(
-                name,
+                "unknown_communication",
                 f"communication ({e.src_id} -> {e.dst_id}, {e.protocol}) not whitelisted",
                 e.seq,
             )
@@ -261,15 +279,12 @@ def detect_unknown_factors(events: list[EvidenceEvent], ctx: ContextSpec) -> lis
         verdicts.append(_verdict("unknown_software_process", Status.INDETERMINATE))
     else:
         offenders = []
+        message = "software process {!r} unknown for device {!r}"
         for e in events:
             if e.id_scheme_src is IdScheme.PROCESS_ID and (e.src_id, e.dst_id) not in ctx.known_software_processes:
-                offenders.append(
-                    _violation(name, f"software process {e.src_id!r} unknown for device {e.dst_id!r}", e.seq)
-                )
+                offenders.append(_violation("unknown_software_process", message.format(e.src_id, e.dst_id), e.seq))
             if e.id_scheme_dst is IdScheme.PROCESS_ID and (e.dst_id, e.src_id) not in ctx.known_software_processes:
-                offenders.append(
-                    _violation(name, f"software process {e.dst_id!r} unknown for device {e.src_id!r}", e.seq)
-                )
+                offenders.append(_violation("unknown_software_process", message.format(e.dst_id, e.src_id), e.seq))
         verdicts.append(_judge("unknown_software_process", offenders))
 
     return verdicts
@@ -280,7 +295,7 @@ def detect_unknown_factors(events: list[EvidenceEvent], ctx: ContextSpec) -> lis
 # --------------------------------------------------------------------------
 
 def _window_violations(
-    items: list[tuple[int, int, int]], limit, detector: str, pair: tuple[str, str]
+    items: list[tuple[int, int, int]], limit, attribute_id: str, pair: tuple[str, str]
 ) -> Finding | None:
     """Slide a half-open window [t, t+window_ms) anchored at each event.
 
@@ -300,14 +315,14 @@ def _window_violations(
         count = right - left
         if limit.max_events_per_window is not None and count > limit.max_events_per_window:
             return _violation(
-                detector,
+                attribute_id,
                 f"{pair[0]}<->{pair[1]}: {count} events in {window_ms} ms exceeds "
                 f"{limit.max_events_per_window}",
                 items[left][2],
             )
         if limit.max_bytes_per_window is not None and total_bytes > limit.max_bytes_per_window:
             return _violation(
-                detector,
+                attribute_id,
                 f"{pair[0]}<->{pair[1]}: {total_bytes} bytes in {window_ms} ms exceeds "
                 f"{limit.max_bytes_per_window}",
                 items[left][2],
@@ -331,7 +346,7 @@ def detect_abnormal_behavior(sessions: list[Session], ctx: ContextSpec) -> list[
     offenders: list[Finding] = []
     for pair in sorted(ctx.rate_spec):
         items = sorted(per_pair.get(pair, ()))
-        finding = _window_violations(items, ctx.rate_spec[pair], "detect_abnormal_behavior", pair)
+        finding = _window_violations(items, ctx.rate_spec[pair], "abnormal_behavior", pair)
         if finding is not None:
             offenders.append(finding)
     return [_judge("abnormal_behavior", offenders)]
@@ -356,7 +371,6 @@ def _version_below(version: str, minimum: str) -> bool:
 
 
 def detect_security_strength(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
-    name = "detect_security_strength"
     verdicts: list[AttributeVerdict] = []
 
     if ctx.crypto_policy is None:
@@ -367,17 +381,17 @@ def detect_security_strength(events: list[EvidenceEvent], ctx: ContextSpec) -> l
         offenders = []
         for e in events:
             if e.cipher_suite is not None and policy.approved_suites and e.cipher_suite not in policy.approved_suites:
-                offenders.append(_violation(name, f"cipher suite {e.cipher_suite!r} not approved", e.seq))
+                offenders.append(_violation("weak_encryption", f"cipher suite {e.cipher_suite!r} not approved", e.seq))
             if e.key_bits is not None and e.key_bits < policy.min_key_bits:
                 offenders.append(
-                    _violation(name, f"key size {e.key_bits} below minimum {policy.min_key_bits}", e.seq)
+                    _violation("weak_encryption", f"key size {e.key_bits} below minimum {policy.min_key_bits}", e.seq)
                 )
             if e.protocol_version is not None:
                 minimum = policy.min_protocol_versions.get(e.protocol)
                 if minimum is not None and below(e.protocol_version, minimum):
                     offenders.append(
                         _violation(
-                            name,
+                            "weak_encryption",
                             f"{e.protocol} version {e.protocol_version} below minimum {minimum}",
                             e.seq,
                         )
@@ -393,7 +407,7 @@ def detect_security_strength(events: list[EvidenceEvent], ctx: ContextSpec) -> l
             if counterpart and ctx.demands_protocol(e.src_id, e.dst_id, counterpart):
                 offenders.append(
                     _violation(
-                        name,
+                        "insecure_protocol",
                         f"{e.protocol} used on a conduit expecting {counterpart} "
                         f"({e.src_id} -> {e.dst_id})",
                         e.seq,
@@ -407,7 +421,7 @@ def detect_security_strength(events: list[EvidenceEvent], ctx: ContextSpec) -> l
         min_length = ctx.password_policy.min_length
         observed = [(e.seq, e.cleartext_password) for e in events if e.cleartext_password]
         offenders = [
-            _violation(name, f"password of length {len(pw)} below minimum {min_length}", seq)
+            _violation("password_policy", f"password of length {len(pw)} below minimum {min_length}", seq)
             for seq, pw in observed
             if len(pw) < min_length
         ]
@@ -418,7 +432,7 @@ def detect_security_strength(events: list[EvidenceEvent], ctx: ContextSpec) -> l
             # policy; reported as an inference-grade observation only.
             extras.append(
                 _info(
-                    name,
+                    "password_policy",
                     f"observed passwords of unequal lengths {sorted(lengths)}; "
                     "no uniform password policy enforcement inferable",
                     *[seq for seq, _ in observed],
@@ -438,9 +452,10 @@ def detect_security_strength(events: list[EvidenceEvent], ctx: ContextSpec) -> l
 
 def detect_cleartext_authenticators(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
     """No actual authenticator may be monitorable by itself on the wire."""
-    name = "detect_cleartext_authenticators"
     offenders = [
-        _violation(name, f"cleartext password observable ({e.src_id} -> {e.dst_id}, {e.protocol})", e.seq)
+        _violation(
+            "authenticator_obscured", f"cleartext password observable ({e.src_id} -> {e.dst_id}, {e.protocol})", e.seq
+        )
         for e in events
         if e.cleartext_password and e.tls_present is not True
     ]
@@ -471,7 +486,7 @@ def detect_auth_attempts(events: list[EvidenceEvent], ctx: ContextSpec) -> list[
                 flagged.add(key)
                 offenders.append(
                     _violation(
-                        "detect_auth_attempts",
+                        "login_attempt_limit",
                         f"{key[0]} -> {key[1]}: {runs[key]} consecutive failed login attempts "
                         f"exceed the allowed {limit}",
                         e.seq,
@@ -487,12 +502,11 @@ def detect_auth_attempts(events: list[EvidenceEvent], ctx: ContextSpec) -> list[
 # --------------------------------------------------------------------------
 
 def detect_session_violations(sessions: list[Session], ctx: ContextSpec) -> list[AttributeVerdict]:
-    name = "detect_session_violations"
     verdicts: list[AttributeVerdict] = []
 
     offenders = [
         _violation(
-            name,
+            "session_termination",
             f"session {s.session_key} lasted {s.duration_ms} ms, over the allowed {ctx.session_max_ms} ms; "
             "not terminated correctly",
             s.events[0].seq,
@@ -516,7 +530,7 @@ def detect_session_violations(sessions: list[Session], ctx: ContextSpec) -> list
         if len(pairs) > 1:
             id_offenders.append(
                 _violation(
-                    name,
+                    "session_id_integrity",
                     f"session id {sid!r} used by disjoint participant pairs {sorted(pairs)}",
                     *[seq for _, _, seq in uses[:2]],
                 )
@@ -526,7 +540,7 @@ def detect_session_violations(sessions: list[Session], ctx: ContextSpec) -> list
             if t_next - t_prev > ctx.session_max_ms:
                 id_offenders.append(
                     _violation(
-                        name,
+                        "session_id_integrity",
                         f"session id {sid!r} reused after a {t_next - t_prev} ms gap, "
                         f"over the allowed {ctx.session_max_ms} ms",
                         seq_next,
@@ -552,7 +566,6 @@ def detect_integrity_anomalies(events: list[EvidenceEvent], sessions: list[Sessi
     protection (tls false, no certificate, no inherently protected
     protocol); unknown flags never violate.
     """
-    name = "detect_integrity_anomalies"
     offenders = []
     anomalies = 0
     for e in events:
@@ -561,7 +574,7 @@ def detect_integrity_anomalies(events: list[EvidenceEvent], sessions: list[Sessi
             if e.tls_present is False and not (e.cert_present is True or e.protocol in PROTECTED_PROTOCOLS):
                 marker = f"error code {e.error_code!r}" if e.error_code is not None else "fragmented traffic"
                 offenders.append(
-                    _violation(name, f"{marker} on unprotected conduit {e.src_id} -> {e.dst_id}", e.seq)
+                    _violation("data_integrity", f"{marker} on unprotected conduit {e.src_id} -> {e.dst_id}", e.seq)
                 )
     # offenders imply anomalies, so the protection scan runs only without them
     evidenced = anomalies == 0 and bool(events) and all(_protected(e) for e in events)
@@ -592,17 +605,12 @@ def detect_iac_management(events: list[EvidenceEvent], run_len: int = IAC_RUN_LE
                 best[pair] = (count, e.seq)
         else:
             current[pair] = 0
-    hits = [(pair, run, seq) for pair, (run, seq) in best.items() if run >= run_len]
-    if hits:
-        pair, run, seq = min(hits, key=lambda h: h[2])
-        finding = _info(
-            "detect_iac_management",
-            f"{pair[0]}<->{pair[1]}: run of {run} directory-protocol packets indicates an "
-            "IAC management system",
-            seq,
-        )
-        return [_verdict("iac_management", Status.FULFILLED, [finding])]
-    return [_verdict("iac_management", Status.INDETERMINATE)]
+    hits = [
+        (seq, f"{a}<->{b}: run of {run} directory-protocol packets indicates an IAC management system")
+        for (a, b), (run, seq) in best.items()
+        if run >= run_len
+    ]
+    return [_observed("iac_management", sorted(hits))]
 
 
 # --------------------------------------------------------------------------
@@ -616,33 +624,27 @@ def detect_pki_best_practice(events: list[EvidenceEvent], ctx: ContextSpec) -> l
     not applicable. Once certificates appear, every certificate-bearing
     event must also run over TLS/DTLS to count as best practice.
     """
-    name = "detect_pki_best_practice"
     # snapshot transfers evidence hardware security (supporting info only;
     # the compliance call itself stays with the manual attribute)
     extras = [
-        _info(name, "hardware-security snapshot transfer observed", e.seq)
+        _info("pki_present", "hardware-security snapshot transfer observed", e.seq)
         for e in events
         if e.snapshot_transfer
     ]
     cert_events = [e for e in events if e.cert_present is True]
+    present = _observed(
+        "pki_present",
+        ((e.seq, f"certificate observed on {e.protocol}") for e in cert_events if e.protocol in ctx.x509_capable_protocols),
+        Status.INDETERMINATE if cert_events else Status.NOT_APPLICABLE,
+        extras,
+    )
     if not cert_events:
-        return [
-            _verdict("pki_present", Status.NOT_APPLICABLE, extras),
-            _verdict("pki_best_practice", Status.NOT_APPLICABLE),
-        ]
-
-    on_capable = [e for e in cert_events if e.protocol in ctx.x509_capable_protocols]
-    if on_capable:
-        present = _verdict(
-            "pki_present",
-            Status.FULFILLED,
-            [_info(name, f"certificate observed on {on_capable[0].protocol}", on_capable[0].seq)] + extras,
-        )
-    else:
-        present = _verdict("pki_present", Status.INDETERMINATE, extras)
+        return [present, _verdict("pki_best_practice", Status.NOT_APPLICABLE)]
 
     offenders = [
-        _violation(name, f"certificate exchanged without TLS/DTLS ({e.src_id} -> {e.dst_id}, {e.protocol})", e.seq)
+        _violation(
+            "pki_best_practice", f"certificate exchanged without TLS/DTLS ({e.src_id} -> {e.dst_id}, {e.protocol})", e.seq
+        )
         for e in cert_events
         if e.tls_present is False
     ]
@@ -655,23 +657,17 @@ def detect_pki_best_practice(events: list[EvidenceEvent], ctx: ContextSpec) -> l
 # --------------------------------------------------------------------------
 
 def detect_wireless_iac(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
-    name = "detect_wireless_iac"
     wireless = [e for e in events if e.protocol in ctx.wireless_protocols]
-    if not wireless:
-        return [
-            _verdict("is_wireless_observed", Status.NOT_APPLICABLE),
-            _verdict("wireless_iac", Status.NOT_APPLICABLE),
-        ]
-    observed = _verdict(
-        "is_wireless_observed",
-        Status.FULFILLED,
-        [_info(name, f"wireless protocol {wireless[0].protocol} observed", wireless[0].seq)],
+    observed = _observed(
+        "is_wireless_observed", ((e.seq, f"wireless protocol {e.protocol} observed") for e in wireless), Status.NOT_APPLICABLE
     )
+    if not wireless:
+        return [observed, _verdict("wireless_iac", Status.NOT_APPLICABLE)]
     if not ctx.expected_communications:
         return [observed, _verdict("wireless_iac", Status.INDETERMINATE)]
     offenders = [
         _violation(
-            name,
+            "wireless_iac",
             f"wireless communication ({e.src_id} -> {e.dst_id}, {e.protocol}) not in the expected list",
             e.seq,
         )
@@ -717,7 +713,7 @@ def detect_untrusted_access(events: list[EvidenceEvent], ctx: ContextSpec) -> li
         return [_verdict("untrusted_access_control", Status.NOT_APPLICABLE)]
     offenders = [
         _violation(
-            "detect_untrusted_access",
+            "untrusted_access_control",
             f"untrusted origin {e.src_id} over {e.protocol}, which offers no identification/authentication",
             e.seq,
         )
@@ -732,24 +728,13 @@ def detect_untrusted_access(events: list[EvidenceEvent], ctx: ContextSpec) -> li
 # --------------------------------------------------------------------------
 
 def detect_authorization_controls(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
-    name = "detect_authorization_controls"
-    verdicts: list[AttributeVerdict] = []
-
-    mechanisms = [
-        e for e in events if e.protocol in AUTHORIZATION_PROTOCOLS or e.access_list_transfer
-    ]
-    if mechanisms:
-        e = mechanisms[0]
-        reason = "IPSec traffic" if e.protocol in AUTHORIZATION_PROTOCOLS else "access-list transfer"
-        verdicts.append(
-            _verdict(
-                "authorization_enforced",
-                Status.FULFILLED,
-                [_info(name, f"authorization mechanism evidence: {reason}", e.seq)],
-            )
-        )
-    else:
-        verdicts.append(_verdict("authorization_enforced", Status.INDETERMINATE))
+    evidence = "authorization mechanism evidence: {}"
+    mechanisms = (
+        (e.seq, evidence.format("IPSec traffic" if e.protocol in AUTHORIZATION_PROTOCOLS else "access-list transfer"))
+        for e in events
+        if e.protocol in AUTHORIZATION_PROTOCOLS or e.access_list_transfer
+    )
+    verdicts = [_observed("authorization_enforced", mechanisms)]
 
     mobile_events = [
         e for e in events if e.mobile_code and e.src_id in ctx.mobile_device_identifiers
@@ -759,7 +744,7 @@ def detect_authorization_controls(events: list[EvidenceEvent], ctx: ContextSpec)
     else:
         offenders = [
             _violation(
-                name,
+                "mobile_code_control",
                 f"mobile code from device {e.src_id!r} without integrity certification",
                 e.seq,
             )
@@ -777,7 +762,6 @@ def detect_authorization_controls(events: list[EvidenceEvent], ctx: ContextSpec)
 def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
     """Zone-aware checks: segmentation, independence, boundary whitelisting,
     person-to-person restriction and data partitioning."""
-    name = "detect_segmentation"
     attribute_ids = (
         "logical_segmentation",
         "non_control_independence",
@@ -800,7 +784,7 @@ def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
 
     unsanctioned = [
         _violation(
-            name,
+            "logical_segmentation",
             f"cross-zone traffic {e.src_id} ({src_zone}) -> {e.dst_id} ({dst_zone}) over "
             f"{e.protocol} outside the configured conduits",
             e.seq,
@@ -815,7 +799,7 @@ def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
     else:
         dependence = [
             _violation(
-                name,
+                "non_control_independence",
                 f"process-mandatory {e.protocol} from control zone {src_zone} to {dst_zone} "
                 "infers dependence of the non-control network",
                 e.seq,
@@ -829,7 +813,7 @@ def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
         verdicts.append(_judge("non_control_independence", dependence))
 
     boundary = [
-        _violation(name, finding.message + "; boundary whitelisting not enforced", *finding.seq_refs)
+        _violation("boundary_default_deny", finding.message + "; boundary whitelisting not enforced", *finding.seq_refs)
         for finding in unsanctioned
     ]
     if cross:
@@ -841,7 +825,7 @@ def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
 
     file_transfers = [
         _violation(
-            name,
+            "data_partitioning",
             f"file transfer over {e.protocol} crosses zone boundary {src_zone} -> {dst_zone}",
             e.seq,
         )
@@ -853,7 +837,6 @@ def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
 
 
 def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec) -> AttributeVerdict:
-    name = "detect_segmentation"
     classify = _classifier(ctx)
     p2p_events = []
     for e in events:
@@ -875,7 +858,7 @@ def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec) -> AttributeVerdi
         if sl_values and max(sl_values) >= 3:
             offenders.append(
                 _violation(
-                    name,
+                    "p2p_restriction",
                     f"person-to-person {e.protocol} between {e.src_id} and {e.dst_id} "
                     f"in a zone with SL target {max(sl_values)} (forbidden at SL 3+)",
                     e.seq,
@@ -889,10 +872,12 @@ def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec) -> AttributeVerdi
     if ctx.p2p_bandwidth_limit_bytes_per_s is not None:
         limit = RateLimit(window_ms=1000, max_bytes_per_window=ctx.p2p_bandwidth_limit_bytes_per_s)
         for pair in sorted(low_sl):
-            finding = _window_violations(sorted(low_sl[pair]), limit, name, pair)
+            finding = _window_violations(sorted(low_sl[pair]), limit, "p2p_restriction", pair)
             if finding is not None:
                 offenders.append(
-                    _violation(name, finding.message + " (person-to-person bandwidth restriction)", *finding.seq_refs)
+                    _violation(
+                        "p2p_restriction", finding.message + " (person-to-person bandwidth restriction)", *finding.seq_refs
+                    )
                 )
 
     return _judge("p2p_restriction", offenders, not unverifiable)
@@ -907,13 +892,12 @@ def detect_least_functionality(events: list[EvidenceEvent], ctx: ContextSpec) ->
     unknown-protocol check but additionally covers ports/services."""
     if not ctx.expected_protocols:
         return [_verdict("least_functionality", Status.INDETERMINATE)]
-    name = "detect_least_functionality"
     offenders = []
     for e in events:
         if e.protocol not in ctx.expected_protocols:
-            offenders.append(_violation(name, f"unexpected protocol {e.protocol!r} in use", e.seq))
+            offenders.append(_violation("least_functionality", f"unexpected protocol {e.protocol!r} in use", e.seq))
         elif e.port is not None and ctx.expected_ports and e.port not in ctx.expected_ports:
-            offenders.append(_violation(name, f"unexpected port {e.port} for {e.protocol}", e.seq))
+            offenders.append(_violation("least_functionality", f"unexpected port {e.port} for {e.protocol}", e.seq))
     return [_judge("least_functionality", offenders)]
 
 
@@ -922,40 +906,18 @@ def detect_least_functionality(events: list[EvidenceEvent], ctx: ContextSpec) ->
 # --------------------------------------------------------------------------
 
 def detect_audit_and_monitoring(events: list[EvidenceEvent]) -> list[AttributeVerdict]:
-    name = "detect_audit_and_monitoring"
-    verdicts: list[AttributeVerdict] = []
-
     audits = [e for e in events if e.audit_record]
-    if audits:
-        verdicts.append(
-            _verdict(
-                "audit_log_exists",
-                Status.FULFILLED,
-                [_info(name, "audit record transfer observed", audits[0].seq)],
-            )
-        )
-        missing = [
-            _violation(name, "audit record without a timestamp", e.seq)
-            for e in audits
-            if not e.record_timestamp
-        ]
-        verdicts.append(_judge("audit_timestamped", missing))
-    else:
-        verdicts.append(_verdict("audit_log_exists", Status.INDETERMINATE))
-        verdicts.append(_verdict("audit_timestamped", Status.INDETERMINATE))
-
-    heartbeats = [e for e in events if e.ids_heartbeat]
-    if heartbeats:
-        verdicts.append(
-            _verdict(
-                "continuous_monitoring",
-                Status.FULFILLED,
-                [_info(name, "monitoring infrastructure heartbeat observed", heartbeats[0].seq)],
-            )
-        )
-    else:
-        verdicts.append(_verdict("continuous_monitoring", Status.INDETERMINATE))
-    return verdicts
+    missing = [
+        _violation("audit_timestamped", "audit record without a timestamp", e.seq)
+        for e in audits
+        if not e.record_timestamp
+    ]
+    heartbeats = ((e.seq, "monitoring infrastructure heartbeat observed") for e in events if e.ids_heartbeat)
+    return [
+        _observed("audit_log_exists", ((e.seq, "audit record transfer observed") for e in audits)),
+        _judge("audit_timestamped", missing, evidenced=bool(audits)),
+        _observed("continuous_monitoring", heartbeats),
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -147,10 +147,20 @@ def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEv
     return events
 
 
+def read_evidence(data: bytes, strict: bool = True) -> list[EvidenceEvent]:
+    """Parse the UTF-8 bytes of an evidence file.
+
+    Records are separated at line feeds only, as JSON Lines defines them:
+    ``str.splitlines`` would also split at U+2028, U+2029 and U+0085, which
+    :func:`to_jsonl` writes raw inside strings. A carriage return before a
+    line feed is stripped with its line; a bare one separates nothing.
+    """
+    return parse_evidence(data.decode("utf-8").split("\n"), strict=strict)
+
+
 def load_evidence(path: str | Path, strict: bool = True) -> list[EvidenceEvent]:
     """Read and parse an evidence file."""
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_evidence(text.splitlines(), strict=strict)
+    return read_evidence(Path(path).read_bytes(), strict=strict)
 
 
 def event_to_record(event: EvidenceEvent) -> dict:

@@ -38,6 +38,7 @@ from enum import Enum
 from functools import cache
 from itertools import repeat
 from operator import attrgetter
+from pathlib import Path
 
 _NULL = type(None)
 _WORDS = {bool: "a boolean", int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -137,6 +138,15 @@ def _check(value, spec: tuple):
     if type(value) not in kinds:
         raise _wrong(what, value)
     return value if convert is None or value is None else convert(value)
+
+
+def load(path, error: type[ValueError]):
+    """The JSON value in the file at ``path``; invalid JSON raises ``error``
+    naming the path and line."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 def read(value, hint, error: type[ValueError], label: str):

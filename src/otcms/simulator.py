@@ -30,7 +30,7 @@ from typing import Callable
 from otcms.catalog import Catalog, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
 from otcms.evidence import EvidenceEvent, IdScheme, to_jsonl
-from otcms.jsonfield import at_least, from_json, one_of, read, to_json
+from otcms.jsonfield import at_least, from_json, load, one_of, read, to_json
 
 PLC1 = "10.0.1.10"
 PLC2 = "10.0.1.11"
@@ -559,11 +559,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(load(path, ScenarioError))
 
 
 def ground_truth_to_dict(scenario: Scenario, truth: GroundTruth) -> dict:

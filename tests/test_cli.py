@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from otcms.cli import main
 from otcms.compliance import parse_report
+from otcms.evidence import load_evidence, write_evidence
 from otcms.simulator import Injection, default_scenario, scenario_to_dict
 
 
@@ -109,6 +111,19 @@ class TestEvaluate:
         assert main(["evaluate", "--evidence", str(mangled), "--context", str(context)]) == 2
         assert main(["evaluate", "--evidence", str(mangled), "--context", str(context),
                      "--lenient", "--out", str(tmp_path / "l.json")]) == 0
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_unicode_line_breaks_inside_strings_evaluated(self, scenario_dir, tmp_path, char, lenient):
+        evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+        events = load_evidence(evidence)
+        intruder = dataclasses.replace(events[0], seq=len(events), src_id=f"plc{char}a", protocol="Telnet")
+        write_evidence([*events, intruder], evidence)
+        out = tmp_path / "report.json"
+        code = main(["evaluate", "--evidence", str(evidence), "--context", str(context),
+                     "--out", str(out), "--generated-at", "0", *(["--lenient"] if lenient else [])])
+        assert code == 1  # the intruder's record is read whole, not split or skipped
+        assert any(f"plc{char}a" in f.message for f in parse_report(out.read_text(encoding="utf-8")).findings)
 
     def test_generated_at_env_not_integer_exit_two(self, scenario_dir, tmp_path, monkeypatch, capsys):
         evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")

@@ -12,6 +12,21 @@ from otcms.context import (
     load_manual_attributes,
 )
 from otcms.evidence import IdScheme
+from otcms.simulator import ScenarioError, load_scenario
+
+
+@pytest.mark.parametrize("loader", ["context", "manual", "scenario"])
+def test_invalid_json_names_file_and_line(tmp_path, catalog, loader):
+    load, error = {
+        "context": (load_context, ContextError),
+        "manual": (lambda path: load_manual_attributes(path, catalog), ContextError),
+        "scenario": (load_scenario, ScenarioError),
+    }[loader]
+    path = tmp_path / "input.json"
+    path.write_text('{\n  "seed": ,\n}\n')
+    with pytest.raises(error) as info:
+        load(path)
+    assert str(info.value) == f"{path}: invalid JSON at line 2: Expecting value"
 
 
 class TestLoadContext:
@@ -106,6 +121,12 @@ class TestClassifyEntity:
     def test_external_prefix_match(self):
         ctx = ContextSpec(external_prefixes=("198.51.100.0/24",))
         got = classify_entity("198.51.100.7", IdScheme.IP, ctx)
+        assert got.is_external is True
+
+    def test_external_prefix_wins_over_zone(self):
+        ctx = ContextSpec(external_prefixes=("198.51.100.0/24",), zone_map={"198.51.100.7": "cell"})
+        got = classify_entity("198.51.100.7", IdScheme.IP, ctx)
+        assert got.zone == "cell"
         assert got.is_external is True
 
     def test_unzoned_private_address_all_unknown_except_external(self):

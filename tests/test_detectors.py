@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from otcms import detectors
 from otcms.context import CommEntry, ContextSpec, CryptoPolicy, PasswordPolicy, RateLimit, context_from_dict
 from otcms.detectors import (
@@ -24,6 +26,7 @@ from otcms.detectors import (
     run_detectors,
 )
 from otcms.evidence import IdScheme, assemble_sessions
+from otcms.simulator import INJECTIONS, Injection, default_scenario, generate_scenario
 
 from conftest import ev
 
@@ -766,6 +769,20 @@ class TestSuite:
             if verdict.status is Status.VIOLATED:
                 assert verdict.findings
                 assert any(f.seq_refs for f in verdict.findings)
+
+    @pytest.mark.parametrize(
+        "mix",
+        [(), *[(attribute_id,) for attribute_id in sorted(INJECTIONS)], tuple(sorted(INJECTIONS))],
+        ids=["baseline", *sorted(INJECTIONS), "all"],
+    )
+    def test_registry_labels_every_finding(self, catalog, mix):
+        scenario = default_scenario(injections=tuple(Injection(attribute_id=a) for a in mix))
+        events, _ = generate_scenario(scenario, catalog)
+        verdicts = run_detectors(events, assemble_sessions(events), scenario.spec)
+        for attribute_id, verdict in verdicts.items():
+            info = REGISTRY[attribute_id]
+            assert all(f.detector == info.detector for f in verdict.findings)
+            assert info.violation_capable or verdict.status is not Status.VIOLATED
 
     def test_detectors_pure(self):
         events = [ev(seq=i, t=i, protocol="Telnet") for i in range(4)]

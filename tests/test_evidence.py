@@ -8,8 +8,10 @@ from otcms.evidence import (
     IdScheme,
     assemble_sessions,
     event_to_record,
+    load_evidence,
     parse_evidence,
     to_jsonl,
+    write_evidence,
 )
 
 from conftest import ev
@@ -78,6 +80,15 @@ class TestParseEvidence:
         ]
         parsed = parse_evidence(to_jsonl(original).splitlines())
         assert parsed == original
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_unicode_line_breaks_inside_strings_round_trip(self, tmp_path, char, strict):
+        # written raw by to_jsonl; only "\n" separates JSON Lines records
+        original = [ev(seq=0, src=f"plc{char}a", session_id=f"s{char}"), ev(seq=1, t=1, dst=f"hmi{char}")]
+        path = tmp_path / "evidence.jsonl"
+        write_evidence(original, path)
+        assert load_evidence(path, strict=strict) == original
 
 
 class TestSessions:
