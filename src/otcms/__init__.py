@@ -46,13 +46,14 @@ from otcms.context import (
     load_manual_attributes,
 )
 from otcms.detectors import REGISTRY, AttributeVerdict, Finding, Status, run_detectors
-from otcms.engine import evidence_digest, run_evaluation
+from otcms.engine import run_evaluation
 from otcms.evidence import (
     EvidenceError,
     EvidenceEvent,
     IdScheme,
     Session,
     assemble_sessions,
+    evidence_digest,
     load_evidence,
     parse_evidence,
     to_jsonl,

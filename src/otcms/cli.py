@@ -17,7 +17,7 @@ from otcms.catalog import default_catalog_path, load_catalog, validate_catalog
 from otcms.compliance import render_report
 from otcms.context import load_context, load_manual_attributes
 from otcms.detectors import registry_kinds
-from otcms.engine import evidence_digest, run_evaluation
+from otcms.engine import run_evaluation
 from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceError, read_evidence
 from otcms.simulator import load_scenario, save_scenario_outputs
 
@@ -76,12 +76,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             _err(f"cannot load manual attributes {args.manual}: {exc}")
             return 2
     try:
-        raw = Path(args.evidence).read_bytes()
-        events = read_evidence(raw, strict=not args.lenient)
+        with open(args.evidence, "rb") as file:
+            events, digest = read_evidence(file, strict=not args.lenient)
     except OSError as exc:
         _err(f"cannot read evidence {args.evidence}: {exc}")
         return 2
-    except (EvidenceError, UnicodeDecodeError) as exc:
+    except EvidenceError as exc:
         _err(f"{args.evidence}: {exc}")
         return 2
 
@@ -92,7 +92,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         manual=manual,
         sl_target=args.sl_target,
         gap_ms=args.session_gap_ms,
-        digest=evidence_digest(raw),
+        digest=digest,
         generated_at=generated_at,
     )
     rendered = render_report(report, _FORMATS[args.format])

@@ -3,18 +3,11 @@ manual merge -> compliance report."""
 
 from __future__ import annotations
 
-import hashlib
-
 from otcms.catalog import AttributeKind, Catalog
 from otcms.compliance import ComplianceReport, build_report
 from otcms.context import ContextSpec, ManualAttributeFile
 from otcms.detectors import AttributeVerdict, Finding, Severity, Status, run_detectors
-from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceEvent, assemble_sessions, to_jsonl
-
-
-def evidence_digest(data: bytes) -> str:
-    """Content hash binding a report to its evidence input."""
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceEvent, assemble_sessions, evidence_digest, to_jsonl
 
 
 def manual_verdicts(catalog: Catalog, manual: ManualAttributeFile | None) -> dict[str, AttributeVerdict]:

@@ -14,14 +14,15 @@ construction of this engine, not of any protocol.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO, Iterable, Iterator
 
-from otcms.jsonfield import at_least, from_json, one_of, to_json
+from otcms.jsonfield import at_least, from_json, one_of, to_json, unreadable
 
 logger = logging.getLogger(__name__)
 
@@ -128,39 +129,80 @@ def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEv
     """Parse a JSON Lines evidence stream into events in file order.
 
     ``seq`` is assigned 0..n-1 over the parsed events; any ``seq`` present
-    in the input is ignored. In strict mode a malformed line raises
+    in the input is ignored. Each record goes through
+    :func:`~otcms.jsonfield.from_json`, whose reader compiled for
+    :class:`EvidenceEvent` builds the event; a record it refuses is read
+    again field by field, which names the refused field. One string memo
+    per call makes equal string values share one object across the stream.
+
+    A line is malformed when its JSON is invalid or too large for Python's
+    reader (nested too deeply, an integer of too many digits) or when its
+    record is refused. In strict mode a malformed line raises
     :class:`EvidenceError` naming the line; in lenient mode it is skipped
     with a warning.
     """
     events: list[EvidenceEvent] = []
+    strings: dict[str, str] = {}
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            events.append(from_json(EvidenceEvent, json.loads(stripped), EvidenceError, seq=len(events)))
-        except (EvidenceError, json.JSONDecodeError) as exc:
-            reason = f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError) else str(exc)
-            if strict:
-                raise EvidenceError(f"line {line_no}: {reason}") from exc
-            logger.warning("skipping malformed evidence line %d: %s", line_no, reason)
+            record = json.loads(stripped)
+        except (ValueError, RecursionError) as exc:
+            reason = f"invalid JSON ({unreadable(exc)})"
+        else:
+            try:
+                events.append(from_json(EvidenceEvent, record, EvidenceError, strings=strings, seq=len(events)))
+                continue
+            except EvidenceError as exc:
+                reason = str(exc)
+        if strict:
+            raise EvidenceError(f"line {line_no}: {reason}") from None
+        logger.warning("skipping malformed evidence line %d: %s", line_no, reason)
     return events
 
 
-def read_evidence(data: bytes, strict: bool = True) -> list[EvidenceEvent]:
-    """Parse the UTF-8 bytes of an evidence file.
+def evidence_digest(data: bytes) -> str:
+    """Content hash binding a report to its evidence input."""
+    return _digest(hashlib.sha256(data))
 
-    Records are separated at line feeds only, as JSON Lines defines them:
-    ``str.splitlines`` would also split at U+2028, U+2029 and U+0085, which
-    :func:`to_jsonl` writes raw inside strings. A carriage return before a
-    line feed is stripped with its line; a bare one separates nothing.
+
+def _digest(sha256) -> str:
+    """The one written form of an evidence digest, from a running SHA-256."""
+    return "sha256:" + sha256.hexdigest()
+
+
+def read_evidence(file: BinaryIO, strict: bool = True) -> tuple[list[EvidenceEvent], str]:
+    """Parse an evidence file opened in binary mode, in one pass: its events
+    (by :func:`parse_evidence`) and its :func:`evidence_digest`.
+
+    Each line is hashed and decoded as it is read, so neither the file's
+    bytes nor its text is ever held whole. Records are separated at line
+    feeds only, as JSON Lines defines them: ``str.splitlines`` would also
+    split at U+2028, U+2029 and U+0085, which :func:`to_jsonl` writes raw
+    inside strings. A carriage return before a line feed is stripped with
+    its line; a bare one separates nothing. A line that is not UTF-8 raises
+    :class:`EvidenceError` naming it in lenient mode too, since a file in
+    another encoding has no readable line.
     """
-    return parse_evidence(data.decode("utf-8").split("\n"), strict=strict)
+    sha256 = hashlib.sha256()
+
+    def lines() -> Iterator[str]:
+        for line_no, line in enumerate(file, start=1):
+            sha256.update(line)
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EvidenceError(f"line {line_no}: not UTF-8 ({exc.reason})") from None
+
+    return parse_evidence(lines(), strict=strict), _digest(sha256)
 
 
 def load_evidence(path: str | Path, strict: bool = True) -> list[EvidenceEvent]:
     """Read and parse an evidence file."""
-    return read_evidence(Path(path).read_bytes(), strict=strict)
+    with open(path, "rb") as file:
+        return read_evidence(file, strict=strict)[0]
 
 
 def event_to_record(event: EvidenceEvent) -> dict:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,22 @@ from otcms.cli import main
 from otcms.compliance import parse_report
 from otcms.evidence import load_evidence, write_evidence
 from otcms.simulator import Injection, default_scenario, scenario_to_dict
+
+
+class JsonText(str):
+    """A value written into a JSON object as this text: one ``json.dumps``
+    cannot write, such as an integer beyond Python's digit limit."""
+
+
+def dumps(record: dict) -> str:
+    """``record`` as a JSON object, each :class:`JsonText` value written as its text."""
+    text = json.dumps({key: value for key, value in record.items() if not isinstance(value, JsonText)})
+    raw = "".join(f", {json.dumps(key)}: {value}" for key, value in record.items() if isinstance(value, JsonText))
+    return text[:-1] + raw + "}"
+
+
+TOO_MANY_DIGITS = JsonText("9" * 4301)
+NESTED_TOO_DEEPLY = JsonText("[" * 100_000 + "]" * 100_000)
 
 
 @pytest.fixture
@@ -158,13 +175,15 @@ MALFORMED_CONTEXT = {
     "dst_null": {"expected_communications": [{"src": "a", "dst": None, "protocol": "MQTT"}]},
     "process_pair_with_null": {"known_software_processes": [[1, None]]},
     "password_policy_null": {"password_policy": None},
+    "max_failed_attempts_too_many_digits": {"max_failed_attempts": TOO_MANY_DIGITS},
+    "zone_map_nested_too_deeply": {"zone_map": NESTED_TOO_DEEPLY},
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CONTEXT))
 def test_malformed_context_exit_two(scenario_dir, tmp_path, capsys, case):
     evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
-    context.write_text(json.dumps({**json.loads(context.read_text()), **MALFORMED_CONTEXT[case]}))
+    context.write_text(dumps({**json.loads(context.read_text()), **MALFORMED_CONTEXT[case]}))
     capsys.readouterr()
     assert main(["evaluate", "--evidence", str(evidence), "--context", str(context)]) == 2
     assert "otcms: error: cannot load context" in capsys.readouterr().err
@@ -202,17 +221,65 @@ MALFORMED_EVIDENCE = {
     "tls_present": "no",
     "src_id": 7,
     "timestamp": True,
+    # JSON Python's reader cannot hold: the line is malformed, but no field is named.
+    "key_bits": TOO_MANY_DIGITS,
+    "error_code": NESTED_TOO_DEEPLY,
 }
+
+
+def _break_second_line(evidence, field) -> None:
+    first, second = evidence.read_text().splitlines()[:2]
+    evidence.write_text(f"{first}\n{dumps({**json.loads(second), field: MALFORMED_EVIDENCE[field]})}\n")
 
 
 @pytest.mark.parametrize("field", sorted(MALFORMED_EVIDENCE))
 def test_malformed_evidence_exit_two_names_line_and_field(scenario_dir, tmp_path, capsys, field):
     evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
-    first, second = evidence.read_text().splitlines()[:2]
-    evidence.write_text(f"{first}\n{json.dumps({**json.loads(second), field: MALFORMED_EVIDENCE[field]})}\n")
+    _break_second_line(evidence, field)
     capsys.readouterr()
     assert main(["evaluate", "--evidence", str(evidence), "--context", str(context)]) == 2
-    assert f"otcms: error: {evidence}: line 2: {field}:" in capsys.readouterr().err
+    named = "invalid JSON (" if isinstance(MALFORMED_EVIDENCE[field], JsonText) else f"{field}:"
+    assert f"otcms: error: {evidence}: line 2: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", sorted(MALFORMED_EVIDENCE))
+def test_malformed_evidence_line_skipped_when_lenient(scenario_dir, tmp_path, caplog, field):
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    _break_second_line(evidence, field)
+    assert main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--lenient"]) == 0
+    assert "skipping malformed evidence line 2:" in caplog.text
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_invalid_utf8_exit_two_names_line(scenario_dir, tmp_path, capsys, lenient):
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    first, second, *rest = evidence.read_bytes().split(b"\n")
+    evidence.write_bytes(b"\n".join([first, second.replace(b'"protocol":"', b'"protocol":"\xff'), *rest]))
+    capsys.readouterr()
+    code = main(["evaluate", "--evidence", str(evidence), "--context", str(context), *(["--lenient"] * lenient)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"otcms: error: {evidence}: line 2: not UTF-8" in err and "position" not in err
+
+
+# Each case: the evidence file's text, from its lines.
+EVIDENCE_LAYOUTS = {
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "blank_lines": lambda lines: "\n\n".join(lines) + "\n \n\n",
+    "no_trailing_newline": lambda lines: "\n".join(lines),
+    "u2028_in_string": lambda lines: "\n".join([lines[0].replace('"protocol":"', '"protocol":"\u2028'), *lines[1:]]),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(EVIDENCE_LAYOUTS))
+def test_report_digest_is_sha256_of_evidence_bytes(scenario_dir, tmp_path, layout):
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    evidence.write_bytes(EVIDENCE_LAYOUTS[layout](evidence.read_text(encoding="utf-8").splitlines()).encode())
+    out = tmp_path / "report.json"
+    code = main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(out)])
+    assert code in (0, 1)
+    digest = "sha256:" + hashlib.sha256(evidence.read_bytes()).hexdigest()
+    assert parse_report(out.read_text(encoding="utf-8")).evidence_digest == digest
 
 
 def _sr11(catalog: dict) -> dict:
