@@ -74,8 +74,9 @@ class CryptoPolicy:
 class ContextSpec:
     """Expected behavior, identity and zone knowledge, policies.
 
-    Empty collections mean "not configured"; detectors that depend on an
-    unconfigured section report Indeterminate instead of guessing.
+    A null section or an empty collection is "not configured"; an attribute
+    whose ``needs`` in :data:`otcms.detectors.REGISTRY` name such a section
+    is indeterminate instead of guessed.
 
     A whitelist entry matches an observed ``(src, dst, protocol)`` when each
     field equals the observed one or is ``*``; lookups probe the entry triples.
@@ -228,10 +229,13 @@ def context_from_dict(data: dict) -> ContextSpec:
         if type(raw) is dict:  # {process_id, device_id}, or else a [process_id, device_id] pair
             raw = [raw.get("process_id"), raw.get("device_id")]
         processes.add(read(raw, tuple[str, str], ContextError, f"known_software_processes[{index}]"))
-    rate_spec = {}
+    rate_spec, indexes = {}, {}
     for index, raw in enumerate(read(data.get("rate_spec", []), tuple[dict, ...], ContextError, "rate_spec")):
-        pair = read(raw.get("pair"), tuple[str, str], ContextError, f"rate_spec[{index}]: pair")
-        rate_spec[tuple(sorted(pair))] = read(raw, RateLimit, ContextError, f"rate_spec[{index}]")
+        pair = tuple(sorted(read(raw.get("pair"), tuple[str, str], ContextError, f"rate_spec[{index}]: pair")))
+        if pair in indexes:  # either order names the same pair; one limit must not silently replace another
+            raise ContextError(f"rate_spec[{index}]: pair {list(pair)} is already limited by rate_spec[{indexes[pair]}]")
+        indexes[pair] = index
+        rate_spec[pair] = read(raw, RateLimit, ContextError, f"rate_spec[{index}]")
     return from_json(
         ContextSpec, data, ContextError, known_software_processes=frozenset(processes), rate_spec=rate_spec
     )

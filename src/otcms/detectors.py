@@ -18,15 +18,18 @@ does not prove absence of the mechanism.
 :data:`REGISTRY` labels every finding with its attribute's detector, and its
 observation-only attributes (``violation_capable=False``) share one verdict:
 fulfilled with an INFO finding citing the first observing event, else
-indeterminate or not applicable.
+indeterminate or not applicable. Its ``needs`` decide which context sections
+each logical attribute is judged against: while one is unconfigured (null
+or an empty collection) the attribute is indeterminate and no offender is
+sought.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Iterable
 
 from otcms.catalog import AttributeKind
 from otcms.context import ContextSpec, RateLimit, classify_entity
@@ -95,41 +98,53 @@ class AttributeVerdict:
 
 @dataclass(frozen=True)
 class AttributeInfo:
+    """``needs`` names the :class:`ContextSpec` sections the attribute is judged
+    against, each entry one section or alternatives joined by ``|``."""
+
     kind: AttributeKind
     detector: str
     description: str
     violation_capable: bool = True
+    needs: tuple[str, ...] = ()
 
 
 #: attribute_id -> producing detector and kind; the catalog is validated
 #: against this map.
 REGISTRY: dict[str, AttributeInfo] = {
     "unknown_protocol": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_unknown_factors", "protocol observed outside the expected protocol set"
+        AttributeKind.LOGICAL, "detect_unknown_factors", "protocol observed outside the expected protocol set",
+        needs=("expected_protocols",),
     ),
     "unknown_communication": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_unknown_factors", "communication triple outside the expected whitelist"
+        AttributeKind.LOGICAL, "detect_unknown_factors", "communication triple outside the expected whitelist",
+        needs=("expected_communications",),
     ),
     "unknown_software_process": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_unknown_factors", "software process identifier outside the known process list"
+        AttributeKind.LOGICAL, "detect_unknown_factors", "software process identifier outside the known process list",
+        needs=("known_software_processes",),
     ),
     "abnormal_behavior": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_abnormal_behavior", "communication amount/timing beyond the per-pair rate windows"
+        AttributeKind.LOGICAL, "detect_abnormal_behavior", "communication amount/timing beyond the per-pair rate windows",
+        needs=("rate_spec",),
     ),
     "weak_encryption": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_security_strength", "cipher suite, key size or protocol version below policy"
+        AttributeKind.LOGICAL, "detect_security_strength", "cipher suite, key size or protocol version below policy",
+        needs=("crypto_policy",),
     ),
     "insecure_protocol": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_security_strength", "plain protocol observed where the secured variant is expected"
+        AttributeKind.LOGICAL, "detect_security_strength", "plain protocol observed where the secured variant is expected",
+        needs=("expected_communications",),
     ),
     "password_policy": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_security_strength", "observed passwords below the minimum-length policy"
+        AttributeKind.LOGICAL, "detect_security_strength", "observed passwords below the minimum-length policy",
+        needs=("password_policy",),
     ),
     "authenticator_obscured": AttributeInfo(
         AttributeKind.TRAFFIC, "detect_cleartext_authenticators", "authenticators never observable in cleartext"
     ),
     "login_attempt_limit": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_auth_attempts", "consecutive failed login attempts within the allowed maximum"
+        AttributeKind.LOGICAL, "detect_auth_attempts", "consecutive failed login attempts within the allowed maximum",
+        needs=("max_failed_attempts",),
     ),
     "session_termination": AttributeInfo(
         AttributeKind.LOGICAL, "detect_session_violations", "sessions terminated within the allowed maximum duration"
@@ -157,10 +172,12 @@ REGISTRY: dict[str, AttributeInfo] = {
         AttributeKind.TRAFFIC, "detect_wireless_iac", "wireless protocol traffic observed", violation_capable=False
     ),
     "wireless_iac": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_wireless_iac", "wireless communications restricted to the expected list"
+        AttributeKind.LOGICAL, "detect_wireless_iac", "wireless communications restricted to the expected list",
+        needs=("expected_communications",),
     ),
     "untrusted_access_control": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_untrusted_access", "untrusted-origin connections only over IAC-capable protocols"
+        AttributeKind.LOGICAL, "detect_untrusted_access", "untrusted-origin connections only over IAC-capable protocols",
+        needs=("external_prefixes|zone_map",),
     ),
     "authorization_enforced": AttributeInfo(
         AttributeKind.TRAFFIC, "detect_authorization_controls", "authorization mechanism evidence (IPSec, access-list transfer)",
@@ -170,22 +187,28 @@ REGISTRY: dict[str, AttributeInfo] = {
         AttributeKind.LOGICAL, "detect_authorization_controls", "mobile code from mobile devices carries integrity certification"
     ),
     "logical_segmentation": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_segmentation", "cross-zone traffic confined to configured conduits"
+        AttributeKind.LOGICAL, "detect_segmentation", "cross-zone traffic confined to configured conduits",
+        needs=("zone_map",),
     ),
     "non_control_independence": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_segmentation", "non-control networks not process-dependent on the control zone"
+        AttributeKind.LOGICAL, "detect_segmentation", "non-control networks not process-dependent on the control zone",
+        needs=("zone_map", "control_zones"),
     ),
     "boundary_default_deny": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_segmentation", "zone-boundary crossings whitelisted (deny by default)"
+        AttributeKind.LOGICAL, "detect_segmentation", "zone-boundary crossings whitelisted (deny by default)",
+        needs=("zone_map",),
     ),
     "p2p_restriction": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_segmentation", "person-to-person protocols restricted/forbidden per zone SL target"
+        AttributeKind.LOGICAL, "detect_segmentation", "person-to-person protocols restricted/forbidden per zone SL target",
+        needs=("zone_map",),
     ),
     "data_partitioning": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_segmentation", "file transfer does not cross zone boundaries"
+        AttributeKind.LOGICAL, "detect_segmentation", "file transfer does not cross zone boundaries",
+        needs=("zone_map",),
     ),
     "least_functionality": AttributeInfo(
-        AttributeKind.LOGICAL, "detect_least_functionality", "only expected protocols and ports in use"
+        AttributeKind.LOGICAL, "detect_least_functionality", "only expected protocols and ports in use",
+        needs=("expected_protocols",),
     ),
     "audit_log_exists": AttributeInfo(
         AttributeKind.LOGICAL, "detect_audit_and_monitoring", "audit record transfer observed", violation_capable=False
@@ -222,13 +245,34 @@ def _info(attribute_id: str, message: str, *seqs: int) -> Finding:
     return Finding(REGISTRY[attribute_id].detector, message, Severity.INFO, seqs)
 
 
-def _judge(attribute_id: str, offenders: list[Finding], evidenced: bool = True) -> AttributeVerdict:
-    """Violated with offenders; otherwise fulfilled when ``evidenced``, else
-    indeterminate. ``evidenced`` matters only without offenders, so callers
-    guard a costly evidence scan with ``not offenders and ...``."""
+def _configured(ctx: ContextSpec, need: str) -> bool:
+    """Whether a section named in ``need`` holds more than null or an empty
+    collection; ``0`` and a policy of defaults count as configured."""
+    values = (getattr(ctx, name) for name in need.split("|"))
+    return any(value is not None and (not isinstance(value, Collection) or len(value) > 0) for value in values)
+
+
+def _judge(
+    attribute_id: str,
+    offenders: Iterable[Finding],
+    evidenced: bool | Callable[[], bool] = True,
+    absent: Status = Status.INDETERMINATE,
+    extras: Iterable[Finding] = (),
+    ctx: ContextSpec | None = None,
+) -> AttributeVerdict:
+    """Indeterminate while a section that ``attribute_id`` needs in ``ctx`` is
+    unconfigured; only otherwise are ``offenders`` and ``extras`` drawn, so a
+    generator never reads such a section. Then violated with the offenders,
+    else fulfilled when ``evidenced``, else ``absent``; ``extras`` follow
+    either way. A callable ``evidenced`` is called only without offenders."""
+    if not all(_configured(ctx, need) for need in REGISTRY[attribute_id].needs):
+        return _verdict(attribute_id, Status.INDETERMINATE)
+    offenders = list(offenders)
     if offenders:
-        return _verdict(attribute_id, Status.VIOLATED, offenders)
-    return _verdict(attribute_id, Status.FULFILLED if evidenced else Status.INDETERMINATE)
+        return _verdict(attribute_id, Status.VIOLATED, [*offenders, *extras])
+    if callable(evidenced):
+        evidenced = evidenced()
+    return _verdict(attribute_id, Status.FULFILLED if evidenced else absent, list(extras))
 
 
 def _observed(
@@ -249,45 +293,30 @@ def _observed(
 
 def detect_unknown_factors(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
     """Whitelist checks for protocols, communication triples and process ids."""
-    verdicts: list[AttributeVerdict] = []
 
-    if not ctx.expected_protocols:
-        verdicts.append(_verdict("unknown_protocol", Status.INDETERMINATE))
-    else:
-        offenders = [
-            _violation("unknown_protocol", f"protocol {e.protocol!r} not in the expected protocol set", e.seq)
-            for e in events
-            if e.protocol not in ctx.expected_protocols
-        ]
-        verdicts.append(_judge("unknown_protocol", offenders))
-
-    if not ctx.expected_communications:
-        verdicts.append(_verdict("unknown_communication", Status.INDETERMINATE))
-    else:
-        offenders = [
-            _violation(
-                "unknown_communication",
-                f"communication ({e.src_id} -> {e.dst_id}, {e.protocol}) not whitelisted",
-                e.seq,
-            )
-            for e in events
-            if not ctx.matches_communication(e.src_id, e.dst_id, e.protocol)
-        ]
-        verdicts.append(_judge("unknown_communication", offenders))
-
-    if not ctx.known_software_processes:
-        verdicts.append(_verdict("unknown_software_process", Status.INDETERMINATE))
-    else:
-        offenders = []
+    def unknown_processes():
         message = "software process {!r} unknown for device {!r}"
         for e in events:
             if e.id_scheme_src is IdScheme.PROCESS_ID and (e.src_id, e.dst_id) not in ctx.known_software_processes:
-                offenders.append(_violation("unknown_software_process", message.format(e.src_id, e.dst_id), e.seq))
+                yield _violation("unknown_software_process", message.format(e.src_id, e.dst_id), e.seq)
             if e.id_scheme_dst is IdScheme.PROCESS_ID and (e.dst_id, e.src_id) not in ctx.known_software_processes:
-                offenders.append(_violation("unknown_software_process", message.format(e.dst_id, e.src_id), e.seq))
-        verdicts.append(_judge("unknown_software_process", offenders))
+                yield _violation("unknown_software_process", message.format(e.dst_id, e.src_id), e.seq)
 
-    return verdicts
+    unknown_protocols = (
+        _violation("unknown_protocol", f"protocol {e.protocol!r} not in the expected protocol set", e.seq)
+        for e in events
+        if e.protocol not in ctx.expected_protocols
+    )
+    unknown_communications = (
+        _violation("unknown_communication", f"communication ({e.src_id} -> {e.dst_id}, {e.protocol}) not whitelisted", e.seq)
+        for e in events
+        if not ctx.matches_communication(e.src_id, e.dst_id, e.protocol)
+    )
+    return [
+        _judge("unknown_protocol", unknown_protocols, ctx=ctx),
+        _judge("unknown_communication", unknown_communications, ctx=ctx),
+        _judge("unknown_software_process", unknown_processes(), ctx=ctx),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -333,23 +362,20 @@ def _window_violations(
 
 def detect_abnormal_behavior(sessions: list[Session], ctx: ContextSpec) -> list[AttributeVerdict]:
     """Per-pair sliding-window event/byte rate check against the process knowledge."""
-    if not ctx.rate_spec:
-        return [_verdict("abnormal_behavior", Status.INDETERMINATE)]
 
-    per_pair: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
-    for session in sessions:
-        if session.participants in ctx.rate_spec:
-            per_pair.setdefault(session.participants, []).extend(
-                (e.timestamp, e.bytes, e.seq) for e in session.events
-            )
+    def offenders():
+        per_pair: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
+        for session in sessions:
+            if session.participants in ctx.rate_spec:
+                per_pair.setdefault(session.participants, []).extend(
+                    (e.timestamp, e.bytes, e.seq) for e in session.events
+                )
+        for pair in sorted(ctx.rate_spec):
+            finding = _window_violations(sorted(per_pair.get(pair, ())), ctx.rate_spec[pair], "abnormal_behavior", pair)
+            if finding is not None:
+                yield finding
 
-    offenders: list[Finding] = []
-    for pair in sorted(ctx.rate_spec):
-        items = sorted(per_pair.get(pair, ()))
-        finding = _window_violations(items, ctx.rate_spec[pair], "abnormal_behavior", pair)
-        if finding is not None:
-            offenders.append(finding)
-    return [_judge("abnormal_behavior", offenders)]
+    return [_judge("abnormal_behavior", offenders(), ctx=ctx)]
 
 
 # --------------------------------------------------------------------------
@@ -371,79 +397,55 @@ def _version_below(version: str, minimum: str) -> bool:
 
 
 def detect_security_strength(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
-    verdicts: list[AttributeVerdict] = []
-
-    if ctx.crypto_policy is None:
-        verdicts.append(_verdict("weak_encryption", Status.INDETERMINATE))
-    else:
+    def weak_encryption():
         policy = ctx.crypto_policy
         below = cache(_version_below)
-        offenders = []
         for e in events:
             if e.cipher_suite is not None and policy.approved_suites and e.cipher_suite not in policy.approved_suites:
-                offenders.append(_violation("weak_encryption", f"cipher suite {e.cipher_suite!r} not approved", e.seq))
+                yield _violation("weak_encryption", f"cipher suite {e.cipher_suite!r} not approved", e.seq)
             if e.key_bits is not None and e.key_bits < policy.min_key_bits:
-                offenders.append(
-                    _violation("weak_encryption", f"key size {e.key_bits} below minimum {policy.min_key_bits}", e.seq)
-                )
+                yield _violation("weak_encryption", f"key size {e.key_bits} below minimum {policy.min_key_bits}", e.seq)
             if e.protocol_version is not None:
                 minimum = policy.min_protocol_versions.get(e.protocol)
                 if minimum is not None and below(e.protocol_version, minimum):
-                    offenders.append(
-                        _violation(
-                            "weak_encryption",
-                            f"{e.protocol} version {e.protocol_version} below minimum {minimum}",
-                            e.seq,
-                        )
+                    yield _violation(
+                        "weak_encryption", f"{e.protocol} version {e.protocol_version} below minimum {minimum}", e.seq
                     )
-        verdicts.append(_judge("weak_encryption", offenders))
 
-    if not ctx.expected_communications:
-        verdicts.append(_verdict("insecure_protocol", Status.INDETERMINATE))
-    else:
-        offenders = []
+    def insecure():
         for e in events:
             counterpart = SECURE_COUNTERPARTS.get(e.protocol)
             if counterpart and ctx.demands_protocol(e.src_id, e.dst_id, counterpart):
-                offenders.append(
-                    _violation(
-                        "insecure_protocol",
-                        f"{e.protocol} used on a conduit expecting {counterpart} "
-                        f"({e.src_id} -> {e.dst_id})",
-                        e.seq,
-                    )
+                yield _violation(
+                    "insecure_protocol",
+                    f"{e.protocol} used on a conduit expecting {counterpart} ({e.src_id} -> {e.dst_id})",
+                    e.seq,
                 )
-        verdicts.append(_judge("insecure_protocol", offenders))
 
-    if ctx.password_policy is None:
-        verdicts.append(_verdict("password_policy", Status.INDETERMINATE))
-    else:
-        min_length = ctx.password_policy.min_length
-        observed = [(e.seq, e.cleartext_password) for e in events if e.cleartext_password]
-        offenders = [
-            _violation("password_policy", f"password of length {len(pw)} below minimum {min_length}", seq)
-            for seq, pw in observed
-            if len(pw) < min_length
-        ]
-        extras: list[Finding] = []
-        lengths = {len(pw) for _, pw in observed}
-        if len(lengths) > 1:
-            # Unequal lengths alone are consistent with a minimum-length
-            # policy; reported as an inference-grade observation only.
-            extras.append(
-                _info(
-                    "password_policy",
-                    f"observed passwords of unequal lengths {sorted(lengths)}; "
-                    "no uniform password policy enforcement inferable",
-                    *[seq for seq, _ in observed],
-                )
+    observed = [(e.seq, e.cleartext_password) for e in events if e.cleartext_password]
+    short = (
+        _violation("password_policy", f"password of length {len(pw)} below minimum {ctx.password_policy.min_length}", seq)
+        for seq, pw in observed
+        if len(pw) < ctx.password_policy.min_length
+    )
+    lengths = {len(pw) for _, pw in observed}
+    unequal = []
+    if len(lengths) > 1:
+        # Unequal lengths alone are consistent with a minimum-length policy;
+        # reported as an inference-grade observation only.
+        unequal.append(
+            _info(
+                "password_policy",
+                f"observed passwords of unequal lengths {sorted(lengths)}; "
+                "no uniform password policy enforcement inferable",
+                *[seq for seq, _ in observed],
             )
-        if offenders:
-            verdicts.append(_verdict("password_policy", Status.VIOLATED, offenders + extras))
-        else:
-            verdicts.append(_verdict("password_policy", Status.FULFILLED, extras))
-
-    return verdicts
+        )
+    return [
+        _judge("weak_encryption", weak_encryption(), ctx=ctx),
+        _judge("insecure_protocol", insecure(), ctx=ctx),
+        _judge("password_policy", short, extras=unequal, ctx=ctx),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -469,32 +471,28 @@ def detect_cleartext_authenticators(events: list[EvidenceEvent], ctx: ContextSpe
 
 def detect_auth_attempts(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
     """Count consecutive failed logins per directed (src, dst); runs reset on success."""
-    if ctx.max_failed_attempts is None:
-        return [_verdict("login_attempt_limit", Status.INDETERMINATE)]
-    limit = ctx.max_failed_attempts
 
-    runs: dict[tuple[str, str], int] = {}
-    offenders: list[Finding] = []
-    flagged: set[tuple[str, str]] = set()
-    for e in events:
-        if e.auth_result is None:
-            continue
-        key = (e.src_id, e.dst_id)
-        if e.auth_result == "Failure":
-            runs[key] = runs.get(key, 0) + 1
-            if runs[key] > limit and key not in flagged:
-                flagged.add(key)
-                offenders.append(
-                    _violation(
+    def offenders():
+        limit = ctx.max_failed_attempts
+        runs: dict[tuple[str, str], int] = {}
+        flagged: set[tuple[str, str]] = set()
+        for e in events:
+            if e.auth_result is None:
+                continue
+            key = (e.src_id, e.dst_id)
+            if e.auth_result == "Failure":
+                runs[key] = runs.get(key, 0) + 1
+                if runs[key] > limit and key not in flagged:
+                    flagged.add(key)
+                    yield _violation(
                         "login_attempt_limit",
-                        f"{key[0]} -> {key[1]}: {runs[key]} consecutive failed login attempts "
-                        f"exceed the allowed {limit}",
+                        f"{key[0]} -> {key[1]}: {runs[key]} consecutive failed login attempts exceed the allowed {limit}",
                         e.seq,
                     )
-                )
-        else:
-            runs[key] = 0
-    return [_judge("login_attempt_limit", offenders)]
+            else:
+                runs[key] = 0
+
+    return [_judge("login_attempt_limit", offenders(), ctx=ctx)]
 
 
 # --------------------------------------------------------------------------
@@ -663,9 +661,7 @@ def detect_wireless_iac(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
     )
     if not wireless:
         return [observed, _verdict("wireless_iac", Status.NOT_APPLICABLE)]
-    if not ctx.expected_communications:
-        return [observed, _verdict("wireless_iac", Status.INDETERMINATE)]
-    offenders = [
+    offenders = (
         _violation(
             "wireless_iac",
             f"wireless communication ({e.src_id} -> {e.dst_id}, {e.protocol}) not in the expected list",
@@ -673,8 +669,8 @@ def detect_wireless_iac(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
         )
         for e in wireless
         if not ctx.matches_communication(e.src_id, e.dst_id, e.protocol)
-    ]
-    return [observed, _judge("wireless_iac", offenders)]
+    )
+    return [observed, _judge("wireless_iac", offenders, ctx=ctx)]
 
 
 # --------------------------------------------------------------------------
@@ -704,23 +700,24 @@ def _untrusted_origin(e: EvidenceEvent, ctx: ContextSpec, classify) -> bool:
 
 
 def detect_untrusted_access(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
-    """Untrusted-origin connections must use protocols capable of IAC."""
-    if not ctx.external_prefixes and not ctx.zone_map:
-        return [_verdict("untrusted_access_control", Status.INDETERMINATE)]
-    classify = _classifier(ctx)
-    untrusted = [e for e in events if _untrusted_origin(e, ctx, classify)]
-    if not untrusted:
-        return [_verdict("untrusted_access_control", Status.NOT_APPLICABLE)]
-    offenders = [
-        _violation(
-            "untrusted_access_control",
-            f"untrusted origin {e.src_id} over {e.protocol}, which offers no identification/authentication",
-            e.seq,
-        )
-        for e in untrusted
-        if e.protocol not in ctx.iac_capable_protocols
-    ]
-    return [_judge("untrusted_access_control", offenders)]
+    """Untrusted-origin connections must use protocols capable of IAC; not
+    applicable when no connection has an untrusted origin."""
+
+    @cache
+    def untrusted() -> list[EvidenceEvent]:
+        classify = _classifier(ctx)
+        return [e for e in events if _untrusted_origin(e, ctx, classify)]
+
+    def offenders():
+        for e in untrusted():
+            if e.protocol not in ctx.iac_capable_protocols:
+                yield _violation(
+                    "untrusted_access_control",
+                    f"untrusted origin {e.src_id} over {e.protocol}, which offers no identification/authentication",
+                    e.seq,
+                )
+
+    return [_judge("untrusted_access_control", offenders(), lambda: bool(untrusted()), Status.NOT_APPLICABLE, ctx=ctx)]
 
 
 # --------------------------------------------------------------------------
@@ -762,19 +759,7 @@ def detect_authorization_controls(events: list[EvidenceEvent], ctx: ContextSpec)
 def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
     """Zone-aware checks: segmentation, independence, boundary whitelisting,
     person-to-person restriction and data partitioning."""
-    attribute_ids = (
-        "logical_segmentation",
-        "non_control_independence",
-        "boundary_default_deny",
-        "p2p_restriction",
-        "data_partitioning",
-    )
-    if not ctx.zone_map:
-        return [_verdict(attribute_id, Status.INDETERMINATE) for attribute_id in attribute_ids]
-
-    verdicts: list[AttributeVerdict] = []
     zones = ctx.zone_map
-
     cross: list[tuple[EvidenceEvent, str, str]] = []
     for e in events:
         src_zone = zones.get(e.src_id)
@@ -792,38 +777,24 @@ def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
         for e, src_zone, dst_zone in cross
         if not ctx.matches_communication(e.src_id, e.dst_id, e.protocol)
     ]
-    verdicts.append(_judge("logical_segmentation", unsanctioned))
-
-    if not ctx.control_zones:
-        verdicts.append(_verdict("non_control_independence", Status.INDETERMINATE))
-    else:
-        dependence = [
-            _violation(
-                "non_control_independence",
-                f"process-mandatory {e.protocol} from control zone {src_zone} to {dst_zone} "
-                "infers dependence of the non-control network",
-                e.seq,
-            )
-            for e, src_zone, dst_zone in cross
-            if e.protocol in ctx.management_protocols
-            and src_zone in ctx.control_zones
-            and dst_zone not in ctx.control_zones
-            and ctx.mandatory_communication(e.src_id, e.dst_id, e.protocol)
-        ]
-        verdicts.append(_judge("non_control_independence", dependence))
-
-    boundary = [
+    dependence = (
+        _violation(
+            "non_control_independence",
+            f"process-mandatory {e.protocol} from control zone {src_zone} to {dst_zone} "
+            "infers dependence of the non-control network",
+            e.seq,
+        )
+        for e, src_zone, dst_zone in cross
+        if e.protocol in ctx.management_protocols
+        and src_zone in ctx.control_zones
+        and dst_zone not in ctx.control_zones
+        and ctx.mandatory_communication(e.src_id, e.dst_id, e.protocol)
+    )
+    boundary = (
         _violation("boundary_default_deny", finding.message + "; boundary whitelisting not enforced", *finding.seq_refs)
         for finding in unsanctioned
-    ]
-    if cross:
-        verdicts.append(_judge("boundary_default_deny", boundary))
-    else:
-        verdicts.append(_verdict("boundary_default_deny", Status.NOT_APPLICABLE))
-
-    verdicts.append(_detect_p2p(events, ctx))
-
-    file_transfers = [
+    )
+    file_transfers = (
         _violation(
             "data_partitioning",
             f"file transfer over {e.protocol} crosses zone boundary {src_zone} -> {dst_zone}",
@@ -831,56 +802,58 @@ def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
         )
         for e, src_zone, dst_zone in cross
         if e.protocol in FILE_TRANSFER_PROTOCOLS
+    )
+    return [
+        _judge("logical_segmentation", unsanctioned, ctx=ctx),
+        _judge("non_control_independence", dependence, ctx=ctx),
+        _judge("boundary_default_deny", boundary, bool(cross), Status.NOT_APPLICABLE, ctx=ctx),
+        _detect_p2p(events, ctx),
+        _judge("data_partitioning", file_transfers, ctx=ctx),
     ]
-    verdicts.append(_judge("data_partitioning", file_transfers))
-    return verdicts
+
+
+def _p2p_events(events: list[EvidenceEvent], ctx: ContextSpec) -> Iterator[tuple[EvidenceEvent, int]]:
+    """Person-to-person events, each with the highest SL target of its zones (0 without one)."""
+    classify = _classifier(ctx)
+    for e in events:
+        if e.protocol in ctx.p2p_protocols:
+            src = classify(e.src_id, e.id_scheme_src)
+            dst = classify(e.dst_id, e.id_scheme_dst)
+            if src.is_human is True and dst.is_human is True:
+                zones = (src.zone, dst.zone)
+                yield e, max((ctx.zone_sl_target[zone] for zone in zones if zone in ctx.zone_sl_target), default=0)
 
 
 def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec) -> AttributeVerdict:
-    classify = _classifier(ctx)
-    p2p_events = []
-    for e in events:
-        if e.protocol not in ctx.p2p_protocols:
-            continue
-        src = classify(e.src_id, e.id_scheme_src)
-        dst = classify(e.dst_id, e.id_scheme_dst)
-        if src.is_human is True and dst.is_human is True:
-            p2p_events.append((e, src, dst))
-    offenders: list[Finding] = []
-    unverifiable = False
-    low_sl: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
-    for e, src, dst in p2p_events:
-        sl_values = [
-            ctx.zone_sl_target[zone]
-            for zone in (src.zone, dst.zone)
-            if zone is not None and zone in ctx.zone_sl_target
-        ]
-        if sl_values and max(sl_values) >= 3:
-            offenders.append(
-                _violation(
+    """Person-to-person traffic is forbidden in a zone of SL target 3 or more,
+    and below that held to the bandwidth limit, unverifiable without one."""
+    limit = ctx.p2p_bandwidth_limit_bytes_per_s
+
+    def offenders():
+        low_sl: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
+        for e, sl in _p2p_events(events, ctx):
+            if sl >= 3:
+                yield _violation(
                     "p2p_restriction",
                     f"person-to-person {e.protocol} between {e.src_id} and {e.dst_id} "
-                    f"in a zone with SL target {max(sl_values)} (forbidden at SL 3+)",
+                    f"in a zone with SL target {sl} (forbidden at SL 3+)",
                     e.seq,
                 )
-            )
-        elif ctx.p2p_bandwidth_limit_bytes_per_s is not None:
-            low_sl.setdefault(e.pair(), []).append((e.timestamp, e.bytes, e.seq))
-        else:
-            unverifiable = True
+            else:
+                low_sl.setdefault(e.pair(), []).append((e.timestamp, e.bytes, e.seq))
+        if limit is not None:
+            window = RateLimit(window_ms=1000, max_bytes_per_window=limit)
+            for pair in sorted(low_sl):
+                finding = _window_violations(sorted(low_sl[pair]), window, "p2p_restriction", pair)
+                if finding is not None:
+                    message = finding.message + " (person-to-person bandwidth restriction)"
+                    yield _violation("p2p_restriction", message, *finding.seq_refs)
 
-    if ctx.p2p_bandwidth_limit_bytes_per_s is not None:
-        limit = RateLimit(window_ms=1000, max_bytes_per_window=ctx.p2p_bandwidth_limit_bytes_per_s)
-        for pair in sorted(low_sl):
-            finding = _window_violations(sorted(low_sl[pair]), limit, "p2p_restriction", pair)
-            if finding is not None:
-                offenders.append(
-                    _violation(
-                        "p2p_restriction", finding.message + " (person-to-person bandwidth restriction)", *finding.seq_refs
-                    )
-                )
+    def verifiable() -> bool:
+        # called only without offenders, when every person-to-person event is below SL 3
+        return limit is not None or not any(_p2p_events(events, ctx))
 
-    return _judge("p2p_restriction", offenders, not unverifiable)
+    return _judge("p2p_restriction", offenders(), verifiable, ctx=ctx)
 
 
 # --------------------------------------------------------------------------
@@ -890,15 +863,15 @@ def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec) -> AttributeVerdi
 def detect_least_functionality(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
     """Protocol and port whitelisting; shares the membership core with the
     unknown-protocol check but additionally covers ports/services."""
-    if not ctx.expected_protocols:
-        return [_verdict("least_functionality", Status.INDETERMINATE)]
-    offenders = []
-    for e in events:
-        if e.protocol not in ctx.expected_protocols:
-            offenders.append(_violation("least_functionality", f"unexpected protocol {e.protocol!r} in use", e.seq))
-        elif e.port is not None and ctx.expected_ports and e.port not in ctx.expected_ports:
-            offenders.append(_violation("least_functionality", f"unexpected port {e.port} for {e.protocol}", e.seq))
-    return [_judge("least_functionality", offenders)]
+
+    def offenders():
+        for e in events:
+            if e.protocol not in ctx.expected_protocols:
+                yield _violation("least_functionality", f"unexpected protocol {e.protocol!r} in use", e.seq)
+            elif e.port is not None and ctx.expected_ports and e.port not in ctx.expected_ports:
+                yield _violation("least_functionality", f"unexpected port {e.port} for {e.protocol}", e.seq)
+
+    return [_judge("least_functionality", offenders(), ctx=ctx)]
 
 
 # --------------------------------------------------------------------------

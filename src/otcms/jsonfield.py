@@ -54,8 +54,13 @@ def _under(key, problem) -> str:
     return f"{key}{problem}" if problem.startswith("[") else f"{key}: {problem}"
 
 
+#: Characters of a refused value's JSON that an error quotes; the rest is cut to "...".
+_QUOTED = 60
+
+
 def _wrong(what: str, value) -> ValueError:
-    return ValueError(f"expected {what}, got {json.dumps(value)}")
+    text = json.dumps(value)
+    return ValueError(f"expected {what}, got {text if len(text) <= _QUOTED else text[:_QUOTED] + '...'}")
 
 
 def _float(value: int | float) -> float:

@@ -177,6 +177,12 @@ MALFORMED_CONTEXT = {
     "password_policy_null": {"password_policy": None},
     "max_failed_attempts_too_many_digits": {"max_failed_attempts": TOO_MANY_DIGITS},
     "zone_map_nested_too_deeply": {"zone_map": NESTED_TOO_DEEPLY},
+    "rate_spec_pair_repeated_reversed": {
+        "rate_spec": [
+            {"pair": ["10.0.1.10", "10.0.1.20"], "window_ms": 1000, "max_events_per_window": 1},
+            {"pair": ["10.0.1.20", "10.0.1.10"], "window_ms": 1000, "max_events_per_window": 999},
+        ]
+    },
 }
 
 
@@ -240,6 +246,18 @@ def test_malformed_evidence_exit_two_names_line_and_field(scenario_dir, tmp_path
     assert main(["evaluate", "--evidence", str(evidence), "--context", str(context)]) == 2
     named = "invalid JSON (" if isinstance(MALFORMED_EVIDENCE[field], JsonText) else f"{field}:"
     assert f"otcms: error: {evidence}: line 2: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["x" * 2_000_000, JsonText("[" * 500 + "]" * 500)], ids=["2MB_string", "500_deep_list"])
+def test_refused_value_quoted_short(scenario_dir, tmp_path, capsys, value):
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    first, second = evidence.read_text().splitlines()[:2]
+    evidence.write_text(f"{first}\n{dumps({**json.loads(second), 'port': value})}\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--evidence", str(evidence), "--context", str(context)]) == 2
+    err = capsys.readouterr().err
+    assert f"otcms: error: {evidence}: line 2: port: expected an integer or null, got " in err
+    assert err.rstrip().endswith("...") and len(err) < len(str(evidence)) + 200
 
 
 @pytest.mark.parametrize("field", sorted(MALFORMED_EVIDENCE))

@@ -52,6 +52,12 @@ class TestLoadContext:
         path.write_text(json.dumps({"human_identifiers": ["alice"]}))
         assert "alice" in load_context(path).human_identifiers
 
+    def test_rate_spec_pair_repeated_in_either_order_rejected(self):
+        strict = {"pair": ["a", "b"], "window_ms": 1000, "max_events_per_window": 1}
+        loose = {"pair": ["b", "a"], "window_ms": 1000, "max_events_per_window": 999}
+        with pytest.raises(ContextError, match=r"^rate_spec\[1\]: pair \['a', 'b'\] is already limited by rate_spec\[0\]$"):
+            context_from_dict({"rate_spec": [strict, loose]})
+
     def test_bad_prefix_rejected(self):
         with pytest.raises(ContextError, match="prefix"):
             ContextSpec(external_prefixes=("not-a-network",))

@@ -750,6 +750,17 @@ class TestAuditMonitoring:
         assert got["continuous_monitoring"].status is Status.FULFILLED
 
 
+class TestNeeds:
+    def test_zero_limit_and_default_policies_are_configured(self):
+        ctx = context_from_dict({"max_failed_attempts": 0, "crypto_policy": {}, "password_policy": {}})
+        bad = [ev(auth_result="Failure", key_bits=64, cleartext_password="short")]
+        good = [ev(auth_result="Success", key_bits=256, cleartext_password="long enough")]
+        for events, status in ((bad, Status.VIOLATED), (good, Status.FULFILLED)):
+            got = by_id([*detect_auth_attempts(events, ctx), *detect_security_strength(events, ctx)])
+            for attribute_id in ("login_attempt_limit", "weak_encryption", "password_policy"):
+                assert got[attribute_id].status is status, attribute_id
+
+
 class TestSuite:
     def test_exhaustive_verdicts(self):
         events = [ev(seq=i, t=i * 10) for i in range(5)]

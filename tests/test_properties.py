@@ -7,8 +7,9 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otcms import detectors
 from otcms.context import CommEntry, ContextError, ContextSpec, RateLimit, context_from_dict, context_to_dict
-from otcms.detectors import Status, detect_abnormal_behavior, run_detectors
+from otcms.detectors import REGISTRY, Status, detect_abnormal_behavior, run_detectors
 from otcms.evidence import (
     EvidenceError,
     EvidenceEvent,
@@ -249,6 +250,56 @@ def test_any_json_in_a_context_section_loads_or_raises_context_error(key, value)
     except ContextError:
         return
     run_detectors(SAMPLE_EVENTS, assemble_sessions(SAMPLE_EVENTS), ctx)
+
+
+SAMPLE_SESSIONS = assemble_sessions(SAMPLE_EVENTS)
+
+
+def each_detector(events, sessions, ctx) -> list:
+    """The verdicts of every detector called on its own, as a traced run calls them."""
+    return [
+        *detectors.detect_unknown_factors(events, ctx),
+        *detectors.detect_abnormal_behavior(sessions, ctx),
+        *detectors.detect_security_strength(events, ctx),
+        *detectors.detect_cleartext_authenticators(events, ctx),
+        *detectors.detect_auth_attempts(events, ctx),
+        *detectors.detect_session_violations(sessions, ctx),
+        *detectors.detect_integrity_anomalies(events, sessions),
+        *detectors.detect_iac_management(events),
+        *detectors.detect_pki_best_practice(events, ctx),
+        *detectors.detect_wireless_iac(events, ctx),
+        *detectors.detect_untrusted_access(events, ctx),
+        *detectors.detect_authorization_controls(events, ctx),
+        *detectors.detect_segmentation(events, ctx),
+        *detectors.detect_least_functionality(events, ctx),
+        *detectors.detect_audit_and_monitoring(events),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(dropped=st.sets(st.sampled_from(sorted(DEFAULT_CONTEXT))))
+def test_attribute_with_an_unconfigured_need_is_indeterminate(dropped):
+    """Every section a need names is set in the default context and empty or
+    null when dropped, so a need is unmet exactly when all its alternatives
+    are dropped; such an attribute is indeterminate and cites nothing."""
+    ctx = context_from_dict({key: value for key, value in DEFAULT_CONTEXT.items() if key not in dropped})
+    unmet = {
+        attribute_id
+        for attribute_id, info in REGISTRY.items()
+        if any(set(need.split("|")) <= dropped for need in info.needs)
+    }
+    by_run = run_detectors(SAMPLE_EVENTS, SAMPLE_SESSIONS, ctx)
+    by_call = {verdict.attribute_id: verdict for verdict in each_detector(SAMPLE_EVENTS, SAMPLE_SESSIONS, ctx)}
+    assert by_call == by_run
+    for attribute_id in unmet:
+        assert by_run[attribute_id].status is Status.INDETERMINATE, attribute_id
+        assert by_run[attribute_id].findings == (), attribute_id
+
+
+def test_needs_name_context_sections():
+    sections = {f.name for f in fields(ContextSpec)}
+    for attribute_id, info in REGISTRY.items():
+        assert all(set(need.split("|")) <= sections for need in info.needs), attribute_id
 
 
 # A record with most evidence fields set, so generated values replace present
