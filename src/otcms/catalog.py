@@ -21,9 +21,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from otcms.jsonfield import from_json, one_of, to_json
+from otcms.jsonfield import from_json, loads, one_of, to_json
 
-_SL_RANGE = (1, 2, 3, 4)
+#: The security levels of IEC 62443-3-3, lowest first.
+SL_LEVELS = (1, 2, 3, 4)
 
 
 class CatalogError(ValueError):
@@ -64,7 +65,7 @@ class RequirementEnhancement:
     """An SR add-on mandatory only from ``min_sl`` upward."""
 
     id: str
-    min_sl: int = field(metadata=one_of(*_SL_RANGE))
+    min_sl: int = field(metadata=one_of(*SL_LEVELS))
     bindings: tuple[AttributeBinding, ...] = ()
 
 
@@ -148,11 +149,7 @@ def parse_catalog(text: str) -> Catalog:
     A binding's ``min_sl`` may be any integer here; :func:`validate_catalog`
     reports one outside 1..4.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    catalog = from_json(Catalog, data, CatalogError)
+    catalog = from_json(Catalog, loads(text, CatalogError), CatalogError)
 
     seen_srs: set[str] = set()
     for fr in catalog.frs:
@@ -198,7 +195,7 @@ def validate_catalog(catalog: Catalog, kind_map: Mapping[str, AttributeKind]) ->
     issues: list[ValidationIssue] = []
 
     def check_binding(sr_id: str, binding: AttributeBinding) -> None:
-        if binding.min_sl not in _SL_RANGE:
+        if binding.min_sl not in SL_LEVELS:
             issues.append(
                 ValidationIssue(sr_id, "min_sl_range", f"{binding.attribute_id}: min_sl {binding.min_sl} outside 1..4")
             )
@@ -236,7 +233,7 @@ def validate_catalog(catalog: Catalog, kind_map: Mapping[str, AttributeKind]) ->
         for binding in sr.bindings:
             check_binding(sr.id, binding)
         for enhancement in sr.enhancements:
-            if enhancement.min_sl not in _SL_RANGE:
+            if enhancement.min_sl not in SL_LEVELS:
                 issues.append(
                     ValidationIssue(
                         sr.id, "min_sl_range", f"{enhancement.id}: min_sl {enhancement.min_sl} outside 1..4"
@@ -257,7 +254,7 @@ def required_attributes(catalog: Catalog, sr_id: str, sl_target: int) -> list[At
     level at which the attribute is required. Result is ordered by
     attribute_id; the required set grows monotonically with ``sl_target``.
     """
-    if sl_target not in _SL_RANGE:
+    if sl_target not in SL_LEVELS:
         raise ValueError(f"sl_target must be 1..4, got {sl_target}")
     return [binding for binding in all_bindings(catalog.sr(sr_id)) if binding.min_sl <= sl_target]
 

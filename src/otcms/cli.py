@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from otcms.catalog import default_catalog_path, load_catalog, validate_catalog
+from otcms.catalog import SL_LEVELS, default_catalog_path, load_catalog, validate_catalog
 from otcms.compliance import render_report
 from otcms.context import load_context, load_manual_attributes
 from otcms.detectors import registry_kinds
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--evidence", required=True, help="JSON Lines evidence file")
     evaluate.add_argument("--context", required=True, help="context knowledge file")
     evaluate.add_argument("--manual", help="manual attribute assignments file")
-    evaluate.add_argument("--sl-target", type=int, choices=(1, 2, 3, 4), default=2)
+    evaluate.add_argument("--sl-target", type=int, choices=SL_LEVELS, default=2)
     evaluate.add_argument("--out", default="-", help="report path ('-' for stdout)")
     evaluate.add_argument("--format", choices=sorted(_FORMATS), default="json")
     evaluate.add_argument("--lenient", action="store_true", help="skip malformed evidence lines")

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from otcms.catalog import Catalog, SecurityRequirement, all_bindings, required_attributes
+from otcms.catalog import SL_LEVELS, Catalog, SecurityRequirement, all_bindings, required_attributes
 from otcms.detectors import AttributeVerdict, Finding, Severity, Status
 from otcms.jsonfield import from_json, to_json
 
@@ -96,7 +96,7 @@ def evaluate_sr(
 
     bindings = all_bindings(sr)
     achieved = 0
-    for level in (1, 2, 3, 4):
+    for level in SL_LEVELS:
         if all(
             status_of(binding.attribute_id) in _OK_STATUSES
             for binding in bindings

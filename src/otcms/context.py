@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from otcms.catalog import SL_LEVELS, AttributeKind
 from otcms.evidence import IdScheme
 from otcms.jsonfield import at_least, from_json, load, read, to_json
 
@@ -107,7 +108,7 @@ class ContextSpec:
 
     def __post_init__(self) -> None:
         for zone, target in self.zone_sl_target.items():
-            if target not in (1, 2, 3, 4):
+            if target not in SL_LEVELS:
                 raise ContextError(f"zone_sl_target for {zone!r} must be 1..4, got {target}")
         if self.password_policy is not None and self.password_policy.min_length < 1:
             raise ContextError("password_policy.min_length must be >= 1")
@@ -262,8 +263,6 @@ def load_manual_attributes(path: str | Path, catalog) -> ManualAttributeFile:
     manual. Entries for traffic/logical attributes are refused: monitored
     attributes cannot be overridden by hand.
     """
-    from otcms.catalog import AttributeKind
-
     data = load(path, ContextError)
     if not isinstance(data, dict):
         raise ContextError(f"{path}: manual attribute file must contain a JSON object")

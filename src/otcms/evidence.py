@@ -200,7 +200,8 @@ def read_evidence(file: BinaryIO, strict: bool = True) -> tuple[list[EvidenceEve
 
 
 def load_evidence(path: str | Path, strict: bool = True) -> list[EvidenceEvent]:
-    """Read and parse an evidence file."""
+    """Read and parse an evidence file; its digest, which :func:`read_evidence`
+    also returns, is dropped."""
     with open(path, "rb") as file:
         return read_evidence(file, strict=strict)[0]
 

@@ -165,16 +165,33 @@ def unreadable(exc: ValueError | RecursionError) -> str:
     return f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
-def load(path, error: type[ValueError]):
-    """The JSON value in the file at ``path``; a text ``json.loads`` refuses
-    raises ``error`` naming the path, and the line where it can."""
-    text = Path(path).read_text(encoding="utf-8")
+def _unique(pairs: list[tuple[str, object]]) -> dict:
+    """The object of ``pairs``; a key given twice, whose last value Python's
+    reader would keep without a word, raises KeyError naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        raise KeyError(next(key for key, _ in pairs if key in seen or seen.add(key)))
+    return obj
+
+
+def loads(text: str, error: type[ValueError], where: str = ""):
+    """The JSON value of the config text ``text``, in which no object may
+    repeat a key; a text refused raises ``error`` prefixed with ``where``,
+    naming the line where it can."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique)
     except json.JSONDecodeError as exc:
-        raise error(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise error(f"{where}invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except KeyError as exc:
+        raise error(f"{where}repeated key {exc.args[0]!r}") from None
     except (ValueError, RecursionError) as exc:
-        raise error(f"{path}: invalid JSON: {unreadable(exc)}") from None
+        raise error(f"{where}invalid JSON: {unreadable(exc)}") from None
+
+
+def load(path, error: type[ValueError]):
+    """The JSON value in the config file at ``path``, read by :func:`loads`."""
+    return loads(Path(path).read_text(encoding="utf-8"), error, f"{path}: ")
 
 
 def read(value, hint, error: type[ValueError], label: str):

@@ -16,18 +16,20 @@ whitelist at once). Ground truth carries the full coupled set.
 Existence-type attributes cannot be violated by construction - their
 absence is indeterminate - so they are injected positively (adding the
 satisfying pattern) and labeled expected-fulfilled instead.
+
+The default plant is defined once, by the bundled ``scenario-example.json``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
-from otcms.catalog import Catalog, default_catalog_path, load_catalog, required_attributes
+from otcms.catalog import SL_LEVELS, Catalog, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
 from otcms.evidence import EvidenceEvent, IdScheme, to_jsonl
 from otcms.jsonfield import at_least, from_json, load, one_of, read, to_json
@@ -114,7 +116,7 @@ class Scenario:
                 raise ScenarioError(
                     f"traffic_profile[{index}]: rate_per_s: expected a positive number, got {pattern.rate_per_s}"
                 )
-        if self.sl_target not in (1, 2, 3, 4):
+        if self.sl_target not in SL_LEVELS:
             raise ScenarioError("sl_target must be 1..4")
         for index, injection in enumerate(self.injections):
             if injection.attribute_id not in INJECTIONS:
@@ -145,72 +147,21 @@ class GroundTruth:
 # Default scenario
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
+def _example() -> dict:
+    """The bundled example scenario's JSON, read on first use; each caller
+    parses its own scenario from it, as a context holds mutable dicts."""
+    return load(Path(__file__).with_name("data") / "scenario-example.json", ScenarioError)
+
+
 def default_context() -> ContextSpec:
-    """Context for the bundled plant model: one cell zone, one control zone,
-    an engineering zone for human accounts, and a documented external range."""
-    return context_from_dict(
-        {
-            "expected_protocols": [
-                "MQTT", "OPCUA", "LDAP", "HTTP", "FTP", "SFTP", "ICMP", "IPSec", "Bluetooth",
-            ],
-            "expected_ports": [8883, 4840, 389, 80, 21, 22],
-            "expected_communications": [
-                {"src": PLC1, "dst": HMI1, "protocol": "*"},
-                {"src": HMI1, "dst": PLC1, "protocol": "*"},
-                {"src": HMI1, "dst": SCADA, "protocol": "MQTT"},
-                {"src": SCADA, "dst": HMI1, "protocol": "MQTT"},
-                {"src": SCADA, "dst": HIST, "protocol": "MQTT"},
-                {"src": HIST, "dst": SCADA, "protocol": "MQTT"},
-                {"src": HMI1, "dst": DC, "protocol": "LDAP"},
-                {"src": DC, "dst": HMI1, "protocol": "LDAP"},
-                {"src": "*", "dst": HMI1, "protocol": "OPCUA"},
-                {"src": ALICE, "dst": BOB, "protocol": "HTTP"},
-                {"src": BOB, "dst": ALICE, "protocol": "HTTP"},
-                {"src": EXTERNAL, "dst": SCADA, "protocol": "HTTP"},
-                {"src": HIST, "dst": DC, "protocol": "*"},
-                {"src": HIST, "dst": DC, "protocol": "SFTP"},
-                {"src": TABLET, "dst": HMI1, "protocol": "HTTP"},
-                {"src": HMI1, "dst": HIST, "protocol": "SFTP"},
-                {"src": SCADA, "dst": PLC1, "protocol": "ICMP", "mandatory": True},
-                {"src": SCADA, "dst": HIST, "protocol": "IPSec"},
-            ],
-            "known_software_processes": [{"process_id": PROC, "device_id": HMI1}],
-            "human_identifiers": [ALICE, BOB],
-            "mobile_device_identifiers": [TABLET],
-            "zone_map": {
-                PLC1: "cell", PLC2: "cell", HMI1: "cell",
-                SCADA: "control", HIST: "control", DC: "control",
-                ALICE: "eng", BOB: "eng",
-            },
-            "zone_sl_target": {"cell": 2, "control": 2, "eng": 3},
-            "trusted_zones": ["cell", "control", "eng"],
-            "control_zones": ["control"],
-            "external_prefixes": ["203.0.113.0/24"],
-            "rate_spec": [
-                {"pair": [PLC1, HMI1], "window_ms": 1000, "max_events_per_window": 50, "max_bytes_per_window": 500000},
-                {"pair": [HMI1, SCADA], "window_ms": 1000, "max_events_per_window": 50, "max_bytes_per_window": 500000},
-                {"pair": [SCADA, HIST], "window_ms": 1000, "max_events_per_window": 50, "max_bytes_per_window": 500000},
-            ],
-            "password_policy": {"min_length": 8},
-            "max_failed_attempts": 3,
-            "session_max_ms": 600_000,
-            "crypto_policy": {
-                "approved_suites": ["TLS_AES_128_GCM_SHA256", "TLS_AES_256_GCM_SHA384"],
-                "min_key_bits": 128,
-                "min_protocol_versions": {"MQTT": "3.1", "OPCUA": "1.02"},
-            },
-        }
-    )
+    """The default plant's context."""
+    return context_from_dict(_example()["context"])
 
 
 def default_profile() -> tuple[TrafficPattern, ...]:
-    return (
-        TrafficPattern(PLC1, HMI1, "OPCUA", rate_per_s=1.0, port=4840, session_id="sess-cell"),
-        TrafficPattern(HMI1, SCADA, "MQTT", rate_per_s=0.5, port=8883, session_id="sess-cross"),
-        TrafficPattern(SCADA, HIST, "MQTT", rate_per_s=0.5, port=8883, session_id="sess-hist"),
-        TrafficPattern(PROC, HMI1, "OPCUA", rate_per_s=0.25, port=4840, session_id="sess-proc", flavor="process"),
-        TrafficPattern(HMI1, SCADA, "MQTT", rate_per_s=0.2, port=8883, session_id="sess-cross", flavor="auth"),
-    )
+    """The default plant's baseline traffic."""
+    return default_scenario().traffic_profile
 
 
 def default_scenario(
@@ -220,15 +171,10 @@ def default_scenario(
     duration_ms: int = 20_000,
     sl_target: int = 2,
 ) -> Scenario:
-    return Scenario(
-        name=name,
-        seed=seed,
-        spec=default_context(),
-        duration_ms=duration_ms,
-        sl_target=sl_target,
-        traffic_profile=default_profile(),
-        injections=tuple(injections),
-    )
+    """The default plant's scenario under the given name, seed, injections,
+    window and SL target."""
+    return replace(scenario_from_dict(_example()), name=name, seed=seed, injections=tuple(injections),
+                   duration_ms=duration_ms, sl_target=sl_target)
 
 
 # --------------------------------------------------------------------------

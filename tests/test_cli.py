@@ -15,11 +15,23 @@ class JsonText(str):
     cannot write, such as an integer beyond Python's digit limit."""
 
 
-def dumps(record: dict) -> str:
-    """``record`` as a JSON object, each :class:`JsonText` value written as its text."""
-    text = json.dumps({key: value for key, value in record.items() if not isinstance(value, JsonText)})
-    raw = "".join(f", {json.dumps(key)}: {value}" for key, value in record.items() if isinstance(value, JsonText))
-    return text[:-1] + raw + "}"
+class Repeated(tuple):
+    """Values written under one key of a JSON object, the key repeated for each."""
+
+
+def dumps(value) -> str:
+    """``value`` as ``json.dumps`` writes it, but each :class:`JsonText` in it
+    written as its text and each :class:`Repeated` as a key given repeatedly."""
+    if isinstance(value, JsonText):
+        return value
+    if isinstance(value, dict):
+        members = (
+            (key, item) for key, items in value.items() for item in (items if isinstance(items, Repeated) else (items,))
+        )
+        return "{" + ", ".join(f"{json.dumps(key)}: {dumps(item)}" for key, item in members) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(dumps, value)) + "]"
+    return json.dumps(value)
 
 
 TOO_MANY_DIGITS = JsonText("9" * 4301)
@@ -183,6 +195,10 @@ MALFORMED_CONTEXT = {
             {"pair": ["10.0.1.20", "10.0.1.10"], "window_ms": 1000, "max_events_per_window": 999},
         ]
     },
+    # A key given twice: Python's reader alone would keep the last value.
+    "max_failed_attempts_repeated": {"max_failed_attempts": Repeated((1, 999))},
+    "zone_map_identifier_repeated": {"zone_map": {"10.0.1.10": Repeated(("cell", "control"))}},
+    "min_key_bits_repeated": {"crypto_policy": {"min_key_bits": Repeated((128, 64))}},
 }
 
 
@@ -205,6 +221,9 @@ MALFORMED_SCENARIO = {
     "flavor_typo": lambda sc: sc["traffic_profile"][0].update(flavor="proces"),
     "injection_before_start": lambda sc: sc["injections"].append({"attribute_id": "unknown_protocol", "at_ms": -5000}),
     "port_string": lambda sc: sc["traffic_profile"][0].update(port="502"),
+    "duration_repeated": lambda sc: sc.update(duration_ms=Repeated((20_000, 5))),
+    "profile_protocol_repeated": lambda sc: sc["traffic_profile"][0].update(protocol=Repeated(("OPCUA", "MQTT"))),
+    "context_session_max_repeated": lambda sc: sc["context"].update(session_max_ms=Repeated((600_000, 1))),
 }
 
 
@@ -213,7 +232,7 @@ def test_malformed_scenario_exit_two(tmp_path, capsys, case):
     sc = scenario_to_dict(default_scenario(name="bad", seed=1))
     MALFORMED_SCENARIO[case](sc)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(sc))
+    path.write_text(dumps(sc))
     assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert "otcms: error:" in capsys.readouterr().err
 
@@ -300,6 +319,43 @@ def test_report_digest_is_sha256_of_evidence_bytes(scenario_dir, tmp_path, layou
     assert parse_report(out.read_text(encoding="utf-8")).evidence_digest == digest
 
 
+def test_library_use_gives_the_cli_report(scenario_dir, tmp_path):
+    """README "Library use" on a file not in canonical form, whose own hash
+    differs from that of the events' re-serialisation."""
+    from otcms import default_catalog_path, load_catalog, load_context, render_report, run_evaluation
+    from otcms.evidence import read_evidence
+
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    evidence.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in evidence.read_text().splitlines()))
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(out),
+                 "--generated-at", "0"]) == 0
+
+    catalog = load_catalog(default_catalog_path())
+    ctx = load_context(context)
+    with open(evidence, "rb") as file:
+        events, digest = read_evidence(file)
+    report = run_evaluation(catalog, ctx, events, sl_target=2, digest=digest)
+    assert render_report(report, "structured") == out.read_text(encoding="utf-8")
+    assert run_evaluation(catalog, ctx, load_evidence(evidence)).evidence_digest != digest
+
+
+@pytest.mark.parametrize("option", ["--context", "--manual"])
+def test_repeated_key_names_file_and_key(scenario_dir, tmp_path, capsys, option):
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    argv = ["evaluate", "--evidence", str(evidence), "--context", str(context)]
+    if option == "--context":
+        path, what, key = context, "context", "max_failed_attempts"
+        path.write_text(dumps({**json.loads(context.read_text()), **MALFORMED_CONTEXT["max_failed_attempts_repeated"]}))
+    else:
+        path, what, key = tmp_path / "manual.json", "manual attributes", "input_validation"
+        path.write_text(dumps({"entries": {key: Repeated((True, False))}}))
+        argv += ["--manual", str(path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"otcms: error: cannot load {what} {path}: {path}: repeated key {key!r}\n" in capsys.readouterr().err
+
+
 def _sr11(catalog: dict) -> dict:
     return catalog["frs"][0]["srs"][0]
 
@@ -313,32 +369,45 @@ MALFORMED_CATALOG = {
     "min_sl_out_of_range": (
         lambda c: _sr11(c)["bindings"][0].update(min_sl=7), "SR1.1: unknown_communication: min_sl 7 outside 1..4"
     ),
+    "version_repeated": (lambda c: c.update(version=Repeated(("1", "2"))), "repeated key 'version'"),
+    "binding_kind_repeated": (
+        lambda c: _sr11(c)["bindings"][0].update(kind=Repeated(("logical", "manual"))), "repeated key 'kind'"
+    ),
+    "nested_too_deeply": (lambda c: c.update(source_note=NESTED_TOO_DEEPLY), "invalid JSON: nested too deeply"),
 }
+
+
+def _malformed_catalog(tmp_path, case):
+    from otcms.catalog import default_catalog_path
+
+    data = json.loads(default_catalog_path().read_text())
+    MALFORMED_CATALOG[case][0](data)
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(dumps(data))
+    return catalog
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CATALOG))
 def test_malformed_catalog_evaluate_exit_two(scenario_dir, tmp_path, capsys, case):
-    from otcms.catalog import default_catalog_path
-
     evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
-    data = json.loads(default_catalog_path().read_text())
-    mutate, named = MALFORMED_CATALOG[case]
-    mutate(data)
-    catalog = tmp_path / "catalog.json"
-    catalog.write_text(json.dumps(data))
+    catalog = _malformed_catalog(tmp_path, case)
     capsys.readouterr()
     assert main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--catalog", str(catalog)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("otcms: error: cannot") and named in err
+    assert err.startswith("otcms: error: cannot") and MALFORMED_CATALOG[case][1] in err
+
+
+# min_sl_out_of_range loads, for validate to report it (next test).
+@pytest.mark.parametrize("case", sorted(set(MALFORMED_CATALOG) - {"min_sl_out_of_range"}))
+def test_malformed_catalog_validate_exit_one(tmp_path, capsys, case):
+    catalog = _malformed_catalog(tmp_path, case)
+    assert main(["catalog", "validate", "--catalog", str(catalog)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"otcms: error: cannot load catalog {catalog}: ") and MALFORMED_CATALOG[case][1] in err
 
 
 def test_min_sl_out_of_range_still_loads_for_validate(tmp_path, capsys):
-    from otcms.catalog import default_catalog_path
-
-    data = json.loads(default_catalog_path().read_text())
-    MALFORMED_CATALOG["min_sl_out_of_range"][0](data)
-    catalog = tmp_path / "catalog.json"
-    catalog.write_text(json.dumps(data))
+    catalog = _malformed_catalog(tmp_path, "min_sl_out_of_range")
     assert main(["catalog", "validate", "--catalog", str(catalog)]) == 1
     assert "SR1.1: min_sl_range:" in capsys.readouterr().out
 

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from otcms import simulator
 from otcms.compliance import build_report
 from otcms.detectors import REGISTRY, Status
 from otcms.engine import evaluate_verdicts
@@ -211,3 +215,61 @@ def test_oracle_holds_beyond_session_max(catalog, duration_ms, seed, mix):
     assert truth.expected_fulfilled - truth.expected_violated <= fulfilled
     report = build_report(catalog, verdicts, sc.sl_target, "sha256:oracle")
     assert set(report.noncompliant_sr_ids()) == truth.expected_noncompliant_srs
+
+
+EXAMPLE = Path(simulator.__file__).with_name("data") / "scenario-example.json"
+
+
+class TestDefaultPlant:
+    """The default plant is the bundled example scenario, defined nowhere else."""
+
+    def test_default_scenario_is_the_example(self):
+        assert default_scenario(name="plant-baseline", seed=42) == load_scenario(EXAMPLE)
+        assert default_context() == load_scenario(EXAMPLE).spec
+        assert default_profile() == load_scenario(EXAMPLE).traffic_profile
+
+    def test_each_call_builds_a_new_context(self):
+        first = default_context()
+        first.zone_map["10.0.1.10"] = "control"
+        first.rate_spec.clear()
+        first.crypto_policy.min_protocol_versions["MQTT"] = "9"
+        again = default_context()
+        assert again.zone_map["10.0.1.10"] == "cell"
+        assert again.rate_spec and again.crypto_policy.min_protocol_versions["MQTT"] == "3.1"
+        assert default_scenario().spec == again
+
+    def test_arguments_validated_as_before(self):
+        with pytest.raises(ScenarioError, match="sl_target must be 1..4"):
+            default_scenario(sl_target=7)
+        with pytest.raises(ScenarioError, match="duration_ms must be positive"):
+            default_scenario(duration_ms=0)
+
+    def test_import_reads_no_scenario_file(self):
+        code = (
+            "import sys; opened = []\n"
+            "sys.addaudithook(lambda event, args: opened.append(str(args[0])) if event == 'open' else None)\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import otcms, otcms.simulator as s\n"
+            "print(any(p.endswith('scenario-example.json') for p in opened))\n"
+            "s.default_context()\n"
+            "print(any(p.endswith('scenario-example.json') for p in opened))\n"
+        )
+        src = str(Path(simulator.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+        assert run.stdout == "False\nTrue\n"
+
+    def test_injection_identifiers_are_in_the_example_context(self):
+        """Only the deliberately unknown identifiers are missing from the
+        plant, so the constants and the file cannot drift apart."""
+
+        def strings(value):
+            if isinstance(value, dict):
+                return set(value).union(*map(strings, value.values()))
+            if isinstance(value, list):
+                return set().union(*map(strings, value))
+            return {value} if isinstance(value, str) else set()
+
+        known = strings(json.loads(EXAMPLE.read_text(encoding="utf-8"))["context"])
+        sc = default_scenario()
+        used = {r[side] for spec in INJECTIONS.values() for r in spec.build(sc, 0) for side in ("src_id", "dst_id")}
+        assert used - known == {simulator.ROGUE_PROC, simulator.BT_DEV}
