@@ -57,7 +57,7 @@ class AttributeBinding:
 
     attribute_id: str
     kind: AttributeKind
-    min_sl: int = 1
+    min_sl: int = field(default=1, metadata=one_of(*SL_LEVELS))
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,7 @@ def _line_note(raw_text: str, needle: str) -> str:
 
 
 def parse_catalog(text: str) -> Catalog:
-    """Parse catalog JSON text and enforce structural invariants.
-
-    A binding's ``min_sl`` may be any integer here; :func:`validate_catalog`
-    reports one outside 1..4.
-    """
+    """Parse catalog JSON text and enforce structural invariants."""
     catalog = from_json(Catalog, loads(text, CatalogError), CatalogError)
 
     seen_srs: set[str] = set()
@@ -174,7 +170,7 @@ def load_catalog(path: str | Path) -> Catalog:
     """Load and validate a catalog file."""
     text = Path(path).read_text(encoding="utf-8")
     if not text.strip():
-        raise CatalogError(f"{path}: empty catalog file")
+        raise CatalogError("empty catalog file")
     return parse_catalog(text)
 
 
@@ -186,19 +182,14 @@ def serialize_catalog(catalog: Catalog) -> str:
 def validate_catalog(catalog: Catalog, kind_map: Mapping[str, AttributeKind]) -> list[ValidationIssue]:
     """Cross-check the catalog against the detector registry.
 
-    Reports dangling traffic/logical attribute ids, SRs without bindings or
-    a not_monitorable flag, out-of-range min_sl values, and kind mismatches
-    (including manual bindings shadowing a detector output). Issues are
-    data, not failures; an empty result means the catalog is internally
-    consistent and fully resolvable.
+    Reports dangling traffic/logical attribute ids and kind mismatches
+    (including manual bindings shadowing a detector output); every other
+    invariant is enforced by :func:`parse_catalog`. Issues are data, not
+    failures; an empty result means the catalog is fully resolvable.
     """
     issues: list[ValidationIssue] = []
 
     def check_binding(sr_id: str, binding: AttributeBinding) -> None:
-        if binding.min_sl not in SL_LEVELS:
-            issues.append(
-                ValidationIssue(sr_id, "min_sl_range", f"{binding.attribute_id}: min_sl {binding.min_sl} outside 1..4")
-            )
         if binding.kind is AttributeKind.MANUAL:
             if binding.attribute_id in kind_map:
                 issues.append(
@@ -228,17 +219,9 @@ def validate_catalog(catalog: Catalog, kind_map: Mapping[str, AttributeKind]) ->
             )
 
     for sr in catalog.iter_srs():
-        if not sr.bindings and not sr.enhancements and not sr.not_monitorable:
-            issues.append(ValidationIssue(sr.id, "unbound_sr", "no bindings and no not_monitorable flag"))
         for binding in sr.bindings:
             check_binding(sr.id, binding)
         for enhancement in sr.enhancements:
-            if enhancement.min_sl not in SL_LEVELS:
-                issues.append(
-                    ValidationIssue(
-                        sr.id, "min_sl_range", f"{enhancement.id}: min_sl {enhancement.min_sl} outside 1..4"
-                    )
-                )
             for binding in enhancement.bindings:
                 check_binding(sr.id, binding)
     return issues

@@ -58,11 +58,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         _err(f"cannot load catalog {catalog_path}: {exc}")
         return 2
-    for issue in validate_catalog(catalog, registry_kinds()):
-        # parse_catalog keeps such a binding for validate to report; no SL requires it, so a report would drop it.
-        if issue.code == "min_sl_range":
-            _err(f"cannot evaluate with catalog {catalog_path}: {issue.sr_id}: {issue.message}")
-            return 2
+    issues = validate_catalog(catalog, registry_kinds())
+    if issues:
+        _err(f"cannot evaluate with catalog {catalog_path}: {issues[0].sr_id}: {issues[0].message}")
+        return 2
     try:
         ctx = load_context(args.context)
     except (OSError, ValueError) as exc:
@@ -111,9 +110,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
-        if args.seed is not None:
-            scenario.seed = args.seed
-        catalog = load_catalog(_resolve_catalog_path(args.catalog))
+    except (OSError, ValueError) as exc:
+        _err(f"cannot load scenario {args.scenario}: {exc}")
+        return 2
+    if args.seed is not None:
+        scenario.seed = args.seed
+    catalog_path = _resolve_catalog_path(args.catalog)
+    try:
+        catalog = load_catalog(catalog_path)
+    except (OSError, ValueError) as exc:
+        _err(f"cannot load catalog {catalog_path}: {exc}")
+        return 2
+    try:
         written = save_scenario_outputs(
             scenario, args.out_dir, catalog=catalog, emit_context=args.emit_context
         )

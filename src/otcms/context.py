@@ -166,7 +166,6 @@ class EntityClass:
     """
 
     is_human: bool | None
-    is_mobile: bool | None
     zone: str | None
     is_external: bool | None
     zone_trusted: bool | None
@@ -192,8 +191,6 @@ def classify_entity(identifier: str, scheme: IdScheme, ctx: ContextSpec) -> Enti
             )
         is_human = True
 
-    is_mobile: bool | None = True if identifier in ctx.mobile_device_identifiers else None
-
     zone = ctx.zone_map.get(identifier)
     zone_trusted: bool | None = None
     if zone is not None and ctx.trusted_zones:
@@ -213,7 +210,6 @@ def classify_entity(identifier: str, scheme: IdScheme, ctx: ContextSpec) -> Enti
 
     return EntityClass(
         is_human=is_human,
-        is_mobile=is_mobile,
         zone=zone,
         is_external=is_external,
         zone_trusted=zone_trusted,
@@ -265,11 +261,11 @@ def load_manual_attributes(path: str | Path, catalog) -> ManualAttributeFile:
     """
     data = load(path, ContextError)
     if not isinstance(data, dict):
-        raise ContextError(f"{path}: manual attribute file must contain a JSON object")
+        raise ContextError("manual attribute file must contain a JSON object")
 
     raw_entries = data.get("entries", data)
     if not isinstance(raw_entries, dict):
-        raise ContextError(f"{path}: 'entries' must be a JSON object")
+        raise ContextError("'entries' must be a JSON object")
 
     kinds = catalog.attribute_kinds()
     entries: dict[str, ManualEntry] = {}

@@ -55,8 +55,8 @@ class EvidenceEvent:
     """One observed network communication record.
 
     The annotations are the evidence format: :func:`parse_evidence` reads
-    each JSON key by its field's exact type, and :func:`event_to_record`
-    writes every field except one holding a null, false or enum default
+    each JSON key by its field's exact type, and :func:`to_json` writes
+    every field except one holding a null, false or enum default
     (``Other``), which reads back as that default when absent; the required
     fields and ``bytes`` are always written. The payload markers,
     ``access_list_transfer`` to ``snapshot_transfer``, stand in for
@@ -204,11 +204,6 @@ def load_evidence(path: str | Path, strict: bool = True) -> list[EvidenceEvent]:
     also returns, is dropped."""
     with open(path, "rb") as file:
         return read_evidence(file, strict=strict)[0]
-
-
-def event_to_record(event: EvidenceEvent) -> dict:
-    """Serializable record; a field holding its absent default is left out."""
-    return to_json(event)
 
 
 def to_jsonl(events: Iterable[EvidenceEvent]) -> str:

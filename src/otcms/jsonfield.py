@@ -175,23 +175,22 @@ def _unique(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def loads(text: str, error: type[ValueError], where: str = ""):
+def loads(text: str, error: type[ValueError]):
     """The JSON value of the config text ``text``, in which no object may
-    repeat a key; a text refused raises ``error`` prefixed with ``where``,
-    naming the line where it can."""
+    repeat a key; a text refused raises ``error``, naming the line where it can."""
     try:
         return json.loads(text, object_pairs_hook=_unique)
     except json.JSONDecodeError as exc:
-        raise error(f"{where}invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise error(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except KeyError as exc:
-        raise error(f"{where}repeated key {exc.args[0]!r}") from None
+        raise error(f"repeated key {exc.args[0]!r}") from None
     except (ValueError, RecursionError) as exc:
-        raise error(f"{where}invalid JSON: {unreadable(exc)}") from None
+        raise error(f"invalid JSON: {unreadable(exc)}") from None
 
 
 def load(path, error: type[ValueError]):
     """The JSON value in the config file at ``path``, read by :func:`loads`."""
-    return loads(Path(path).read_text(encoding="utf-8"), error, f"{path}: ")
+    return loads(Path(path).read_text(encoding="utf-8"), error)
 
 
 def read(value, hint, error: type[ValueError], label: str):

@@ -32,7 +32,7 @@ from typing import Callable
 from otcms.catalog import SL_LEVELS, Catalog, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
 from otcms.evidence import EvidenceEvent, IdScheme, to_jsonl
-from otcms.jsonfield import at_least, from_json, load, one_of, read, to_json
+from otcms.jsonfield import from_json, load, one_of, read, to_json
 
 PLC1 = "10.0.1.10"
 PLC2 = "10.0.1.11"
@@ -95,7 +95,7 @@ class Injection:
     """Targeted violation (or positive pattern) to weave into the stream."""
 
     attribute_id: str
-    at_ms: int | None = field(default=None, metadata=at_least(0))
+    at_ms: int | None = None
 
 
 @dataclass

@@ -65,6 +65,13 @@ class TestLoad:
         data["frs"][0]["srs"][0]["not_monitorable"] = True
         parse_catalog(json.dumps(data))  # now fine
 
+    def test_min_sl_out_of_range(self):
+        data = minimal_catalog_dict()
+        data["frs"][0]["srs"][0]["bindings"][0]["min_sl"] = 5
+        refused = r"srs\[SR1\.1\]: bindings\[0\]: min_sl: expected one of 1, 2, 3, 4, got 5$"
+        with pytest.raises(CatalogError, match=refused):
+            parse_catalog(json.dumps(data))
+
     def test_requires_exactly_fr1_to_fr7(self):
         data = minimal_catalog_dict()
         data["frs"].pop()
@@ -91,12 +98,6 @@ class TestValidate:
         assert len(issues) == 1
         assert issues[0].code == "dangling_attribute"
         assert "frobnicate" in issues[0].message
-
-    def test_min_sl_out_of_range(self):
-        data = minimal_catalog_dict()
-        data["frs"][0]["srs"][0]["bindings"][0]["min_sl"] = 5
-        issues = validate_catalog(parse_catalog(json.dumps(data)), registry_kinds())
-        assert [i.code for i in issues] == ["min_sl_range"]
 
     def test_kind_mismatch_with_registry(self):
         data = minimal_catalog_dict()

@@ -353,7 +353,7 @@ def test_repeated_key_names_file_and_key(scenario_dir, tmp_path, capsys, option)
         argv += ["--manual", str(path)]
     capsys.readouterr()
     assert main(argv) == 2
-    assert f"otcms: error: cannot load {what} {path}: {path}: repeated key {key!r}\n" in capsys.readouterr().err
+    assert f"otcms: error: cannot load {what} {path}: repeated key {key!r}\n" in capsys.readouterr().err
 
 
 def _sr11(catalog: dict) -> dict:
@@ -367,7 +367,8 @@ MALFORMED_CATALOG = {
     "bindings_number": (lambda c: _sr11(c).update(bindings=5), "srs[SR1.1]: bindings: expected a list"),
     "min_sl_bool": (lambda c: _sr11(c)["bindings"][0].update(min_sl=True), "srs[SR1.1]: bindings[0]: min_sl:"),
     "min_sl_out_of_range": (
-        lambda c: _sr11(c)["bindings"][0].update(min_sl=7), "SR1.1: unknown_communication: min_sl 7 outside 1..4"
+        lambda c: _sr11(c)["bindings"][0].update(min_sl=7),
+        "frs[FR1]: srs[SR1.1]: bindings[0]: min_sl: expected one of 1, 2, 3, 4, got 7",
     ),
     "version_repeated": (lambda c: c.update(version=Repeated(("1", "2"))), "repeated key 'version'"),
     "binding_kind_repeated": (
@@ -377,14 +378,19 @@ MALFORMED_CATALOG = {
 }
 
 
-def _malformed_catalog(tmp_path, case):
+def _catalog_file(tmp_path, breaks):
+    """The bundled catalog, changed by ``breaks``, written to a file."""
     from otcms.catalog import default_catalog_path
 
     data = json.loads(default_catalog_path().read_text())
-    MALFORMED_CATALOG[case][0](data)
+    breaks(data)
     catalog = tmp_path / "catalog.json"
     catalog.write_text(dumps(data))
     return catalog
+
+
+def _malformed_catalog(tmp_path, case):
+    return _catalog_file(tmp_path, MALFORMED_CATALOG[case][0])
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CATALOG))
@@ -397,8 +403,7 @@ def test_malformed_catalog_evaluate_exit_two(scenario_dir, tmp_path, capsys, cas
     assert err.startswith("otcms: error: cannot") and MALFORMED_CATALOG[case][1] in err
 
 
-# min_sl_out_of_range loads, for validate to report it (next test).
-@pytest.mark.parametrize("case", sorted(set(MALFORMED_CATALOG) - {"min_sl_out_of_range"}))
+@pytest.mark.parametrize("case", sorted(MALFORMED_CATALOG))
 def test_malformed_catalog_validate_exit_one(tmp_path, capsys, case):
     catalog = _malformed_catalog(tmp_path, case)
     assert main(["catalog", "validate", "--catalog", str(catalog)]) == 1
@@ -406,10 +411,35 @@ def test_malformed_catalog_validate_exit_one(tmp_path, capsys, case):
     assert err.startswith(f"otcms: error: cannot load catalog {catalog}: ") and MALFORMED_CATALOG[case][1] in err
 
 
-def test_min_sl_out_of_range_still_loads_for_validate(tmp_path, capsys):
-    catalog = _malformed_catalog(tmp_path, "min_sl_out_of_range")
-    assert main(["catalog", "validate", "--catalog", str(catalog)]) == 1
-    assert "SR1.1: min_sl_range:" in capsys.readouterr().out
+def _bind(sr_id: str, attribute_id: str, kind: str):
+    """A change to a catalog: bind ``attribute_id`` as ``kind`` to ``sr_id``."""
+
+    def breaks(catalog: dict) -> None:
+        sr = next(sr for fr in catalog["frs"] for sr in fr["srs"] if sr["id"] == sr_id)
+        sr["bindings"].append({"attribute_id": attribute_id, "kind": kind})
+
+    return breaks
+
+
+# Catalogs that load: the bundled one, and ones the registry cross-check rejects.
+LOADABLE_CATALOG = {
+    "bundled": lambda c: None,
+    "dangling_traffic": _bind("SR1.1", "frobnicate", "traffic"),
+    "logical_data_integrity": _bind("SR1.1", "data_integrity", "logical"),
+    # A manual verdict would replace the detector's for every SR binding data_integrity.
+    "manual_data_integrity": _bind("SR7.8", "data_integrity", "manual"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CATALOG) + sorted(LOADABLE_CATALOG))
+def test_evaluate_refuses_what_validate_rejects(scenario_dir, tmp_path, case):
+    evidence, context = simulate(scenario_dir / "weak.json", tmp_path / "sim")
+    breaks = MALFORMED_CATALOG[case][0] if case in MALFORMED_CATALOG else LOADABLE_CATALOG[case]
+    catalog = _catalog_file(tmp_path, breaks)
+    rejected = case != "bundled"
+    assert main(["catalog", "validate", "--catalog", str(catalog)]) == (1 if rejected else 0)
+    evaluate = main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--catalog", str(catalog)])
+    assert (evaluate == 2) is rejected
 
 
 def test_manual_entry_mistyped_exit_two(scenario_dir, tmp_path, capsys):

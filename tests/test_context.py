@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from otcms.cli import main
 from otcms.context import (
     ContextError,
     ContextSpec,
@@ -12,21 +13,22 @@ from otcms.context import (
     load_manual_attributes,
 )
 from otcms.evidence import IdScheme
-from otcms.simulator import ScenarioError, load_scenario
 
 
 @pytest.mark.parametrize("loader", ["context", "manual", "scenario"])
-def test_invalid_json_names_file_and_line(tmp_path, catalog, loader):
-    load, error = {
-        "context": (load_context, ContextError),
-        "manual": (lambda path: load_manual_attributes(path, catalog), ContextError),
-        "scenario": (load_scenario, ScenarioError),
-    }[loader]
+def test_invalid_json_names_file_and_line(tmp_path, capsys, loader):
     path = tmp_path / "input.json"
     path.write_text('{\n  "seed": ,\n}\n')
-    with pytest.raises(error) as info:
-        load(path)
-    assert str(info.value) == f"{path}: invalid JSON at line 2: Expecting value"
+    context = tmp_path / "context.json"
+    context.write_text("{}")
+    evaluate = ["evaluate", "--evidence", str(tmp_path / "evidence.jsonl")]
+    role, argv = {
+        "context": ("context", [*evaluate, "--context", str(path)]),
+        "manual": ("manual attributes", [*evaluate, "--context", str(context), "--manual", str(path)]),
+        "scenario": ("scenario", ["simulate", str(path), "--out-dir", str(tmp_path / "out")]),
+    }[loader]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"otcms: error: cannot load {role} {path}: invalid JSON at line 2: Expecting value\n"
 
 
 class TestLoadContext:
@@ -145,7 +147,6 @@ class TestClassifyEntity:
         )
         got = classify_entity("10.0.0.5", IdScheme.IP, ctx)
         assert got.is_human is None
-        assert got.is_mobile is None
         assert got.zone is None
         assert got.zone_trusted is None
         assert got.is_external is False

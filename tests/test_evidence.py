@@ -7,12 +7,13 @@ from otcms.evidence import (
     EvidenceError,
     IdScheme,
     assemble_sessions,
-    event_to_record,
     load_evidence,
     parse_evidence,
     to_jsonl,
     write_evidence,
 )
+
+from otcms.jsonfield import to_json
 
 from conftest import ev
 
@@ -175,7 +176,7 @@ class TestSessions:
 
 
 def test_record_omits_absent_fields():
-    record = event_to_record(ev(seq=3, t=7))
+    record = to_json(ev(seq=3, t=7))
     assert "tls_present" not in record
     assert "fragmented" not in record
     assert "session_id" not in record

@@ -15,10 +15,10 @@ from otcms.evidence import (
     EvidenceEvent,
     IdScheme,
     assemble_sessions,
-    event_to_record,
     parse_evidence,
     to_jsonl,
 )
+from otcms.jsonfield import to_json
 from otcms.simulator import INJECTIONS, Injection, default_context, default_scenario, generate_scenario
 
 HOSTS = ["h1", "h2", "h3", "p9"]
@@ -305,7 +305,7 @@ def test_needs_name_context_sections():
 # A record with most evidence fields set, so generated values replace present
 # ones as well as add absent ones.
 FULL_RECORD = {
-    **event_to_record(SAMPLE_EVENTS[0]),
+    **to_json(SAMPLE_EVENTS[0]),
     "protocol_version": "1.2", "port": 8883, "tls_present": True, "cert_present": False,
     "cipher_suite": "TLS_AES_128_GCM_SHA256", "key_bits": 256, "cleartext_password": "pw",
     "auth_result": "Failure", "session_id": "s", "error_code": "0x1f", "fragmented": True,
