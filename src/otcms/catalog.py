@@ -227,6 +227,15 @@ def validate_catalog(catalog: Catalog, kind_map: Mapping[str, AttributeKind]) ->
     return issues
 
 
+def require_valid(catalog: Catalog, kind_map: Mapping[str, AttributeKind]) -> None:
+    """Raise :class:`CatalogError` naming the first :func:`validate_catalog`
+    issue: an evaluation refuses every catalog ``otcms catalog validate``
+    rejects."""
+    issues = validate_catalog(catalog, kind_map)
+    if issues:
+        raise CatalogError(f"{issues[0].sr_id}: {issues[0].message}")
+
+
 def required_attributes(catalog: Catalog, sr_id: str, sl_target: int) -> list[AttributeBinding]:
     """Attributes required of ``sr_id`` at ``sl_target``.
 

@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from otcms.catalog import SL_LEVELS, default_catalog_path, load_catalog, validate_catalog
+from otcms.catalog import SL_LEVELS, CatalogError, default_catalog_path, load_catalog, require_valid, validate_catalog
 from otcms.compliance import render_report
 from otcms.context import load_context, load_manual_attributes
 from otcms.detectors import registry_kinds
@@ -58,9 +58,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         _err(f"cannot load catalog {catalog_path}: {exc}")
         return 2
-    issues = validate_catalog(catalog, registry_kinds())
-    if issues:
-        _err(f"cannot evaluate with catalog {catalog_path}: {issues[0].sr_id}: {issues[0].message}")
+    try:
+        require_valid(catalog, registry_kinds())
+    except CatalogError as exc:
+        _err(f"cannot evaluate with catalog {catalog_path}: {exc}")
         return 2
     try:
         ctx = load_context(args.context)

@@ -3,11 +3,12 @@ manual merge -> compliance report."""
 
 from __future__ import annotations
 
-from otcms.catalog import AttributeKind, Catalog
+from otcms.catalog import AttributeKind, Catalog, require_valid
 from otcms.compliance import ComplianceReport, build_report
 from otcms.context import ContextSpec, ManualAttributeFile
-from otcms.detectors import AttributeVerdict, Finding, Severity, Status, run_detectors
-from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceEvent, assemble_sessions, evidence_digest, to_jsonl
+from otcms.detectors import AttributeVerdict, Finding, Severity, Status, registry_kinds, run_detectors
+from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceEvent, assemble_sessions, jsonl_digest
+from otcms.evidence import evidence_digest  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 
 def manual_verdicts(catalog: Catalog, manual: ManualAttributeFile | None) -> dict[str, AttributeVerdict]:
@@ -42,7 +43,12 @@ def evaluate_verdicts(
     manual: ManualAttributeFile | None = None,
     gap_ms: int = DEFAULT_SESSION_GAP_MS,
 ) -> dict[str, AttributeVerdict]:
-    """Sessions + detector suite + manual merge; the full verdict map."""
+    """Sessions + detector suite + manual merge; the full verdict map.
+
+    A catalog ``otcms catalog validate`` rejects raises
+    :class:`~otcms.catalog.CatalogError` naming its first issue.
+    """
+    require_valid(catalog, registry_kinds())
     verdicts = run_detectors(events, assemble_sessions(events, gap_ms=gap_ms), ctx)
     verdicts.update(manual_verdicts(catalog, manual))
     return verdicts
@@ -58,10 +64,14 @@ def run_evaluation(
     digest: str | None = None,
     generated_at: int = 0,
 ) -> ComplianceReport:
-    """Run the full pipeline over parsed events and return the report."""
+    """Run the full pipeline over parsed events and return the report.
+
+    Without a ``digest``, the report's is that of the events' canonical
+    serialisation, :func:`~otcms.evidence.to_jsonl`, hashed line by line.
+    """
     verdicts = evaluate_verdicts(catalog, ctx, events, manual=manual, gap_ms=gap_ms)
     if digest is None:
-        digest = evidence_digest(to_jsonl(events).encode("utf-8"))
+        digest = jsonl_digest(events)
     return build_report(
         catalog,
         verdicts,

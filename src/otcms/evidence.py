@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from otcms.jsonfield import at_least, from_json, one_of, to_json, unreadable
+from otcms.jsonfield import at_least, from_json, one_of, unreadable, writer
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +55,7 @@ class EvidenceEvent:
     """One observed network communication record.
 
     The annotations are the evidence format: :func:`parse_evidence` reads
-    each JSON key by its field's exact type, and :func:`to_json` writes
+    each JSON key by its field's exact type, and :func:`to_jsonl` writes
     every field except one holding a null, false or enum default
     (``Other``), which reads back as that default when absent; the required
     fields and ``bytes`` are always written. The payload markers,
@@ -207,12 +207,23 @@ def load_evidence(path: str | Path, strict: bool = True) -> list[EvidenceEvent]:
 
 
 def to_jsonl(events: Iterable[EvidenceEvent]) -> str:
-    """Canonical JSON Lines serialization (sorted keys, compact, trailing newline)."""
-    lines = [
-        json.dumps(to_json(e), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        for e in events
-    ]
+    """Canonical JSON Lines serialization: one line per event, each ended by
+    a line feed, written by the :func:`~otcms.jsonfield.writer` compiled for
+    :class:`EvidenceEvent` (keys sorted, compact separators, non-ASCII text
+    raw), which is ``json.dumps`` of its :func:`~otcms.jsonfield.to_json` record."""
+    lines = list(map(writer(EvidenceEvent), events))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def jsonl_digest(events: Iterable[EvidenceEvent]) -> str:
+    """The :func:`evidence_digest` of ``to_jsonl(events)`` in UTF-8, hashed
+    line by line as :func:`read_evidence` hashes a file, so the text is
+    never held whole."""
+    sha256 = hashlib.sha256()
+    update = sha256.update
+    for line in map(writer(EvidenceEvent), events):
+        update((line + "\n").encode("utf-8"))
+    return _digest(sha256)
 
 
 def write_evidence(events: Iterable[EvidenceEvent], path: str | Path) -> None:

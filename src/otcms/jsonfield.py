@@ -28,6 +28,19 @@ its value, a frozenset as a sorted list, a tuple as a list, a dataclass as
 an object. A field that holds a null, false or enum default is left out,
 which :func:`from_json` restores from the absent key; every other field is
 written, other defaults included.
+
+:func:`writer` compiles, once per dataclass of scalar fields, a function
+giving the text ``json.dumps(to_json(obj), sort_keys=True,
+separators=(",", ":"), ensure_ascii=False)`` without building the dict:
+its keys are sorted when it is compiled, and a field holding its omitted
+default is left out by the same rule. Each value is written by its own
+type, not its field's, as ``json.dumps`` writes it: a ``str`` by
+``json.encoder.encode_basestring``, an ``int`` by ``int.__repr__``, a
+float by Python's JSON float rule, ``True``, ``False`` and ``None`` as
+literals, and an enum field's member as its value; so ``port=True``
+writes ``true``. A value of any other type raises TypeError, as does,
+when the writer is compiled, a field annotated other than ``str``,
+``int``, ``bool`` or an enum, each alone or with null.
 """
 
 from __future__ import annotations
@@ -41,6 +54,7 @@ from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from itertools import repeat
+from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
 
@@ -349,6 +363,65 @@ def to_json(obj) -> dict:
         if value is not omitted:
             record[name] = value if write is None else write(value)
     return record
+
+
+def _scalar(value) -> str:
+    """The JSON text ``json.dumps`` writes for ``value``, chosen by its type;
+    a value that is no JSON scalar raises TypeError."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        return "Infinity" if value == math.inf else "-Infinity" if value == -math.inf else float.__repr__(value)
+    raise TypeError(f"no JSON scalar form for {type(value).__name__}")
+
+
+@cache
+def writer(cls: type) -> typing.Callable[[object], str]:
+    """``write(obj)``: the compact, key-sorted JSON text of :func:`to_json`
+    for an instance of dataclass ``cls``, from a function written for
+    ``cls`` (see the module docstring); a field annotated other than
+    ``str``, ``int``, ``bool`` or an enum, alone or with null, raises
+    TypeError here."""
+    hints = typing.get_type_hints(cls)
+    writes = (_FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls)))[2]
+    env = {"_str": encode_basestring, "_int": int.__repr__, "_scalar": _scalar}
+    body = []
+    for index, (name, omitted, _) in enumerate(sorted(writes)):
+        hint, var = _unnulled(hints[name]), f"_{index}"
+        if hint is str or hint is int:
+            text = f"_{hint.__name__}({var}) if type({var}) is {hint.__name__} else _scalar({var})"
+        elif hint is bool:
+            text = f"_scalar({var})"
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            text = f"_scalar({var}.value)"
+        else:
+            raise TypeError(f"{cls.__name__}.{name}: no compiled JSON form for {hint!r}")
+        body.append(f"{var} = _obj.{name}")
+        append = f"_append({encode_basestring(name) + ':'!r} + ({text}))"
+        if omitted is MISSING:
+            body.append(append)
+        else:
+            env[f"_o{index}"] = omitted
+            body += [f"if {var} is not _o{index}:", f"    {append}"]
+    source = "\n".join([
+        "def write(_obj):",
+        "    _parts = []",
+        "    _append = _parts.append",
+        *(f"    {line}" for line in body),
+        '    return "{" + ",".join(_parts) + "}"',
+    ])
+    exec(source, env)
+    return env["write"]
 
 
 def at_least(low: int) -> dict:

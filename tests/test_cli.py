@@ -442,6 +442,21 @@ def test_evaluate_refuses_what_validate_rejects(scenario_dir, tmp_path, case):
     assert (evaluate == 2) is rejected
 
 
+@pytest.mark.parametrize("case", sorted(LOADABLE_CATALOG))
+def test_library_evaluation_refuses_what_validate_rejects(tmp_path, case):
+    from otcms import CatalogError, generate_scenario, load_catalog, run_evaluation
+
+    catalog = load_catalog(_catalog_file(tmp_path, LOADABLE_CATALOG[case]))
+    scenario = default_scenario(seed=1, injections=(Injection(attribute_id="data_integrity"),))
+    events, _ = generate_scenario(scenario, catalog)
+    if case == "bundled":
+        report = run_evaluation(catalog, scenario.spec, events)
+        assert report.noncompliant_sr_ids() == ["SR3.1", "SR3.4", "SR4.1"]
+        return
+    with pytest.raises(CatalogError, match=r"^SR\d\.\d+: (data_integrity|frobnicate): "):
+        run_evaluation(catalog, scenario.spec, events)
+
+
 def test_manual_entry_mistyped_exit_two(scenario_dir, tmp_path, capsys):
     evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
     manual = tmp_path / "manual.json"

@@ -1,17 +1,22 @@
+import hashlib
 import json
 import random
 
 import pytest
 
+from otcms.engine import run_evaluation
 from otcms.evidence import (
     EvidenceError,
     IdScheme,
     assemble_sessions,
+    evidence_digest,
     load_evidence,
     parse_evidence,
+    read_evidence,
     to_jsonl,
     write_evidence,
 )
+from otcms.simulator import Injection, default_scenario, generate_scenario, list_injections
 
 from otcms.jsonfield import to_json
 
@@ -90,6 +95,29 @@ class TestParseEvidence:
         path = tmp_path / "evidence.jsonl"
         write_evidence(original, path)
         assert load_evidence(path, strict=strict) == original
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_in_memory_digest_is_that_of_the_written_file(catalog, tmp_path, seed):
+    injections = tuple(Injection(attribute_id=attribute_id) for attribute_id, _ in list_injections())
+    scenario = default_scenario(seed=seed, injections=injections)
+    events, _ = generate_scenario(scenario, catalog)
+    path = tmp_path / "evidence.jsonl"
+    write_evidence(events, path)
+    with open(path, "rb") as file:
+        read = read_evidence(file)[1]
+    hashed = run_evaluation(catalog, scenario.spec, events).evidence_digest
+    assert len(injections) == 28 and len(events) > 100
+    assert hashed == evidence_digest(to_jsonl(events).encode("utf-8")) == read
+
+
+def test_digest_of_no_events_is_that_of_empty_input(catalog, tmp_path):
+    empty = "sha256:" + hashlib.sha256(b"").hexdigest()
+    assert run_evaluation(catalog, default_scenario().spec, []).evidence_digest == empty
+    path = tmp_path / "evidence.jsonl"
+    write_evidence([], path)
+    with open(path, "rb") as file:
+        assert read_evidence(file)[1] == empty
 
 
 class TestSessions:

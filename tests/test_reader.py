@@ -1,9 +1,12 @@
 """The reader ``jsonfield`` compiles for a slotted dataclass, against the
-field-by-field walk it falls back to, and the evidence parse built on it."""
+field-by-field walk it falls back to, and the evidence parse built on it;
+and the writer it compiles, against ``json.dumps`` of ``to_json``."""
 
+import dataclasses
 import gc
 import json
 import tracemalloc
+import typing
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -146,3 +149,94 @@ def test_streamed_read_peaks_near_what_its_events_retain(tmp_path):
         tracemalloc.stop()
     assert peak - retained < 2**20
     assert retained / len(events) <= 450
+
+
+write = jsonfield.writer(EvidenceEvent)
+
+# Strings with characters a JSON writer escapes or must leave raw.
+texts = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\u2028\u2029\x85\x00\x1f\x7f\n\r\t\u00e9\u20ac\U0001f600'), st.characters()),
+    max_size=8,
+)
+# A value of every scalar type, large integers included, for any field.
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    texts,
+    st.sampled_from(list(IdScheme)),
+)
+
+HINTS = typing.get_type_hints(EvidenceEvent)
+
+
+def accepted(name: str):
+    """Values the reader accepts for field ``name``."""
+    hint = jsonfield._unnulled(HINTS[name])
+    if hint is IdScheme:
+        return st.sampled_from([scheme.value for scheme in IdScheme])
+    if name == "auth_result":
+        return st.sampled_from(["Success", "Failure"])
+    return {str: texts, int: st.integers(min_value=1), bool: st.booleans()}[hint]
+
+
+# Records the reader mostly accepts; most of ``records`` it refuses.
+accepted_records = st.fixed_dictionaries(
+    {name: accepted(name) for name in BASE},
+    optional={name: accepted(name) for name in NAMES if name not in BASE and name != "seq"},
+)
+
+
+def dumped(event: EvidenceEvent) -> str | None:
+    """The line ``json.dumps`` writes for ``event``'s record, or None where that raises."""
+    try:
+        return json.dumps(jsonfield.to_json(event), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    except (AttributeError, TypeError, ValueError):
+        return None
+
+
+def assert_written_alike(event: EvidenceEvent) -> None:
+    expected = dumped(event)
+    if expected is not None:  # where json.dumps raises, the writer may raise too
+        assert write(event) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=st.one_of(records, accepted_records), seq=st.integers(min_value=0))
+def test_writer_writes_read_events_as_json_dumps_does(raw, seq):
+    made = jsonfield._compile(EvidenceEvent, ("seq",))(raw, {}, seq=seq)
+    if made is not None:
+        assert_written_alike(made)
+
+
+@settings(max_examples=400, deadline=None)
+@given(changes=st.dictionaries(st.sampled_from(NAMES), scalars, max_size=8), text=texts)
+def test_writer_writes_constructed_events_as_json_dumps_does(changes, text):
+    """Events built through the constructor, any field holding a value of any scalar type."""
+    (full,) = parse_evidence([json.dumps(FULL)])
+    event = dataclasses.replace(full, **{"src_id": text, **changes})
+    assert_written_alike(event)
+
+
+@pytest.mark.parametrize(
+    "changes, text",
+    [
+        ({"port": True, "bytes": 1.5, "key_bits": False}, '"bytes":1.5,'),
+        ({"tls_present": 1, "fragmented": None, "seq": -(2**80)}, '"seq":-1208925819614629174706176,'),
+        ({"src_id": 'a"\\\u2028\u2029\x85\x00\u00e9', "timestamp": float("nan")}, '"timestamp":NaN'),
+    ],
+)
+def test_writer_writes_each_value_by_its_own_type(changes, text):
+    (full,) = parse_evidence([json.dumps(FULL)])
+    event = dataclasses.replace(full, **changes)
+    assert text in write(event) and "True" not in write(event)
+    assert_written_alike(event)
+
+
+def test_writer_refuses_a_field_that_is_no_scalar_when_compiled():
+    from otcms.context import ContextSpec
+
+    with pytest.raises(TypeError, match="no compiled JSON form"):
+        jsonfield.writer(ContextSpec)
