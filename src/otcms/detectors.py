@@ -22,14 +22,30 @@ indeterminate or not applicable. Its ``needs`` decide which context sections
 each logical attribute is judged against: while one is unconfigured (null
 or an empty collection) the attribute is indeterminate and no offender is
 sought.
+
+Most traffic questions depend only on the conduit an event travels, the key
+``(src_id, dst_id, protocol, port, id_scheme_src, id_scheme_dst)``: whitelist
+and protocol membership, wireless, cross-zone, untrusted origin and
+person-to-person. A plant has few conduits and many events, so
+:func:`run_detectors` groups the stream by conduit once
+(:func:`group_conduits`), asks each such question of one event per conduit,
+and expands only the conduits that offend back to their events: findings
+still cite every offending event in stream order. Entity classification
+stays memoised per ``(identifier, scheme)`` by ``_classifier``: conduits
+share endpoints (a wide plant has hundreds of conduits over fewer
+identifiers), so classifying per conduit would repeat work the memo does
+once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections import defaultdict
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import chain
+from operator import attrgetter
 
 from otcms.catalog import AttributeKind
 from otcms.context import ContextSpec, RateLimit, classify_entity
@@ -288,29 +304,74 @@ def _observed(
 
 
 # --------------------------------------------------------------------------
+# Conduits: questions answered once per distinct conduit
+# --------------------------------------------------------------------------
+
+#: ``(src_id, dst_id, protocol, port, id_scheme_src, id_scheme_dst)``
+Conduit = tuple[str, str, str, int | None, IdScheme, IdScheme]
+Conduits = Mapping[Conduit, list[int]]
+
+_conduit = attrgetter("src_id", "dst_id", "protocol", "port", "id_scheme_src", "id_scheme_dst")
+
+
+def group_conduits(events: list[EvidenceEvent]) -> dict[Conduit, list[int]]:
+    """Conduit -> the ascending stream positions of its events, conduits in
+    order of first appearance."""
+    conduits: defaultdict[Conduit, list[int]] = defaultdict(list)
+    for position, key in enumerate(map(_conduit, events)):
+        conduits[key].append(position)
+    return dict(conduits)
+
+
+def _where(
+    events: list[EvidenceEvent], conduits: Conduits, keep: Callable[[EvidenceEvent], bool]
+) -> Iterator[EvidenceEvent]:
+    """The events of every conduit whose first event ``keep`` accepts, in
+    stream order. ``keep`` must read conduit fields only; it is asked once per
+    conduit, and nothing is asked before the first event is drawn. The kept
+    position lists are merged by position, never by ``seq``, which may repeat
+    or decrease."""
+    runs = list(_among(events, conduits, keep).values())
+    # sorting concatenated ascending runs is timsort's merge of those runs
+    yield from map(events.__getitem__, runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs)))
+
+
+def _among(events: list[EvidenceEvent], conduits: Conduits, keep: Callable[[EvidenceEvent], bool]) -> Conduits:
+    """The conduits whose first event ``keep`` accepts."""
+    return {key: positions for key, positions in conduits.items() if keep(events[positions[0]])}
+
+
+# --------------------------------------------------------------------------
 # Unknown factors: protocols, communications, software processes
 # --------------------------------------------------------------------------
 
-def detect_unknown_factors(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
+def detect_unknown_factors(
+    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits | None = None
+) -> list[AttributeVerdict]:
     """Whitelist checks for protocols, communication triples and process ids."""
+    conduits = group_conduits(events) if conduits is None else conduits
+
+    def src_unknown(e: EvidenceEvent) -> bool:
+        return e.id_scheme_src is IdScheme.PROCESS_ID and (e.src_id, e.dst_id) not in ctx.known_software_processes
+
+    def dst_unknown(e: EvidenceEvent) -> bool:
+        return e.id_scheme_dst is IdScheme.PROCESS_ID and (e.dst_id, e.src_id) not in ctx.known_software_processes
 
     def unknown_processes():
         message = "software process {!r} unknown for device {!r}"
-        for e in events:
-            if e.id_scheme_src is IdScheme.PROCESS_ID and (e.src_id, e.dst_id) not in ctx.known_software_processes:
+        for e in _where(events, conduits, lambda e: src_unknown(e) or dst_unknown(e)):
+            if src_unknown(e):
                 yield _violation("unknown_software_process", message.format(e.src_id, e.dst_id), e.seq)
-            if e.id_scheme_dst is IdScheme.PROCESS_ID and (e.dst_id, e.src_id) not in ctx.known_software_processes:
+            if dst_unknown(e):
                 yield _violation("unknown_software_process", message.format(e.dst_id, e.src_id), e.seq)
 
     unknown_protocols = (
         _violation("unknown_protocol", f"protocol {e.protocol!r} not in the expected protocol set", e.seq)
-        for e in events
-        if e.protocol not in ctx.expected_protocols
+        for e in _where(events, conduits, lambda e: e.protocol not in ctx.expected_protocols)
     )
     unknown_communications = (
         _violation("unknown_communication", f"communication ({e.src_id} -> {e.dst_id}, {e.protocol}) not whitelisted", e.seq)
-        for e in events
-        if not ctx.matches_communication(e.src_id, e.dst_id, e.protocol)
+        for e in _where(events, conduits, lambda e: not ctx.matches_communication(e.src_id, e.dst_id, e.protocol))
     )
     return [
         _judge("unknown_protocol", unknown_protocols, ctx=ctx),
@@ -396,7 +457,11 @@ def _version_below(version: str, minimum: str) -> bool:
         return False  # incomparable version strings never violate
 
 
-def detect_security_strength(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
+def detect_security_strength(
+    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits | None = None
+) -> list[AttributeVerdict]:
+    conduits = group_conduits(events) if conduits is None else conduits
+
     def weak_encryption():
         policy = ctx.crypto_policy
         below = cache(_version_below)
@@ -412,15 +477,18 @@ def detect_security_strength(events: list[EvidenceEvent], ctx: ContextSpec) -> l
                         "weak_encryption", f"{e.protocol} version {e.protocol_version} below minimum {minimum}", e.seq
                     )
 
-    def insecure():
-        for e in events:
-            counterpart = SECURE_COUNTERPARTS.get(e.protocol)
-            if counterpart and ctx.demands_protocol(e.src_id, e.dst_id, counterpart):
-                yield _violation(
-                    "insecure_protocol",
-                    f"{e.protocol} used on a conduit expecting {counterpart} ({e.src_id} -> {e.dst_id})",
-                    e.seq,
-                )
+    def insecure_conduit(e: EvidenceEvent) -> bool:
+        counterpart = SECURE_COUNTERPARTS.get(e.protocol)
+        return counterpart is not None and ctx.demands_protocol(e.src_id, e.dst_id, counterpart)
+
+    insecure = (
+        _violation(
+            "insecure_protocol",
+            f"{e.protocol} used on a conduit expecting {SECURE_COUNTERPARTS[e.protocol]} ({e.src_id} -> {e.dst_id})",
+            e.seq,
+        )
+        for e in _where(events, conduits, insecure_conduit)
+    )
 
     observed = [(e.seq, e.cleartext_password) for e in events if e.cleartext_password]
     short = (
@@ -443,7 +511,7 @@ def detect_security_strength(events: list[EvidenceEvent], ctx: ContextSpec) -> l
         )
     return [
         _judge("weak_encryption", weak_encryption(), ctx=ctx),
-        _judge("insecure_protocol", insecure(), ctx=ctx),
+        _judge("insecure_protocol", insecure, ctx=ctx),
         _judge("password_policy", short, extras=unequal, ctx=ctx),
     ]
 
@@ -654,10 +722,15 @@ def detect_pki_best_practice(events: list[EvidenceEvent], ctx: ContextSpec) -> l
 # Wireless identification and authorization
 # --------------------------------------------------------------------------
 
-def detect_wireless_iac(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
-    wireless = [e for e in events if e.protocol in ctx.wireless_protocols]
+def detect_wireless_iac(
+    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits | None = None
+) -> list[AttributeVerdict]:
+    conduits = group_conduits(events) if conduits is None else conduits
+    wireless = _among(events, conduits, lambda e: e.protocol in ctx.wireless_protocols)
     observed = _observed(
-        "is_wireless_observed", ((e.seq, f"wireless protocol {e.protocol} observed") for e in wireless), Status.NOT_APPLICABLE
+        "is_wireless_observed",
+        ((e.seq, f"wireless protocol {e.protocol} observed") for e in _where(events, wireless, lambda e: True)),
+        Status.NOT_APPLICABLE,
     )
     if not wireless:
         return [observed, _verdict("wireless_iac", Status.NOT_APPLICABLE)]
@@ -667,8 +740,7 @@ def detect_wireless_iac(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
             f"wireless communication ({e.src_id} -> {e.dst_id}, {e.protocol}) not in the expected list",
             e.seq,
         )
-        for e in wireless
-        if not ctx.matches_communication(e.src_id, e.dst_id, e.protocol)
+        for e in _where(events, wireless, lambda e: not ctx.matches_communication(e.src_id, e.dst_id, e.protocol))
     )
     return [observed, _judge("wireless_iac", offenders, ctx=ctx)]
 
@@ -699,14 +771,17 @@ def _untrusted_origin(e: EvidenceEvent, ctx: ContextSpec, classify) -> bool:
     return src.zone_trusted is False
 
 
-def detect_untrusted_access(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
+def detect_untrusted_access(
+    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits | None = None
+) -> list[AttributeVerdict]:
     """Untrusted-origin connections must use protocols capable of IAC; not
     applicable when no connection has an untrusted origin."""
+    conduits = group_conduits(events) if conduits is None else conduits
 
     @cache
     def untrusted() -> list[EvidenceEvent]:
         classify = _classifier(ctx)
-        return [e for e in events if _untrusted_origin(e, ctx, classify)]
+        return list(_where(events, conduits, lambda e: _untrusted_origin(e, ctx, classify)))
 
     def offenders():
         for e in untrusted():
@@ -756,39 +831,45 @@ def detect_authorization_controls(events: list[EvidenceEvent], ctx: ContextSpec)
 # Restricted data flow (zones and conduits)
 # --------------------------------------------------------------------------
 
-def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
+def detect_segmentation(
+    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits | None = None
+) -> list[AttributeVerdict]:
     """Zone-aware checks: segmentation, independence, boundary whitelisting,
     person-to-person restriction and data partitioning."""
+    conduits = group_conduits(events) if conduits is None else conduits
     zones = ctx.zone_map
-    cross: list[tuple[EvidenceEvent, str, str]] = []
-    for e in events:
+
+    def crosses(e: EvidenceEvent) -> bool:
         src_zone = zones.get(e.src_id)
         dst_zone = zones.get(e.dst_id)
-        if src_zone is not None and dst_zone is not None and src_zone != dst_zone:
-            cross.append((e, src_zone, dst_zone))
+        return src_zone is not None and dst_zone is not None and src_zone != dst_zone
 
+    def dependent(e: EvidenceEvent) -> bool:
+        return (
+            e.protocol in ctx.management_protocols
+            and zones[e.src_id] in ctx.control_zones
+            and zones[e.dst_id] not in ctx.control_zones
+            and ctx.mandatory_communication(e.src_id, e.dst_id, e.protocol)
+        )
+
+    cross = _among(events, conduits, crosses)
     unsanctioned = [
         _violation(
             "logical_segmentation",
-            f"cross-zone traffic {e.src_id} ({src_zone}) -> {e.dst_id} ({dst_zone}) over "
+            f"cross-zone traffic {e.src_id} ({zones[e.src_id]}) -> {e.dst_id} ({zones[e.dst_id]}) over "
             f"{e.protocol} outside the configured conduits",
             e.seq,
         )
-        for e, src_zone, dst_zone in cross
-        if not ctx.matches_communication(e.src_id, e.dst_id, e.protocol)
+        for e in _where(events, cross, lambda e: not ctx.matches_communication(e.src_id, e.dst_id, e.protocol))
     ]
     dependence = (
         _violation(
             "non_control_independence",
-            f"process-mandatory {e.protocol} from control zone {src_zone} to {dst_zone} "
+            f"process-mandatory {e.protocol} from control zone {zones[e.src_id]} to {zones[e.dst_id]} "
             "infers dependence of the non-control network",
             e.seq,
         )
-        for e, src_zone, dst_zone in cross
-        if e.protocol in ctx.management_protocols
-        and src_zone in ctx.control_zones
-        and dst_zone not in ctx.control_zones
-        and ctx.mandatory_communication(e.src_id, e.dst_id, e.protocol)
+        for e in _where(events, cross, dependent)
     )
     boundary = (
         _violation("boundary_default_deny", finding.message + "; boundary whitelisting not enforced", *finding.seq_refs)
@@ -797,41 +878,46 @@ def detect_segmentation(events: list[EvidenceEvent], ctx: ContextSpec) -> list[A
     file_transfers = (
         _violation(
             "data_partitioning",
-            f"file transfer over {e.protocol} crosses zone boundary {src_zone} -> {dst_zone}",
+            f"file transfer over {e.protocol} crosses zone boundary {zones[e.src_id]} -> {zones[e.dst_id]}",
             e.seq,
         )
-        for e, src_zone, dst_zone in cross
-        if e.protocol in FILE_TRANSFER_PROTOCOLS
+        for e in _where(events, cross, lambda e: e.protocol in FILE_TRANSFER_PROTOCOLS)
     )
     return [
         _judge("logical_segmentation", unsanctioned, ctx=ctx),
         _judge("non_control_independence", dependence, ctx=ctx),
         _judge("boundary_default_deny", boundary, bool(cross), Status.NOT_APPLICABLE, ctx=ctx),
-        _detect_p2p(events, ctx),
+        _detect_p2p(events, ctx, conduits),
         _judge("data_partitioning", file_transfers, ctx=ctx),
     ]
 
 
-def _p2p_events(events: list[EvidenceEvent], ctx: ContextSpec) -> Iterator[tuple[EvidenceEvent, int]]:
+def _p2p_events(
+    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits
+) -> Iterator[tuple[EvidenceEvent, int]]:
     """Person-to-person events, each with the highest SL target of its zones (0 without one)."""
     classify = _classifier(ctx)
-    for e in events:
-        if e.protocol in ctx.p2p_protocols:
-            src = classify(e.src_id, e.id_scheme_src)
-            dst = classify(e.dst_id, e.id_scheme_dst)
-            if src.is_human is True and dst.is_human is True:
-                zones = (src.zone, dst.zone)
-                yield e, max((ctx.zone_sl_target[zone] for zone in zones if zone in ctx.zone_sl_target), default=0)
+
+    def between_humans(e: EvidenceEvent) -> bool:
+        if e.protocol not in ctx.p2p_protocols:
+            return False
+        src = classify(e.src_id, e.id_scheme_src)
+        dst = classify(e.dst_id, e.id_scheme_dst)
+        return src.is_human is True and dst.is_human is True
+
+    for e in _where(events, conduits, between_humans):
+        zones = (classify(e.src_id, e.id_scheme_src).zone, classify(e.dst_id, e.id_scheme_dst).zone)
+        yield e, max((ctx.zone_sl_target[zone] for zone in zones if zone in ctx.zone_sl_target), default=0)
 
 
-def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec) -> AttributeVerdict:
+def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits) -> AttributeVerdict:
     """Person-to-person traffic is forbidden in a zone of SL target 3 or more,
     and below that held to the bandwidth limit, unverifiable without one."""
     limit = ctx.p2p_bandwidth_limit_bytes_per_s
 
     def offenders():
         low_sl: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
-        for e, sl in _p2p_events(events, ctx):
+        for e, sl in _p2p_events(events, ctx, conduits):
             if sl >= 3:
                 yield _violation(
                     "p2p_restriction",
@@ -851,7 +937,7 @@ def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec) -> AttributeVerdi
 
     def verifiable() -> bool:
         # called only without offenders, when every person-to-person event is below SL 3
-        return limit is not None or not any(_p2p_events(events, ctx))
+        return limit is not None or not any(_p2p_events(events, ctx, conduits))
 
     return _judge("p2p_restriction", offenders(), verifiable, ctx=ctx)
 
@@ -860,15 +946,21 @@ def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec) -> AttributeVerdi
 # Least functionality
 # --------------------------------------------------------------------------
 
-def detect_least_functionality(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
+def detect_least_functionality(
+    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits | None = None
+) -> list[AttributeVerdict]:
     """Protocol and port whitelisting; shares the membership core with the
     unknown-protocol check but additionally covers ports/services."""
+    conduits = group_conduits(events) if conduits is None else conduits
+
+    def unexpected_port(e: EvidenceEvent) -> bool:
+        return e.port is not None and bool(ctx.expected_ports) and e.port not in ctx.expected_ports
 
     def offenders():
-        for e in events:
+        for e in _where(events, conduits, lambda e: e.protocol not in ctx.expected_protocols or unexpected_port(e)):
             if e.protocol not in ctx.expected_protocols:
                 yield _violation("least_functionality", f"unexpected protocol {e.protocol!r} in use", e.seq)
-            elif e.port is not None and ctx.expected_ports and e.port not in ctx.expected_ports:
+            else:
                 yield _violation("least_functionality", f"unexpected port {e.port} for {e.protocol}", e.seq)
 
     return [_judge("least_functionality", offenders(), ctx=ctx)]
@@ -912,21 +1004,22 @@ def run_detectors(
     if not events:
         return {attribute_id: _verdict(attribute_id, Status.INDETERMINATE) for attribute_id in REGISTRY}
 
+    conduits = group_conduits(events)
     verdicts: list[AttributeVerdict] = []
-    verdicts += detect_unknown_factors(events, ctx)
+    verdicts += detect_unknown_factors(events, ctx, conduits)
     verdicts += detect_abnormal_behavior(sessions, ctx)
-    verdicts += detect_security_strength(events, ctx)
+    verdicts += detect_security_strength(events, ctx, conduits)
     verdicts += detect_cleartext_authenticators(events, ctx)
     verdicts += detect_auth_attempts(events, ctx)
     verdicts += detect_session_violations(sessions, ctx)
     verdicts += detect_integrity_anomalies(events, sessions)
     verdicts += detect_iac_management(events)
     verdicts += detect_pki_best_practice(events, ctx)
-    verdicts += detect_wireless_iac(events, ctx)
-    verdicts += detect_untrusted_access(events, ctx)
+    verdicts += detect_wireless_iac(events, ctx, conduits)
+    verdicts += detect_untrusted_access(events, ctx, conduits)
     verdicts += detect_authorization_controls(events, ctx)
-    verdicts += detect_segmentation(events, ctx)
-    verdicts += detect_least_functionality(events, ctx)
+    verdicts += detect_segmentation(events, ctx, conduits)
+    verdicts += detect_least_functionality(events, ctx, conduits)
     verdicts += detect_audit_and_monitoring(events)
 
     by_id = {v.attribute_id: v for v in verdicts}

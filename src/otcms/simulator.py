@@ -355,7 +355,7 @@ INJECTIONS: dict[str, InjectionSpec] = {
                                 tls_present=False, cert_present=True)]),
     "wireless_iac": InjectionSpec(
         "wireless device outside the expected wireless communication list",
-        _v("wireless_iac", "unknown_communication"), _v(),
+        _v("wireless_iac", "unknown_communication"), _v("is_wireless_observed"),
         lambda sc, t0: [_record(t0, BT_DEV, HMI1, "Bluetooth", bytes=64, tls_present=True)]),
     "untrusted_access_control": InjectionSpec(
         "external origin over a protocol without IAC capability",

@@ -1,9 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otcms import detectors
-from otcms.context import CommEntry, ContextSpec, CryptoPolicy, PasswordPolicy, RateLimit, context_from_dict
+from otcms.context import (
+    CommEntry,
+    ContextSpec,
+    CryptoPolicy,
+    PasswordPolicy,
+    RateLimit,
+    classify_entity,
+    context_from_dict,
+)
 from otcms.detectors import (
     REGISTRY,
     Severity,
@@ -23,9 +33,10 @@ from otcms.detectors import (
     detect_unknown_factors,
     detect_untrusted_access,
     detect_wireless_iac,
+    group_conduits,
     run_detectors,
 )
-from otcms.evidence import IdScheme, assemble_sessions
+from otcms.evidence import EvidenceEvent, IdScheme, assemble_sessions
 from otcms.simulator import INJECTIONS, Injection, default_scenario, generate_scenario
 
 from conftest import ev
@@ -800,3 +811,279 @@ class TestSuite:
         ctx = ContextSpec(expected_protocols=frozenset({"MQTT"}))
         sessions = assemble_sessions(events)
         assert run_detectors(events, sessions, ctx) == run_detectors(events, sessions, ctx)
+
+
+# --------------------------------------------------------------------------
+# Conduit grouping against a per-event reference
+# --------------------------------------------------------------------------
+
+IDS = ["10.0.0.1", "10.0.0.2", "10.0.1.5", "198.51.100.7", "8.8.8.8", "alice", "bob", "proc1", "plc"]
+PROTOCOLS = ["MQTT", "OPCUA", "FTP", "SFTP", "HTTP", "HTTPS", "Telnet", "SSH", "ICMP", "SNMP", "Bluetooth", "Zigbee"]
+PORTS = [None, 21, 22, 80, 8883]
+ZONES = ["ctrl", "cell", "dmz"]
+# the schemes detectors tell apart, and one they do not
+SCHEMES = [IdScheme.IP, IdScheme.USERNAME, IdScheme.PROCESS_ID, IdScheme.OTHER]
+
+#: Attributes whose offenders depend only on the conduit an event travels.
+CONDUIT_ATTRIBUTES = (
+    "unknown_protocol",
+    "unknown_communication",
+    "unknown_software_process",
+    "insecure_protocol",
+    "is_wireless_observed",
+    "wireless_iac",
+    "untrusted_access_control",
+    "logical_segmentation",
+    "non_control_independence",
+    "boundary_default_deny",
+    "p2p_restriction",
+    "data_partitioning",
+    "least_functionality",
+)
+
+
+def reference_findings(events, ctx):
+    """Every conduit-answered attribute's findings as ``(message, seq_refs)``,
+    judged event by event in one plain pass; an attribute whose needed
+    context is unconfigured has none."""
+    found = {attribute_id: [] for attribute_id in CONDUIT_ATTRIBUTES}
+
+    def add(attribute_id, message, *seqs):
+        found[attribute_id].append((message, seqs))
+
+    def zone_sl(*classes):
+        return max((ctx.zone_sl_target[c.zone] for c in classes if c.zone in ctx.zone_sl_target), default=0)
+
+    low_sl = {}
+    for e in events:
+        listed = ctx.matches_communication(e.src_id, e.dst_id, e.protocol)
+        if e.protocol not in ctx.expected_protocols:
+            add("unknown_protocol", f"protocol {e.protocol!r} not in the expected protocol set", e.seq)
+            add("least_functionality", f"unexpected protocol {e.protocol!r} in use", e.seq)
+        elif e.port is not None and ctx.expected_ports and e.port not in ctx.expected_ports:
+            add("least_functionality", f"unexpected port {e.port} for {e.protocol}", e.seq)
+        if not listed:
+            add("unknown_communication", f"communication ({e.src_id} -> {e.dst_id}, {e.protocol}) not whitelisted", e.seq)
+        for scheme, device, peer in ((e.id_scheme_src, e.src_id, e.dst_id), (e.id_scheme_dst, e.dst_id, e.src_id)):
+            if scheme is IdScheme.PROCESS_ID and (device, peer) not in ctx.known_software_processes:
+                add("unknown_software_process", f"software process {device!r} unknown for device {peer!r}", e.seq)
+        counterpart = detectors.SECURE_COUNTERPARTS.get(e.protocol)
+        if counterpart and ctx.demands_protocol(e.src_id, e.dst_id, counterpart):
+            add("insecure_protocol", f"{e.protocol} used on a conduit expecting {counterpart} ({e.src_id} -> {e.dst_id})",
+                e.seq)
+        if e.protocol in ctx.wireless_protocols:
+            if not found["is_wireless_observed"]:
+                add("is_wireless_observed", f"wireless protocol {e.protocol} observed", e.seq)
+            if not listed:
+                add("wireless_iac",
+                    f"wireless communication ({e.src_id} -> {e.dst_id}, {e.protocol}) not in the expected list", e.seq)
+
+        src = classify_entity(e.src_id, e.id_scheme_src, ctx)
+        dst = classify_entity(e.dst_id, e.id_scheme_dst, ctx)
+        lower_sl = (
+            None not in (src.zone, dst.zone)
+            and None not in (ctx.zone_sl_target.get(src.zone), ctx.zone_sl_target.get(dst.zone))
+            and ctx.zone_sl_target[src.zone] < ctx.zone_sl_target[dst.zone]
+        )
+        untrusted = src.is_external is True or (src.zone is not None and (lower_sl or src.zone_trusted is False))
+        if untrusted and e.protocol not in ctx.iac_capable_protocols:
+            add("untrusted_access_control",
+                f"untrusted origin {e.src_id} over {e.protocol}, which offers no identification/authentication", e.seq)
+
+        src_zone, dst_zone = ctx.zone_map.get(e.src_id), ctx.zone_map.get(e.dst_id)
+        if src_zone is not None and dst_zone is not None and src_zone != dst_zone:
+            if not listed:
+                message = (f"cross-zone traffic {e.src_id} ({src_zone}) -> {e.dst_id} ({dst_zone}) over "
+                           f"{e.protocol} outside the configured conduits")
+                add("logical_segmentation", message, e.seq)
+                add("boundary_default_deny", message + "; boundary whitelisting not enforced", e.seq)
+            if (e.protocol in ctx.management_protocols and src_zone in ctx.control_zones
+                    and dst_zone not in ctx.control_zones and ctx.mandatory_communication(e.src_id, e.dst_id, e.protocol)):
+                add("non_control_independence",
+                    f"process-mandatory {e.protocol} from control zone {src_zone} to {dst_zone} "
+                    "infers dependence of the non-control network", e.seq)
+            if e.protocol in detectors.FILE_TRANSFER_PROTOCOLS:
+                add("data_partitioning", f"file transfer over {e.protocol} crosses zone boundary {src_zone} -> {dst_zone}",
+                    e.seq)
+
+        if e.protocol in ctx.p2p_protocols and src.is_human is True and dst.is_human is True:
+            if zone_sl(src, dst) >= 3:
+                add("p2p_restriction", f"person-to-person {e.protocol} between {e.src_id} and {e.dst_id} "
+                    f"in a zone with SL target {zone_sl(src, dst)} (forbidden at SL 3+)", e.seq)
+            else:
+                low_sl.setdefault(e.pair(), []).append((e.timestamp, e.bytes, e.seq))
+
+    limit = ctx.p2p_bandwidth_limit_bytes_per_s
+    if limit is not None:
+        window = RateLimit(window_ms=1000, max_bytes_per_window=limit)
+        for pair in sorted(low_sl):
+            finding = detectors._window_violations(sorted(low_sl[pair]), window, "p2p_restriction", pair)
+            if finding is not None:
+                add("p2p_restriction", finding.message + " (person-to-person bandwidth restriction)", *finding.seq_refs)
+
+    for attribute_id in CONDUIT_ATTRIBUTES:
+        if not all(detectors._configured(ctx, need) for need in REGISTRY[attribute_id].needs):
+            found[attribute_id] = []
+    return found
+
+
+@st.composite
+def conduit_streams(draw):
+    """Streams over up to a dozen conduits, each carrying several events,
+    with repeated and non-monotone ``seq``s. The conduits draw on a few values
+    per field, and some copy another with one field changed, so a grouping
+    key that missed that field would merge them."""
+
+    def few(values):
+        return st.sampled_from(draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True)))
+
+    ids, schemes = few(IDS), few(SCHEMES)
+    conduits = draw(st.lists(st.tuples(ids, ids, few(PROTOCOLS), schemes, schemes, few(PORTS)), min_size=1, max_size=6))
+    pools = (IDS, IDS, PROTOCOLS, SCHEMES, SCHEMES, PORTS)
+    for _ in range(draw(st.integers(0, 6))):
+        variant = list(draw(st.sampled_from(conduits)))
+        field = draw(st.integers(0, len(pools) - 1))
+        variant[field] = draw(st.sampled_from(pools[field]))
+        conduits.append(tuple(variant))
+    stream = draw(st.lists(st.sampled_from(conduits), min_size=1, max_size=60))
+    return [
+        EvidenceEvent(
+            seq=draw(st.integers(0, 15)), timestamp=draw(st.integers(0, 4000)), src_id=src, dst_id=dst,
+            protocol=protocol, id_scheme_src=scheme_src, id_scheme_dst=scheme_dst, port=port,
+            bytes=draw(st.integers(0, 3000)),
+        )
+        for src, dst, protocol, scheme_src, scheme_dst, port in stream
+    ]
+
+
+def _entries_for(e):
+    """Whitelist entries that match, or demand the secured variant on, ``e``'s conduit."""
+    protocol = st.sampled_from([e.protocol, "*", detectors.SECURE_COUNTERPARTS.get(e.protocol, e.protocol)])
+    return st.builds(CommEntry, st.sampled_from([e.src_id, "*"]), st.sampled_from([e.dst_id, "*"]), protocol, st.booleans())
+
+
+@st.composite
+def sparse_contexts(draw, events):
+    """Random contexts over the stream's identifiers, some sections dropped;
+    the whitelist mixes random entries with entries for observed conduits."""
+    observed = st.sampled_from(events)
+    ids, protocols = st.sampled_from(IDS), st.sampled_from(PROTOCOLS) | observed.map(lambda e: e.protocol)
+    pairs = st.tuples(st.sampled_from(IDS), st.sampled_from(IDS)) | observed.map(lambda e: (e.src_id, e.dst_id))
+    zones = st.sampled_from(ZONES)
+    random_entry = st.builds(
+        CommEntry, st.sampled_from([*IDS, "*"]), st.sampled_from([*IDS, "*"]), st.sampled_from([*PROTOCOLS, "*"]),
+        st.booleans(),
+    )
+    # an empty section is a dropped one, which leaves it at its default
+    sections = {
+        "expected_protocols": st.frozensets(protocols, min_size=1),
+        "expected_communications": st.lists(
+            random_entry | observed.flatmap(_entries_for), min_size=1, max_size=8
+        ).map(tuple),
+        "expected_ports": st.frozensets(st.sampled_from([p for p in PORTS if p is not None]), min_size=1),
+        "known_software_processes": st.frozensets(pairs | pairs.map(lambda pair: pair[::-1]), min_size=1, max_size=6),
+        "human_identifiers": st.frozensets(ids, min_size=1, max_size=3),
+        "zone_map": st.lists(st.sampled_from([None, *ZONES]), min_size=len(IDS), max_size=len(IDS))
+        .map(lambda picked: {identifier: zone for identifier, zone in zip(IDS, picked) if zone}),
+        "zone_sl_target": st.dictionaries(zones, st.integers(1, 4), min_size=1),
+        "trusted_zones": st.frozensets(zones, min_size=1),
+        "control_zones": st.frozensets(zones, min_size=1),
+        "external_prefixes": st.sampled_from([("198.51.100.0/24",), ("10.0.1.0/24", "198.51.100.0/25")]),
+        "p2p_bandwidth_limit_bytes_per_s": st.integers(0, 4000),
+    }
+    dropped = draw(st.sets(st.sampled_from(sorted(sections))))
+    return ContextSpec(**{name: draw(strategy) for name, strategy in sections.items() if name not in dropped})
+
+
+class TestConduitGrouping:
+    """Conduit questions are asked once per conduit, but the findings equal a
+    per-event judgement's: the same messages citing the same events in
+    stream order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_findings_match_per_event_reference(self, data):
+        events = data.draw(conduit_streams())
+        ctx = data.draw(sparse_contexts(events))
+        expected = reference_findings(events, ctx)
+        grouped = run_detectors(events, assemble_sessions(events), ctx)
+        alone = by_id([
+            *detect_unknown_factors(events, ctx), *detect_security_strength(events, ctx),
+            *detect_wireless_iac(events, ctx), *detect_untrusted_access(events, ctx),
+            *detect_segmentation(events, ctx), *detect_least_functionality(events, ctx),
+        ])
+        for attribute_id in CONDUIT_ATTRIBUTES:
+            got = [(f.message, f.seq_refs) for f in grouped[attribute_id].findings]
+            assert got == expected[attribute_id], attribute_id
+            assert alone[attribute_id] == grouped[attribute_id], attribute_id
+
+    def test_rare_paths_match_per_event_reference(self):
+        # conduits the random contexts seldom reach: mandatory management traffic
+        # out of a control zone, and person-to-person traffic at SL 3 and below
+        ctx = ContextSpec(
+            expected_communications=(comm("10.0.0.1", "10.0.0.2", "ICMP", mandatory=True),),
+            zone_map={"10.0.0.1": "ctrl", "10.0.0.2": "cell", "alice": "dmz", "bob": "dmz", "carol": "cell"},
+            zone_sl_target={"dmz": 3, "cell": 2},
+            control_zones=frozenset({"ctrl"}),
+            p2p_bandwidth_limit_bytes_per_s=1000,
+        )
+        human = {"scheme_src": IdScheme.USERNAME, "scheme_dst": IdScheme.USERNAME, "protocol": "HTTP"}
+        shapes = [
+            {"src": "10.0.0.1", "dst": "10.0.0.2", "protocol": "ICMP"},
+            {"src": "alice", "dst": "bob", **human},
+            {"src": "carol", "dst": "carol", **human},
+            {"src": "10.0.0.2", "dst": "10.0.0.1", "protocol": "FTP"},
+        ]
+        rng = random.Random(7)
+        events = [
+            ev(seq=rng.randrange(20), t=rng.randrange(3000), bytes=rng.randrange(800), **rng.choice(shapes))
+            for _ in range(80)
+        ]
+        expected = reference_findings(events, ctx)
+        for attribute_id in ("non_control_independence", "p2p_restriction", "logical_segmentation", "data_partitioning"):
+            assert expected[attribute_id], attribute_id
+        assert any("bandwidth" in message for message, _ in expected["p2p_restriction"])
+        grouped = run_detectors(events, assemble_sessions(events), ctx)
+        for attribute_id in CONDUIT_ATTRIBUTES:
+            assert [(f.message, f.seq_refs) for f in grouped[attribute_id].findings] == expected[attribute_id], attribute_id
+
+    @pytest.mark.parametrize("variant", [
+        {"src": "bob"}, {"dst": "bob"}, {"protocol": "Telnet"}, {"port": 21},
+        {"scheme_src": IdScheme.PROCESS_ID}, {"scheme_dst": IdScheme.PROCESS_ID},
+    ], ids=["src_id", "dst_id", "protocol", "port", "id_scheme_src", "id_scheme_dst"])
+    def test_conduits_one_field_apart_judged_apart(self, variant):
+        # a grouping key without that field would judge the variant by the base's first event
+        ctx = ContextSpec(
+            expected_protocols=frozenset({"MQTT"}),
+            expected_ports=frozenset({8883}),
+            expected_communications=(comm("proc1", "plc", "MQTT"),),
+            known_software_processes=frozenset({("proc9", "plc")}),
+        )
+        base = {"src": "proc1", "dst": "plc", "protocol": "MQTT", "port": 8883}
+        events = [ev(seq=seq, **{**base, **(variant if seq % 2 else {})}) for seq in range(4)]
+        expected = reference_findings(events, ctx)
+        assert any(expected.values())
+        grouped = run_detectors(events, assemble_sessions(events), ctx)
+        for attribute_id in CONDUIT_ATTRIBUTES:
+            assert [(f.message, f.seq_refs) for f in grouped[attribute_id].findings] == expected[attribute_id], attribute_id
+
+    def test_decreasing_seqs_cited_in_stream_order(self):
+        # two interleaved conduits whose seqs fall: a merge by seq would give 2, 3, 4, 5
+        ctx = ContextSpec(expected_protocols=frozenset({"MQTT"}))
+        events = [ev(seq=seq, src=src, protocol="Telnet") for seq, src in zip((5, 4, 3, 2), ("a", "b", "a", "b"))]
+        assert len(group_conduits(events)) == 2
+        got = by_id(detect_unknown_factors(events, ctx))["unknown_protocol"]
+        assert [f.seq_refs for f in got.findings] == [(5,), (4,), (3,), (2,)]
+
+    def test_run_detectors_groups_once(self, monkeypatch, catalog):
+        calls = []
+
+        def counting(events):
+            calls.append(len(events))
+            return group_conduits(events)
+
+        monkeypatch.setattr(detectors, "group_conduits", counting)
+        scenario = default_scenario(injections=tuple(Injection(attribute_id=a) for a in sorted(INJECTIONS)))
+        events, _ = generate_scenario(scenario, catalog)
+        run_detectors(events, assemble_sessions(events), scenario.spec)
+        assert calls == [len(events)]

@@ -82,6 +82,16 @@ class TestInjections:
                 current = 0
         assert longest == sc.spec.max_failed_attempts + 2
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wireless_injection_labels_the_observation_it_causes(self, catalog, seed):
+        # the unlisted Bluetooth device also makes wireless traffic observed
+        sc = default_scenario(seed=seed, injections=(Injection(attribute_id="wireless_iac"),))
+        events, truth = generate_scenario(sc, catalog)
+        verdicts = evaluate_verdicts(catalog, sc.spec, events)
+        fulfilled = {a for a, v in verdicts.items() if v.status is Status.FULFILLED}
+        assert "is_wireless_observed" in truth.expected_fulfilled
+        assert truth.expected_fulfilled <= fulfilled
+
     def test_unknown_injection_rejected(self):
         with pytest.raises(ScenarioError, match="unknown injection"):
             default_scenario(injections=(Injection(attribute_id="frobnicate"),))
