@@ -3,6 +3,8 @@
 Exit codes form the machine contract: ``evaluate`` returns 0 when no SR is
 non-compliant, 1 when at least one is, 2 on input/configuration errors.
 Diagnostics go to stderr only; the report body never interleaves with them.
+Every refusal of an input is raised to :func:`main`, which prints it as one
+``otcms: error:`` line and returns its exit code.
 """
 
 from __future__ import annotations
@@ -27,63 +29,51 @@ GENERATED_AT_ENV = "CMS_GENERATED_AT"
 _FORMATS = {"json": "structured", "text": "human"}
 
 
-def _err(message: str) -> None:
-    print(f"otcms: error: {message}", file=sys.stderr)
+class _Refusal(Exception):
+    """An input refused: :func:`main` prints the message and returns ``code``."""
+
+    def __init__(self, message: str, code: int = 2) -> None:
+        super().__init__(message)
+        self.code = code
 
 
-def _resolve_catalog_path(flag_value: str | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env_value = os.environ.get(CATALOG_ENV)
-    if env_value:
-        return Path(env_value)
-    return default_catalog_path()
+def _load(what: str, path, load, *args):
+    """``load(path, *args)``, its ``OSError`` or ``ValueError`` refused as ``cannot load {what} {path}: ...``."""
+    try:
+        return load(path, *args)
+    except (OSError, ValueError) as exc:
+        raise _Refusal(f"cannot load {what} {path}: {exc}") from None
+
+
+def _catalog_path(args: argparse.Namespace) -> Path:
+    return Path(args.catalog or os.environ.get(CATALOG_ENV) or default_catalog_path())
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.session_gap_ms <= 0:
-        _err(f"--session-gap-ms must be positive, got {args.session_gap_ms}")
-        return 2
+        raise _Refusal(f"--session-gap-ms must be positive, got {args.session_gap_ms}")
     generated_at = args.generated_at
     if generated_at is None:
         env_value = os.environ.get(GENERATED_AT_ENV)
         try:
             generated_at = int(env_value) if env_value else int(time.time() * 1000)
         except ValueError:
-            _err(f"{GENERATED_AT_ENV} must be an integer (epoch ms), got {env_value!r}")
-            return 2
-    catalog_path = _resolve_catalog_path(args.catalog)
-    try:
-        catalog = load_catalog(catalog_path)
-    except (OSError, ValueError) as exc:
-        _err(f"cannot load catalog {catalog_path}: {exc}")
-        return 2
+            raise _Refusal(f"{GENERATED_AT_ENV} must be an integer (epoch ms), got {env_value!r}") from None
+    catalog_path = _catalog_path(args)
+    catalog = _load("catalog", catalog_path, load_catalog)
     try:
         require_valid(catalog, registry_kinds())
     except CatalogError as exc:
-        _err(f"cannot evaluate with catalog {catalog_path}: {exc}")
-        return 2
-    try:
-        ctx = load_context(args.context)
-    except (OSError, ValueError) as exc:
-        _err(f"cannot load context {args.context}: {exc}")
-        return 2
-    manual = None
-    if args.manual:
-        try:
-            manual = load_manual_attributes(args.manual, catalog)
-        except (OSError, ValueError) as exc:
-            _err(f"cannot load manual attributes {args.manual}: {exc}")
-            return 2
+        raise _Refusal(f"cannot evaluate with catalog {catalog_path}: {exc}") from None
+    ctx = _load("context", args.context, load_context)
+    manual = _load("manual attributes", args.manual, load_manual_attributes, catalog) if args.manual else None
     try:
         with open(args.evidence, "rb") as file:
             events, digest = read_evidence(file, strict=not args.lenient)
     except OSError as exc:
-        _err(f"cannot read evidence {args.evidence}: {exc}")
-        return 2
+        raise _Refusal(f"cannot read evidence {args.evidence}: {exc}") from None
     except EvidenceError as exc:
-        _err(f"{args.evidence}: {exc}")
-        return 2
+        raise _Refusal(f"{args.evidence}: {exc}") from None
 
     report = run_evaluation(
         catalog,
@@ -99,7 +89,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(rendered)
     else:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            raise _Refusal(f"cannot write report {args.out}: {exc}") from None
 
     noncompliant = report.noncompliant_sr_ids()
     if noncompliant:
@@ -109,38 +102,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (OSError, ValueError) as exc:
-        _err(f"cannot load scenario {args.scenario}: {exc}")
-        return 2
+    scenario = _load("scenario", args.scenario, load_scenario)
     if args.seed is not None:
         scenario.seed = args.seed
-    catalog_path = _resolve_catalog_path(args.catalog)
+    catalog = _load("catalog", _catalog_path(args), load_catalog)
     try:
-        catalog = load_catalog(catalog_path)
+        written = save_scenario_outputs(scenario, args.out_dir, catalog=catalog, emit_context=args.emit_context)
     except (OSError, ValueError) as exc:
-        _err(f"cannot load catalog {catalog_path}: {exc}")
-        return 2
-    try:
-        written = save_scenario_outputs(
-            scenario, args.out_dir, catalog=catalog, emit_context=args.emit_context
-        )
-    except (OSError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+        raise _Refusal(str(exc)) from None
     for path in written:
         print(f"otcms: wrote {path}", file=sys.stderr)
     return 0
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    catalog_path = _resolve_catalog_path(args.catalog)
     try:
-        catalog = load_catalog(catalog_path)
-    except (OSError, ValueError) as exc:
-        _err(f"cannot load catalog {catalog_path}: {exc}")
-        return 1 if args.action == "validate" else 2
+        catalog = _load("catalog", _catalog_path(args), load_catalog)
+    except _Refusal as refusal:
+        if args.action == "validate":  # validate finds an unloadable catalog invalid
+            refusal.code = 1
+        raise
 
     if args.action == "validate":
         issues = validate_catalog(catalog, registry_kinds())
@@ -202,9 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _Refusal as refusal:
+        print(f"otcms: error: {refusal}", file=sys.stderr)
+        return refusal.code
 
 
 def entrypoint() -> None:

@@ -915,9 +915,13 @@ def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduit
     and below that held to the bandwidth limit, unverifiable without one."""
     limit = ctx.p2p_bandwidth_limit_bytes_per_s
 
+    @cache
+    def p2p() -> list[tuple[EvidenceEvent, int]]:
+        return list(_p2p_events(events, ctx, conduits))
+
     def offenders():
         low_sl: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
-        for e, sl in _p2p_events(events, ctx, conduits):
+        for e, sl in p2p():
             if sl >= 3:
                 yield _violation(
                     "p2p_restriction",
@@ -935,11 +939,8 @@ def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduit
                     message = finding.message + " (person-to-person bandwidth restriction)"
                     yield _violation("p2p_restriction", message, *finding.seq_refs)
 
-    def verifiable() -> bool:
-        # called only without offenders, when every person-to-person event is below SL 3
-        return limit is not None or not any(_p2p_events(events, ctx, conduits))
-
-    return _judge("p2p_restriction", offenders(), verifiable, ctx=ctx)
+    # called only without offenders, when every person-to-person event is below SL 3
+    return _judge("p2p_restriction", offenders(), lambda: limit is not None or not p2p(), ctx=ctx)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import otcms
 from otcms.cli import main
 from otcms.compliance import parse_report
 from otcms.evidence import load_evidence, write_evidence
@@ -168,6 +173,27 @@ class TestEvaluate:
         code = main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--session-gap-ms", gap])
         assert code == 2
         assert "otcms: error: --session-gap-ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["missing/report.json", "."], ids=["missing_dir", "is_dir"])
+    def test_unwritable_out_exit_two(self, scenario_dir, tmp_path, capsys, out):
+        evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+        target = tmp_path / out
+        capsys.readouterr()
+        code = main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"otcms: error: cannot write report {target}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_unwritable_out_process_exit_two(self, scenario_dir, tmp_path):
+        """The status a shell sees, where an uncaught exception would exit 1."""
+        evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+        argv = ["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(tmp_path)]
+        env = {**os.environ, "PYTHONPATH": str(Path(otcms.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "otcms.cli", *argv], capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
 
 
 MALFORMED_CONTEXT = {

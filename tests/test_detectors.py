@@ -687,11 +687,18 @@ class TestClassificationPerCall:
                scheme_dst=rng.choice((IdScheme.IP, IdScheme.USERNAME)))
             for i in range(500)
         ]
-        for detect in (detect_untrusted_access, detect_segmentation):
-            calls.clear()
-            detect(events, ctx)
-            assert calls
-            assert len(calls) == len(set(calls)), detect.__name__
+        # Person-to-person traffic below SL 3 and no bandwidth limit: no offender.
+        quiet_ctx = ContextSpec(zone_map={"alice": "eng", "bob": "eng"}, zone_sl_target={"eng": 2})
+        quiet = [
+            ev(seq=i, src="alice", dst="bob", protocol="HTTP", scheme_src=IdScheme.USERNAME, scheme_dst=IdScheme.USERNAME)
+            for i in range(3)
+        ]
+        for ctx, events in ((ctx, events), (quiet_ctx, quiet)):
+            for detect in (detect_untrusted_access, detect_segmentation):
+                calls.clear()
+                detect(events, ctx)
+                assert calls
+                assert len(calls) == len(set(calls)), detect.__name__
 
     def test_scheme_keeps_classifications_apart(self):
         # "alice" and "bob" are human only under the Username scheme.
