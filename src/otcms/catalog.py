@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from enum import Enum
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
@@ -188,42 +189,21 @@ def validate_catalog(catalog: Catalog, kind_map: Mapping[str, AttributeKind]) ->
     failures; an empty result means the catalog is fully resolvable.
     """
     issues: list[ValidationIssue] = []
-
-    def check_binding(sr_id: str, binding: AttributeBinding) -> None:
-        if binding.kind is AttributeKind.MANUAL:
-            if binding.attribute_id in kind_map:
-                issues.append(
-                    ValidationIssue(
-                        sr_id,
-                        "kind_mismatch",
-                        f"{binding.attribute_id}: bound as manual but produced by a detector",
-                    )
-                )
-            return
-        if binding.attribute_id not in kind_map:
-            issues.append(
-                ValidationIssue(
-                    sr_id,
-                    "dangling_attribute",
-                    f"{binding.attribute_id}: no detector produces this {binding.kind.value} attribute",
-                )
-            )
-        elif kind_map[binding.attribute_id] is not binding.kind:
-            issues.append(
-                ValidationIssue(
-                    sr_id,
-                    "kind_mismatch",
-                    f"{binding.attribute_id}: catalog says {binding.kind.value}, "
-                    f"detector registry says {kind_map[binding.attribute_id].value}",
-                )
-            )
-
     for sr in catalog.iter_srs():
-        for binding in sr.bindings:
-            check_binding(sr.id, binding)
-        for enhancement in sr.enhancements:
-            for binding in enhancement.bindings:
-                check_binding(sr.id, binding)
+        for binding in chain(sr.bindings, *(enhancement.bindings for enhancement in sr.enhancements)):
+            produced = kind_map.get(binding.attribute_id)
+            if binding.kind is AttributeKind.MANUAL:
+                if produced is None:
+                    continue
+                code, message = "kind_mismatch", "bound as manual but produced by a detector"
+            elif produced is None:
+                code, message = "dangling_attribute", f"no detector produces this {binding.kind.value} attribute"
+            elif produced is not binding.kind:
+                code = "kind_mismatch"
+                message = f"catalog says {binding.kind.value}, detector registry says {produced.value}"
+            else:
+                continue
+            issues.append(ValidationIssue(sr.id, code, f"{binding.attribute_id}: {message}"))
     return issues
 
 

@@ -21,6 +21,7 @@ from otcms.context import load_context, load_manual_attributes
 from otcms.detectors import registry_kinds
 from otcms.engine import run_evaluation
 from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceError, read_evidence
+from otcms.jsonfield import quoted
 from otcms.simulator import load_scenario, save_scenario_outputs
 
 CATALOG_ENV = "CMS_CATALOG"
@@ -45,6 +46,15 @@ def _load(what: str, path, load, *args):
         raise _Refusal(f"cannot load {what} {path}: {exc}") from None
 
 
+def _utf8(text: str, what: str) -> bytes:
+    """``text`` in UTF-8; a lone surrogate, which JSON admits but UTF-8 cannot encode, is refused."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        surrogate = ascii(exc.object[exc.start])[1:-1]
+        raise _Refusal(f"cannot write {what}: it holds the lone surrogate {surrogate}, which UTF-8 cannot encode") from None
+
+
 def _catalog_path(args: argparse.Namespace) -> Path:
     return Path(args.catalog or os.environ.get(CATALOG_ENV) or default_catalog_path())
 
@@ -58,7 +68,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         try:
             generated_at = int(env_value) if env_value else int(time.time() * 1000)
         except ValueError:
-            raise _Refusal(f"{GENERATED_AT_ENV} must be an integer (epoch ms), got {env_value!r}") from None
+            raise _Refusal(f"{GENERATED_AT_ENV} must be an integer (epoch ms), got {quoted(repr(env_value))}") from None
     catalog_path = _catalog_path(args)
     catalog = _load("catalog", catalog_path, load_catalog)
     try:
@@ -86,11 +96,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         generated_at=generated_at,
     )
     rendered = render_report(report, _FORMATS[args.format])
+    encoded = _utf8(rendered, f"report {args.out}")
     if args.out == "-":
         sys.stdout.write(rendered)
     else:
         try:
-            Path(args.out).write_text(rendered, encoding="utf-8")
+            Path(args.out).write_bytes(encoded)
         except OSError as exc:
             raise _Refusal(f"cannot write report {args.out}: {exc}") from None
 
@@ -109,7 +120,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         written = save_scenario_outputs(scenario, args.out_dir, catalog=catalog, emit_context=args.emit_context)
     except (OSError, ValueError) as exc:
-        raise _Refusal(str(exc)) from None
+        raise _Refusal(f"cannot write simulator outputs to {args.out_dir}: {exc}") from None
     for path in written:
         print(f"otcms: wrote {path}", file=sys.stderr)
     return 0
@@ -133,12 +144,16 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return 0
 
     # list: FR/SR tree with binding counts
+    lines = []
     for fr in catalog.frs:
-        print(f"{fr.id}  {fr.title}")
+        lines.append(f"{fr.id}  {fr.title}\n")
         for sr in fr.srs:
             bindings = len(sr.bindings) + sum(len(e.bindings) for e in sr.enhancements)
             flags = "  [not monitorable]" if sr.not_monitorable else ""
-            print(f"  {sr.id:<8} {sr.title}  ({bindings} bindings){flags}")
+            lines.append(f"  {sr.id:<8} {sr.title}  ({bindings} bindings){flags}\n")
+    listing = "".join(lines)
+    _utf8(listing, "catalog list")
+    sys.stdout.write(listing)
     return 0
 
 

@@ -94,17 +94,11 @@ def evaluate_sr(
     else:
         overall = ComplianceStatus.COMPLIANT
 
-    bindings = all_bindings(sr)
-    achieved = 0
-    for level in SL_LEVELS:
-        if all(
-            status_of(binding.attribute_id) in _OK_STATUSES
-            for binding in bindings
-            if binding.min_sl <= level
-        ):
-            achieved = level
-        else:
-            break
+    # each level below the lowest min_sl of a binding that is not OK requires only OK bindings
+    achieved = min(
+        (binding.min_sl - 1 for binding in all_bindings(sr) if status_of(binding.attribute_id) not in _OK_STATUSES),
+        default=SL_LEVELS[-1],
+    )
 
     return SRStatus(sr_id=sr.id, status=overall, achieved_sl=achieved, required=tuple(statuses))
 

@@ -39,12 +39,13 @@ once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter
 
 from otcms.catalog import AttributeKind
@@ -385,39 +386,27 @@ def detect_unknown_factors(
 # --------------------------------------------------------------------------
 
 def _window_violations(
-    items: list[tuple[int, int, int]], limit, attribute_id: str, pair: tuple[str, str]
+    items: list[tuple[int, int, int]], limit, attribute_id: str, pair: tuple[str, str], suffix: str = ""
 ) -> Finding | None:
-    """Slide a half-open window [t, t+window_ms) anchored at each event.
+    """Check the half-open window [t, t+window_ms) anchored at each event.
 
     ``items`` are (timestamp, bytes, seq) sorted by timestamp. Returns the
-    first violating window, if any.
+    first violating window, if any, its message ending in ``suffix``.
     """
     window_ms = limit.window_ms
-    right = 0
-    total_bytes = 0
-    for left in range(len(items)):
-        if right < left:
-            right = left
-            total_bytes = 0
-        while right < len(items) and items[right][0] < items[left][0] + window_ms:
-            total_bytes += items[right][1]
-            right += 1
+    times = [timestamp for timestamp, _, _ in items]
+    byte_sums = list(accumulate((size for _, size, _ in items), initial=0))
+    for left, (timestamp, _, seq) in enumerate(items):
+        right = bisect_left(times, timestamp + window_ms, left)
         count = right - left
+        total_bytes = byte_sums[right] - byte_sums[left]
         if limit.max_events_per_window is not None and count > limit.max_events_per_window:
-            return _violation(
-                attribute_id,
-                f"{pair[0]}<->{pair[1]}: {count} events in {window_ms} ms exceeds "
-                f"{limit.max_events_per_window}",
-                items[left][2],
-            )
-        if limit.max_bytes_per_window is not None and total_bytes > limit.max_bytes_per_window:
-            return _violation(
-                attribute_id,
-                f"{pair[0]}<->{pair[1]}: {total_bytes} bytes in {window_ms} ms exceeds "
-                f"{limit.max_bytes_per_window}",
-                items[left][2],
-            )
-        total_bytes -= items[left][1]
+            excess = f"{count} events in {window_ms} ms exceeds {limit.max_events_per_window}"
+        elif limit.max_bytes_per_window is not None and total_bytes > limit.max_bytes_per_window:
+            excess = f"{total_bytes} bytes in {window_ms} ms exceeds {limit.max_bytes_per_window}"
+        else:
+            continue
+        return _violation(attribute_id, f"{pair[0]}<->{pair[1]}: {excess}{suffix}", seq)
     return None
 
 
@@ -568,8 +557,6 @@ def detect_auth_attempts(events: list[EvidenceEvent], ctx: ContextSpec) -> list[
 # --------------------------------------------------------------------------
 
 def detect_session_violations(sessions: list[Session], ctx: ContextSpec) -> list[AttributeVerdict]:
-    verdicts: list[AttributeVerdict] = []
-
     offenders = [
         _violation(
             "session_termination",
@@ -581,7 +568,6 @@ def detect_session_violations(sessions: list[Session], ctx: ContextSpec) -> list
         for s in sessions
         if s.duration_ms > ctx.session_max_ms
     ]
-    verdicts.append(_judge("session_termination", offenders, bool(sessions)))
 
     occurrences: dict[str, list[tuple[int, tuple[str, str], int]]] = {}
     for session in sessions:
@@ -613,8 +599,10 @@ def detect_session_violations(sessions: list[Session], ctx: ContextSpec) -> list
                     )
                 )
                 break
-    verdicts.append(_judge("session_id_integrity", id_offenders, bool(occurrences)))
-    return verdicts
+    return [
+        _judge("session_termination", offenders, bool(sessions)),
+        _judge("session_id_integrity", id_offenders, bool(occurrences)),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -637,7 +625,7 @@ def detect_integrity_anomalies(events: list[EvidenceEvent], sessions: list[Sessi
     for e in events:
         if e.error_code is not None or e.fragmented:
             anomalies += 1
-            if e.tls_present is False and not (e.cert_present is True or e.protocol in PROTECTED_PROTOCOLS):
+            if e.tls_present is False and not _protected(e):
                 marker = f"error code {e.error_code!r}" if e.error_code is not None else "fragmented traffic"
                 offenders.append(
                     _violation("data_integrity", f"{marker} on unprotected conduit {e.src_id} -> {e.dst_id}", e.seq)
@@ -698,15 +686,13 @@ def detect_pki_best_practice(events: list[EvidenceEvent], ctx: ContextSpec) -> l
         if e.snapshot_transfer
     ]
     cert_events = [e for e in events if e.cert_present is True]
+    absent = Status.INDETERMINATE if cert_events else Status.NOT_APPLICABLE
     present = _observed(
         "pki_present",
         ((e.seq, f"certificate observed on {e.protocol}") for e in cert_events if e.protocol in ctx.x509_capable_protocols),
-        Status.INDETERMINATE if cert_events else Status.NOT_APPLICABLE,
+        absent,
         extras,
     )
-    if not cert_events:
-        return [present, _verdict("pki_best_practice", Status.NOT_APPLICABLE)]
-
     offenders = [
         _violation(
             "pki_best_practice", f"certificate exchanged without TLS/DTLS ({e.src_id} -> {e.dst_id}, {e.protocol})", e.seq
@@ -714,8 +700,8 @@ def detect_pki_best_practice(events: list[EvidenceEvent], ctx: ContextSpec) -> l
         for e in cert_events
         if e.tls_present is False
     ]
-    evidenced = not offenders and all(e.tls_present is True for e in cert_events)
-    return [present, _judge("pki_best_practice", offenders, evidenced)]
+    evidenced = bool(cert_events) and all(e.tls_present is True for e in cert_events)
+    return [present, _judge("pki_best_practice", offenders, evidenced, absent)]
 
 
 # --------------------------------------------------------------------------
@@ -806,25 +792,22 @@ def detect_authorization_controls(events: list[EvidenceEvent], ctx: ContextSpec)
         for e in events
         if e.protocol in AUTHORIZATION_PROTOCOLS or e.access_list_transfer
     )
-    verdicts = [_observed("authorization_enforced", mechanisms)]
-
     mobile_events = [
         e for e in events if e.mobile_code and e.src_id in ctx.mobile_device_identifiers
     ]
-    if not mobile_events:
-        verdicts.append(_verdict("mobile_code_control", Status.NOT_APPLICABLE))
-    else:
-        offenders = [
-            _violation(
-                "mobile_code_control",
-                f"mobile code from device {e.src_id!r} without integrity certification",
-                e.seq,
-            )
-            for e in mobile_events
-            if e.cert_present is not True
-        ]
-        verdicts.append(_judge("mobile_code_control", offenders))
-    return verdicts
+    offenders = [
+        _violation(
+            "mobile_code_control",
+            f"mobile code from device {e.src_id!r} without integrity certification",
+            e.seq,
+        )
+        for e in mobile_events
+        if e.cert_present is not True
+    ]
+    return [
+        _observed("authorization_enforced", mechanisms),
+        _judge("mobile_code_control", offenders, bool(mobile_events), Status.NOT_APPLICABLE),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -933,11 +916,11 @@ def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduit
                 low_sl.setdefault(e.pair(), []).append((e.timestamp, e.bytes, e.seq))
         if limit is not None:
             window = RateLimit(window_ms=1000, max_bytes_per_window=limit)
+            suffix = " (person-to-person bandwidth restriction)"
             for pair in sorted(low_sl):
-                finding = _window_violations(sorted(low_sl[pair]), window, "p2p_restriction", pair)
+                finding = _window_violations(sorted(low_sl[pair]), window, "p2p_restriction", pair, suffix)
                 if finding is not None:
-                    message = finding.message + " (person-to-person bandwidth restriction)"
-                    yield _violation("p2p_restriction", message, *finding.seq_refs)
+                    yield finding
 
     # called only without offenders, when every person-to-person event is below SL 3
     return _judge("p2p_restriction", offenders(), lambda: limit is not None or not p2p(), ctx=ctx)

@@ -68,13 +68,17 @@ def _under(key, problem) -> str:
     return f"{key}{problem}" if problem.startswith("[") else f"{key}: {problem}"
 
 
-#: Characters of a refused value's JSON that an error quotes; the rest is cut to "...".
+#: Characters of a refused value's text that an error quotes; the rest is cut to "...".
 _QUOTED = 60
 
 
+def quoted(text: str) -> str:
+    """``text``, the written form of a refused value, as an error quotes it."""
+    return text if len(text) <= _QUOTED else text[:_QUOTED] + "..."
+
+
 def _wrong(what: str, value) -> ValueError:
-    text = json.dumps(value)
-    return ValueError(f"expected {what}, got {text if len(text) <= _QUOTED else text[:_QUOTED] + '...'}")
+    return ValueError(f"expected {what}, got {quoted(json.dumps(value))}")
 
 
 def _float(value: int | float) -> float:
@@ -216,7 +220,7 @@ def read(value, hint, error: type[ValueError], label: str):
 
 
 def _fields(cls: type) -> tuple[dict[str, tuple], frozenset[str], tuple[tuple, ...]]:
-    """Per JSON key: (field name, JSON types, conversion, description); the
+    """Per JSON key: (field name, its spec as :func:`_check` takes it); the
     names of required fields; and per field in order: (name, the default
     left out or MISSING, write conversion or None)."""
     hints = typing.get_type_hints(cls)
@@ -227,7 +231,7 @@ def _fields(cls: type) -> tuple[dict[str, tuple], frozenset[str], tuple[tuple, .
             kinds, what = (*kinds, _NULL), f"{what} or null"
         elif f.default is MISSING and f.default_factory is MISSING:
             required.add(f.name)
-        specs[f.name] = (f.name, kinds, f.metadata.get("check", convert), what)
+        specs[f.name] = (f.name, (kinds, f.metadata.get("check", convert), what, None))
         omit = f.default is None or f.default is False or isinstance(f.default, Enum)
         writes.append((f.name, f.default if omit else MISSING, write))
     return specs, frozenset(required), tuple(writes)
@@ -271,12 +275,9 @@ def _walk(cls: type, raw: dict, error: type[ValueError], given: dict):
         entry = specs.get(key)
         if entry is None or key in values:
             continue
-        name, kinds, convert, what = entry
+        name, spec = entry
         try:
-            if type(value) not in kinds:
-                raise _wrong(what, value)
-            if convert is not None and value is not None:
-                value = convert(value)
+            value = _check(value, spec)
         except ValueError as exc:
             raise error(_under(key, exc)) from None
         # Stored under the field's own name string: keyword matching is then by identity.
@@ -309,7 +310,7 @@ def _compile(cls: type, given: tuple[str, ...]) -> typing.Callable | None:
         if name in given:
             body.append(f"_set_{name}(_obj, {name})")
             continue
-        _, kinds, convert, _ = specs[name]
+        kinds, convert, _, _ = specs[name][1]
         hint = _unnulled(hints[name])
         nullable = _NULL in kinds
         kinds = tuple(kind for kind in kinds if kind is not _NULL)

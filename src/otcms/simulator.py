@@ -26,12 +26,13 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
 from otcms.catalog import SL_LEVELS, Catalog, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
-from otcms.evidence import EvidenceEvent, IdScheme, to_jsonl
+from otcms.evidence import EvidenceEvent, IdScheme, write_evidence
 from otcms.jsonfield import from_json, load, one_of, read, to_json
 
 PLC1 = "10.0.1.10"
@@ -470,8 +471,8 @@ def generate_scenario(scenario: Scenario, catalog: Catalog | None = None) -> tup
         violated |= spec.violates
         fulfilled |= spec.fulfills
 
-    indexed = sorted(enumerate(records), key=lambda item: (item[1]["timestamp"], item[0]))
-    events = [EvidenceEvent(seq=seq, **record) for seq, (_, record) in enumerate(indexed)]
+    records.sort(key=itemgetter("timestamp"))
+    events = [EvidenceEvent(seq=seq, **record) for seq, record in enumerate(records)]
     truth = ground_truth_for(violated, fulfilled, scenario.sl_target, catalog)
     return events, truth
 
@@ -524,20 +525,10 @@ def save_scenario_outputs(
     out.mkdir(parents=True, exist_ok=True)
     events, truth = generate_scenario(scenario, catalog)
 
-    evidence_path = out / "evidence.jsonl"
-    evidence_path.write_text(to_jsonl(events), encoding="utf-8")
-
-    truth_path = out / "ground_truth.json"
-    truth_path.write_text(
-        json.dumps(ground_truth_to_dict(scenario, truth), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    written = [evidence_path, truth_path]
+    documents = {"ground_truth.json": ground_truth_to_dict(scenario, truth)}
     if emit_context:
-        context_path = out / "context.json"
-        context_path.write_text(
-            json.dumps(context_to_dict(scenario.spec), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        written.append(context_path)
-    return written
+        documents["context.json"] = context_to_dict(scenario.spec)
+    write_evidence(events, out / "evidence.jsonl")
+    for name, document in documents.items():
+        (out / name).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return [out / name for name in ("evidence.jsonl", *documents)]

@@ -40,6 +40,7 @@ def dumps(value) -> str:
 
 
 TOO_MANY_DIGITS = JsonText("9" * 4301)
+LONE_SURROGATE = {"src_id": "\ud800x", "protocol": "Telnet"}
 NESTED_TOO_DEEPLY = JsonText("[" * 100_000 + "]" * 100_000)
 
 
@@ -166,6 +167,14 @@ class TestEvaluate:
         assert main(["evaluate", "--evidence", str(evidence), "--context", str(context)]) == 2
         assert "otcms: error: CMS_GENERATED_AT" in capsys.readouterr().err
 
+    def test_generated_at_env_long_value_quoted_short(self, scenario_dir, tmp_path, monkeypatch, capsys):
+        evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+        monkeypatch.setenv("CMS_GENERATED_AT", "9" * 5000)
+        capsys.readouterr()
+        assert main(["evaluate", "--evidence", str(evidence), "--context", str(context)]) == 2
+        quoted = "'" + "9" * 59 + "..."
+        assert capsys.readouterr().err == f"otcms: error: CMS_GENERATED_AT must be an integer (epoch ms), got {quoted}\n"
+
     @pytest.mark.parametrize("gap", ["0", "-5"])
     def test_session_gap_not_positive_exit_two(self, scenario_dir, tmp_path, capsys, gap):
         evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
@@ -174,10 +183,19 @@ class TestEvaluate:
         assert code == 2
         assert "otcms: error: --session-gap-ms" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("out", ["missing/report.json", "."], ids=["missing_dir", "is_dir"])
-    def test_unwritable_out_exit_two(self, scenario_dir, tmp_path, capsys, out):
+    @pytest.mark.parametrize(
+        ("out", "line_2"),
+        [("missing/report.json", None), (".", None), ("-", LONE_SURROGATE), ("r.json", LONE_SURROGATE)],
+        ids=["missing_dir", "is_dir", "lone_surrogate_stdout", "lone_surrogate_out"],
+    )
+    def test_unwritable_out_exit_two(self, scenario_dir, tmp_path, capsys, out, line_2):
+        """Also a report that UTF-8 cannot encode: JSON admits a lone surrogate
+        escape, and an evidence id carries it into a finding's message."""
         evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
-        target = tmp_path / out
+        if line_2 is not None:
+            first, second, *rest = evidence.read_text().split("\n")
+            evidence.write_text("\n".join([first, json.dumps({**json.loads(second), **line_2}), *rest]))
+        target = out if out == "-" else tmp_path / out
         capsys.readouterr()
         code = main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(target)])
         captured = capsys.readouterr()
@@ -185,6 +203,9 @@ class TestEvaluate:
         assert captured.err.startswith(f"otcms: error: cannot write report {target}: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == ""
+        if line_2 is not None:
+            assert "lone surrogate \\ud800" in captured.err
+            assert not (tmp_path / "r.json").exists()
 
     def test_unwritable_out_process_exit_two(self, scenario_dir, tmp_path):
         """The status a shell sees, where an uncaught exception would exit 1."""
@@ -225,6 +246,10 @@ MALFORMED_CONTEXT = {
     "max_failed_attempts_repeated": {"max_failed_attempts": Repeated((1, 999))},
     "zone_map_identifier_repeated": {"zone_map": {"10.0.1.10": Repeated(("cell", "control"))}},
     "min_key_bits_repeated": {"crypto_policy": {"min_key_bits": Repeated((128, 64))}},
+    "password_min_length_zero": {"password_policy": {"min_length": 0}},
+    "max_failed_attempts_negative": {"max_failed_attempts": -1},
+    "session_max_ms_zero": {"session_max_ms": 0},
+    "rate_spec_pair_of_three": {"rate_spec": [{"pair": ["a", "b", "c"], "window_ms": 1000}]},
 }
 
 
@@ -511,6 +536,13 @@ class TestSimulate:
 
         assert load_evidence(b / "evidence.jsonl")
 
+    def test_out_dir_naming_a_file_exit_two(self, scenario_dir, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        capsys.readouterr()
+        assert main(["simulate", str(scenario_dir / "baseline.json"), "--out-dir", str(afile)]) == 2
+        assert capsys.readouterr().err.startswith(f"otcms: error: cannot write simulator outputs to {afile}: ")
+
     def test_unknown_injection_exit_two(self, tmp_path, capsys):
         sc = scenario_to_dict(default_scenario(name="bad", seed=1))
         sc["injections"] = [{"attribute_id": "nonsense"}]
@@ -536,6 +568,20 @@ class TestCatalog:
         bad.write_text(json.dumps(data))
         assert main(["catalog", "validate", "--catalog", str(bad)]) == 1
         assert "frobnicate" in capsys.readouterr().out
+
+    def test_list_lone_surrogate_exit_two(self, tmp_path, capsys):
+        from otcms.catalog import default_catalog_path
+
+        data = json.loads(default_catalog_path().read_text())
+        data["frs"][0]["title"] = "\ud800"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["catalog", "list", "--catalog", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "otcms: error: cannot write catalog list: it holds the lone surrogate \\ud800, which UTF-8 cannot encode\n"
+        )
+        assert captured.out == ""
 
     def test_list_shows_all_frs(self, capsys):
         assert main(["catalog", "list"]) == 0

@@ -161,10 +161,14 @@ class TestAbnormalBehavior:
             window = rng.choice([100, 500, 1000])
             ctx = self._ctx(max_events=max_events, window=window, max_bytes=max_bytes)
             sessions = assemble_sessions(events, gap_ms=10_000_000)
-            got = by_id(detect_abnormal_behavior(sessions, ctx))["abnormal_behavior"].status
+            verdict = by_id(detect_abnormal_behavior(sessions, ctx))["abnormal_behavior"]
+            got = verdict.status
 
-            times = sorted((e.timestamp, e.bytes) for e in events)
+            # anchors in the detector's order; the first violating one is the
+            # first of its timestamp, whose recount the detector's window equals
+            times = sorted((e.timestamp, e.bytes, e.seq) for e in events)
             bad = False
+            first = None
             for i in range(len(times)):
                 count = 0
                 total = 0
@@ -174,7 +178,14 @@ class TestAbnormalBehavior:
                         total += times[j][1]
                 if count > max_events or (max_bytes is not None and total > max_bytes):
                     bad = True
+                    if first is None:
+                        excess = (
+                            f"{count} events in {window} ms exceeds {max_events}" if count > max_events
+                            else f"{total} bytes in {window} ms exceeds {max_bytes}"
+                        )
+                        first = (f"a<->b: {excess}", (times[i][2],))
             assert got is (Status.VIOLATED if bad else Status.FULFILLED)
+            assert [(f.message, f.seq_refs) for f in verdict.findings] == ([first] if bad else [])
 
 
 class TestSecurityStrength:
@@ -652,6 +663,9 @@ class TestSegmentation:
         ]
         got = by_id(detect_segmentation(burst, ctx))
         assert got["p2p_restriction"].status is Status.VIOLATED
+        (finding,) = got["p2p_restriction"].findings
+        assert finding.message == "alice<->bob: 1500 bytes in 1000 ms exceeds 1000 (person-to-person bandwidth restriction)"
+        assert finding.seq_refs == (0,)
 
     def test_p2p_low_sl_without_limit_indeterminate(self):
         ctx = self._ctx(zone_sl_target={"cell": 2, "ctrl": 2, "eng": 2})
