@@ -46,13 +46,24 @@ def _load(what: str, path, load, *args):
         raise _Refusal(f"cannot load {what} {path}: {exc}") from None
 
 
-def _utf8(text: str, what: str) -> bytes:
-    """``text`` in UTF-8; a lone surrogate, which JSON admits but UTF-8 cannot encode, is refused."""
+def _emit(text: str, what: str, out="-") -> None:
+    """``text`` written in UTF-8, whatever the locale, to stdout or the file
+    ``out``; a lone surrogate, which JSON admits but UTF-8 cannot encode, or
+    a failed write is refused as ``cannot write {what}: ...``."""
     try:
-        return text.encode("utf-8")
+        encoded = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         surrogate = ascii(exc.object[exc.start])[1:-1]
         raise _Refusal(f"cannot write {what}: it holds the lone surrogate {surrogate}, which UTF-8 cannot encode") from None
+    try:
+        if out == "-":
+            sys.stdout.flush()
+            sys.stdout.buffer.write(encoded)
+            sys.stdout.buffer.flush()
+        else:
+            Path(out).write_bytes(encoded)
+    except OSError as exc:
+        raise _Refusal(f"cannot write {what}: {exc}") from None
 
 
 def _catalog_path(args: argparse.Namespace) -> Path:
@@ -95,15 +106,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         digest=digest,
         generated_at=generated_at,
     )
-    rendered = render_report(report, _FORMATS[args.format])
-    encoded = _utf8(rendered, f"report {args.out}")
-    if args.out == "-":
-        sys.stdout.write(rendered)
-    else:
-        try:
-            Path(args.out).write_bytes(encoded)
-        except OSError as exc:
-            raise _Refusal(f"cannot write report {args.out}: {exc}") from None
+    _emit(render_report(report, _FORMATS[args.format]), f"report {args.out}", args.out)
 
     noncompliant = report.noncompliant_sr_ids()
     if noncompliant:
@@ -129,19 +132,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_catalog(args: argparse.Namespace) -> int:
     try:
         catalog = _load("catalog", _catalog_path(args), load_catalog)
+        if args.action == "validate":
+            issues = validate_catalog(catalog, registry_kinds())
+            lines = [f"{issue.sr_id}: {issue.code}: {issue.message}\n" for issue in issues]
+            _emit("".join(lines) or f"catalog {catalog.version}: no issues\n", "catalog validate")
+            return 1 if issues else 0
     except _Refusal as refusal:
-        if args.action == "validate":  # validate finds an unloadable catalog invalid
+        if args.action == "validate":  # validate finds a catalog it cannot load or report on invalid
             refusal.code = 1
         raise
-
-    if args.action == "validate":
-        issues = validate_catalog(catalog, registry_kinds())
-        for issue in issues:
-            print(f"{issue.sr_id}: {issue.code}: {issue.message}")
-        if issues:
-            return 1
-        print(f"catalog {catalog.version}: no issues")
-        return 0
 
     # list: FR/SR tree with binding counts
     lines = []
@@ -151,9 +150,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             bindings = len(sr.bindings) + sum(len(e.bindings) for e in sr.enhancements)
             flags = "  [not monitorable]" if sr.not_monitorable else ""
             lines.append(f"  {sr.id:<8} {sr.title}  ({bindings} bindings){flags}\n")
-    listing = "".join(lines)
-    _utf8(listing, "catalog list")
-    sys.stdout.write(listing)
+    _emit("".join(lines), "catalog list")
     return 0
 
 

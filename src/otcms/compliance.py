@@ -19,7 +19,7 @@ from enum import Enum
 
 from otcms.catalog import SL_LEVELS, Catalog, SecurityRequirement, all_bindings, required_attributes
 from otcms.detectors import AttributeVerdict, Finding, Severity, Status
-from otcms.jsonfield import from_json, to_json
+from otcms.jsonfield import canonical, from_json, to_json
 
 
 class ComplianceStatus(str, Enum):
@@ -159,15 +159,11 @@ def build_report(
 # Serialization
 # --------------------------------------------------------------------------
 
-def _canonical(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
 def render_report(report: ComplianceReport, format: str = "structured") -> str:
     """Render the report: canonical JSON (``structured``) or a fixed-layout
     table grouped by FR (``human``)."""
     if format == "structured":
-        return _canonical(to_json(report)) + "\n"
+        return canonical(to_json(report)) + "\n"
     if format == "human":
         return _render_human(report)
     raise ValueError(f"unknown report format {format!r}")
@@ -181,7 +177,7 @@ def report_body(report: ComplianceReport) -> bytes:
     """
     data = to_json(report)
     del data["generated_at"]
-    return _canonical(data).encode("utf-8")
+    return canonical(data).encode("utf-8")
 
 
 def parse_report(text: str) -> ComplianceReport:

@@ -117,10 +117,6 @@ class Session:
         return self.events[-1].timestamp
 
     @property
-    def total_bytes(self) -> int:
-        return sum(e.bytes for e in self.events)
-
-    @property
     def duration_ms(self) -> int:
         return self.end - self.start
 
@@ -209,8 +205,8 @@ def load_evidence(path: str | Path, strict: bool = True) -> list[EvidenceEvent]:
 def to_jsonl(events: Iterable[EvidenceEvent]) -> str:
     """Canonical JSON Lines serialization: one line per event, each ended by
     a line feed, written by the :func:`~otcms.jsonfield.writer` compiled for
-    :class:`EvidenceEvent` (keys sorted, compact separators, non-ASCII text
-    raw), which is ``json.dumps`` of its :func:`~otcms.jsonfield.to_json` record."""
+    :class:`EvidenceEvent`: the :func:`~otcms.jsonfield.canonical` text of
+    its :func:`~otcms.jsonfield.to_json` record."""
     lines = list(map(writer(EvidenceEvent), events))
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -30,17 +30,15 @@ which :func:`from_json` restores from the absent key; every other field is
 written, other defaults included.
 
 :func:`writer` compiles, once per dataclass of scalar fields, a function
-giving the text ``json.dumps(to_json(obj), sort_keys=True,
-separators=(",", ":"), ensure_ascii=False)`` without building the dict:
-its keys are sorted when it is compiled, and a field holding its omitted
-default is left out by the same rule. Each value is written by its own
-type, not its field's, as ``json.dumps`` writes it: a ``str`` by
-``json.encoder.encode_basestring``, an ``int`` by ``int.__repr__``, a
-float by Python's JSON float rule, ``True``, ``False`` and ``None`` as
-literals, and an enum field's member as its value; so ``port=True``
-writes ``true``. A value of any other type raises TypeError, as does,
-when the writer is compiled, a field annotated other than ``str``,
-``int``, ``bool`` or an enum, each alone or with null.
+giving the text ``canonical(to_json(obj))`` without building the dict: its
+keys are sorted when it is compiled, and a field holding its omitted default
+is left out by the same rule. A value of its field's type is written
+directly: a ``str`` by ``json.encoder.encode_basestring``, an ``int`` by
+``int.__repr__``, a ``bool`` as ``true`` or ``false``, an enum member as its
+value. Any other value is written by :func:`canonical`, so ``port=True``
+writes ``true``, and one it cannot write raises its TypeError. A field
+annotated other than ``str``, ``int``, ``bool`` or an enum, each alone or
+with null, raises TypeError when the writer is compiled.
 """
 
 from __future__ import annotations
@@ -59,6 +57,8 @@ from operator import attrgetter
 from pathlib import Path
 
 _NULL = type(None)
+#: The canonical JSON text of a value: keys sorted, compact separators, non-ASCII text raw.
+canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 _WORDS = {bool: "a boolean", int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
@@ -366,45 +366,24 @@ def to_json(obj) -> dict:
     return record
 
 
-def _scalar(value) -> str:
-    """The JSON text ``json.dumps`` writes for ``value``, chosen by its type;
-    a value that is no JSON scalar raises TypeError."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        return "Infinity" if value == math.inf else "-Infinity" if value == -math.inf else float.__repr__(value)
-    raise TypeError(f"no JSON scalar form for {type(value).__name__}")
-
-
 @cache
 def writer(cls: type) -> typing.Callable[[object], str]:
-    """``write(obj)``: the compact, key-sorted JSON text of :func:`to_json`
-    for an instance of dataclass ``cls``, from a function written for
-    ``cls`` (see the module docstring); a field annotated other than
-    ``str``, ``int``, ``bool`` or an enum, alone or with null, raises
-    TypeError here."""
+    """``write(obj)``: the :func:`canonical` text of :func:`to_json` for an
+    instance of dataclass ``cls``, from a function written for ``cls`` (see
+    the module docstring); a field annotated other than ``str``, ``int``,
+    ``bool`` or an enum, alone or with null, raises TypeError here."""
     hints = typing.get_type_hints(cls)
     writes = (_FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls)))[2]
-    env = {"_str": encode_basestring, "_int": int.__repr__, "_scalar": _scalar}
+    env = {"_str": encode_basestring, "_int": int.__repr__, "_canonical": canonical}
     body = []
     for index, (name, omitted, _) in enumerate(sorted(writes)):
         hint, var = _unnulled(hints[name]), f"_{index}"
         if hint is str or hint is int:
-            text = f"_{hint.__name__}({var}) if type({var}) is {hint.__name__} else _scalar({var})"
+            text = f"_{hint.__name__}({var}) if type({var}) is {hint.__name__} else _canonical({var})"
         elif hint is bool:
-            text = f"_scalar({var})"
+            text = f'"false" if {var} is False else "true" if {var} is True else _canonical({var})'
         elif isinstance(hint, type) and issubclass(hint, Enum):
-            text = f"_scalar({var}.value)"
+            text = f"_canonical({var}.value)"
         else:
             raise TypeError(f"{cls.__name__}.{name}: no compiled JSON form for {hint!r}")
         body.append(f"{var} = _obj.{name}")

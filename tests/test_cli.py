@@ -208,13 +208,36 @@ class TestEvaluate:
             assert not (tmp_path / "r.json").exists()
 
     def test_unwritable_out_process_exit_two(self, scenario_dir, tmp_path):
-        """The status a shell sees, where an uncaught exception would exit 1."""
+        """The status a shell sees, where an uncaught exception would exit 1;
+        also for a stdout that cannot be written, where the system has one."""
         evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
         argv = ["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(tmp_path)]
         env = {**os.environ, "PYTHONPATH": str(Path(otcms.__file__).parents[1])}
         run = subprocess.run([sys.executable, "-m", "otcms.cli", *argv], capture_output=True, text=True, env=env)
         assert run.returncode == 2
         assert "Traceback" not in run.stderr
+        if Path("/dev/full").exists():
+            with open("/dev/full", "wb") as full:
+                argv[-1] = "-"
+                run = subprocess.run([sys.executable, "-m", "otcms.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env)
+            assert run.returncode == 2
+            assert run.stderr.decode().startswith("otcms: error: cannot write report -: ")
+            assert run.stderr.count(b"\n") == 1
+
+    def test_stdout_report_utf8_under_ascii_locale_process(self, scenario_dir, tmp_path):
+        """stdout carries the report's UTF-8 bytes whatever the locale, the bytes ``--out`` writes."""
+        evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+        first, second, *rest = evidence.read_text().split("\n")
+        line_2 = {**json.loads(second), "src_id": "caf\u00e9", "protocol": "Telnet"}
+        evidence.write_text("\n".join([first, json.dumps(line_2), *rest]))
+        argv = ["evaluate", "--evidence", str(evidence), "--context", str(context), "--generated-at", "0"]
+        env = {**os.environ, "PYTHONPATH": str(Path(otcms.__file__).parents[1]), "PYTHONIOENCODING": "ascii"}
+        run = subprocess.run([sys.executable, "-m", "otcms.cli", *argv], capture_output=True, env=env)
+        assert run.returncode == 1
+        assert b"Traceback" not in run.stderr
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 1
+        assert run.stdout == (tmp_path / "report.json").read_bytes()
+        assert "caf\u00e9".encode() in run.stdout
 
 
 MALFORMED_CONTEXT = {
@@ -558,16 +581,27 @@ class TestCatalog:
         assert "no issues" in capsys.readouterr().out
 
     def test_validate_corrupted_exit_one(self, tmp_path, capsys):
+        """Also an issue listing UTF-8 cannot encode: refused, and the catalog still invalid."""
         from otcms.catalog import default_catalog_path
 
-        data = json.loads(default_catalog_path().read_text())
-        data["frs"][0]["srs"][0]["bindings"].append(
-            {"attribute_id": "frobnicate", "kind": "traffic"}
-        )
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
-        assert main(["catalog", "validate", "--catalog", str(bad)]) == 1
-        assert "frobnicate" in capsys.readouterr().out
+        for attribute_id in ("frobnicate", "x\ud800"):
+            data = json.loads(default_catalog_path().read_text())
+            data["frs"][0]["srs"][0]["bindings"].append(
+                {"attribute_id": attribute_id, "kind": "traffic"}
+            )
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(data))
+            capsys.readouterr()
+            assert main(["catalog", "validate", "--catalog", str(bad)]) == 1
+            captured = capsys.readouterr()
+            if attribute_id == "frobnicate":
+                assert "frobnicate" in captured.out
+            else:
+                assert captured.err == (
+                    "otcms: error: cannot write catalog validate: "
+                    "it holds the lone surrogate \\ud800, which UTF-8 cannot encode\n"
+                )
+                assert captured.out == ""
 
     def test_list_lone_surrogate_exit_two(self, tmp_path, capsys):
         from otcms.catalog import default_catalog_path

@@ -186,11 +186,6 @@ class TestSessions:
         all_seqs = sorted(seq for s in sessions for seq in (e.seq for e in s.events))
         assert all_seqs == [e.seq for e in events]
 
-    def test_total_bytes(self):
-        events = [ev(seq=0, t=0, bytes=10), ev(seq=1, t=5, bytes=32)]
-        (session,) = assemble_sessions(events)
-        assert session.total_bytes == 42
-
     def test_determinism(self):
         events = [ev(seq=i, t=i * 100, src="a", dst="b") for i in range(20)]
         first = assemble_sessions(events, gap_ms=250)

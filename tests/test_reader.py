@@ -226,6 +226,7 @@ def test_writer_writes_constructed_events_as_json_dumps_does(changes, text):
         ({"port": True, "bytes": 1.5, "key_bits": False}, '"bytes":1.5,'),
         ({"tls_present": 1, "fragmented": None, "seq": -(2**80)}, '"seq":-1208925819614629174706176,'),
         ({"src_id": 'a"\\\u2028\u2029\x85\x00\u00e9', "timestamp": float("nan")}, '"timestamp":NaN'),
+        ({"port": [1, 2], "cipher_suite": {"b": 1, "a": "\u00e9"}}, '"cipher_suite":{"a":"\u00e9","b":1},'),
     ],
 )
 def test_writer_writes_each_value_by_its_own_type(changes, text):
