@@ -14,13 +14,13 @@ report renders it NotApplicable instead of claiming compliance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from enum import Enum
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Mapping
+from typing import Annotated, Mapping
 
 from otcms.jsonfield import from_json, loads, one_of, to_json
 
@@ -58,7 +58,7 @@ class AttributeBinding:
 
     attribute_id: str
     kind: AttributeKind
-    min_sl: int = field(default=1, metadata=one_of(*SL_LEVELS))
+    min_sl: Annotated[int, one_of(*SL_LEVELS)] = 1
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class RequirementEnhancement:
     """An SR add-on mandatory only from ``min_sl`` upward."""
 
     id: str
-    min_sl: int = field(metadata=one_of(*SL_LEVELS))
+    min_sl: Annotated[int, one_of(*SL_LEVELS)]
     bindings: tuple[AttributeBinding, ...] = ()
 
 

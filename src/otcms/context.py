@@ -14,6 +14,7 @@ import ipaddress
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 from otcms.catalog import SL_LEVELS, AttributeKind
 from otcms.evidence import IdScheme
@@ -53,7 +54,7 @@ class CommEntry:
 class RateLimit:
     """Sliding-window rate thresholds for one participant pair."""
 
-    window_ms: int = field(metadata=at_least(1))
+    window_ms: Annotated[int, at_least(1)]
     max_events_per_window: int | None = None
     max_bytes_per_window: int | None = None
 

@@ -20,9 +20,9 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import Annotated, BinaryIO, Iterable, Iterator, NamedTuple
 
-from otcms.jsonfield import at_least, from_json, one_of, unreadable, writer
+from otcms.jsonfield import at_least, from_json, one_of, reader, unreadable, within_depth, writer
 
 logger = logging.getLogger(__name__)
 
@@ -50,8 +50,7 @@ class IdScheme(str, Enum):
         raise ValueError(f"unknown identifier scheme {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class EvidenceEvent:
+class EvidenceEvent(NamedTuple):
     """One observed network communication record.
 
     The annotations are the evidence format: :func:`parse_evidence` reads
@@ -62,10 +61,14 @@ class EvidenceEvent:
     ``access_list_transfer`` to ``snapshot_transfer``, stand in for
     deep-payload parsing: adapters set them when the corresponding content
     was observed inside a packet payload.
+
+    An event is an immutable named tuple: it compares equal to the plain
+    tuple of its fields, and ``_replace`` derives a copy with some fields
+    changed.
     """
 
     seq: int
-    timestamp: int = field(metadata=at_least(0))  # milliseconds since epoch
+    timestamp: Annotated[int, at_least(0)]  # milliseconds since epoch
     src_id: str
     dst_id: str
     protocol: str
@@ -76,13 +79,13 @@ class EvidenceEvent:
     tls_present: bool | None = None
     cert_present: bool | None = None
     cipher_suite: str | None = None
-    key_bits: int | None = field(default=None, metadata=at_least(1))
+    key_bits: Annotated[int | None, at_least(1)] = None
     cleartext_password: str | None = None
-    auth_result: str | None = field(default=None, metadata=one_of("Success", "Failure"))
+    auth_result: Annotated[str | None, one_of("Success", "Failure")] = None
     session_id: str | None = None
     error_code: str | None = None
     fragmented: bool = False
-    bytes: int = field(default=0, metadata=at_least(0))
+    bytes: Annotated[int, at_least(0)] = 0
     direction_external: bool | None = None
     access_list_transfer: bool = False
     mobile_code: bool = False
@@ -125,38 +128,56 @@ def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEv
     """Parse a JSON Lines evidence stream into events in file order.
 
     ``seq`` is assigned 0..n-1 over the parsed events; any ``seq`` present
-    in the input is ignored. Each record goes through
-    :func:`~otcms.jsonfield.from_json`, whose reader compiled for
-    :class:`EvidenceEvent` builds the event; a record it refuses is read
-    again field by field, which names the refused field. One string memo
-    per call makes equal string values share one object across the stream.
+    in the input is ignored. Each line is decoded by the JSON scanner alone,
+    and its record built by the :func:`~otcms.jsonfield.reader` compiled for
+    :class:`EvidenceEvent`. A line that either refuses is read again by
+    :func:`_reread`, which words the refusal. One string memo per call makes
+    equal string values share one object across the stream.
 
     A line is malformed when its JSON is invalid or too large for Python's
     reader (nested too deeply, an integer of too many digits) or when its
-    record is refused. In strict mode a malformed line raises
-    :class:`EvidenceError` naming the line; in lenient mode it is skipped
-    with a warning.
+    record is refused; a refused record nested more than
+    :data:`~otcms.jsonfield.MAX_DEPTH` deep is refused as nested too deeply.
+    In strict mode a malformed line raises :class:`EvidenceError` naming the
+    line; in lenient mode it is skipped with a warning.
     """
     events: list[EvidenceEvent] = []
     strings: dict[str, str] = {}
+    read = reader(EvidenceEvent, "seq")
+    scan = json.JSONDecoder().scan_once
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            record = json.loads(stripped)
-        except (ValueError, RecursionError) as exc:
-            reason = f"invalid JSON ({unreadable(exc)})"
-        else:
-            try:
-                events.append(from_json(EvidenceEvent, record, EvidenceError, strings=strings, seq=len(events)))
+            record, end = scan(stripped, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        # ``strip`` removes JSON's whitespace too, so the scanner reads the whole line or the line is not JSON.
+        event = read(record, strings, seq=len(events)) if end == len(stripped) and type(record) is dict else None
+        if event is None:
+            event = _reread(stripped, strings, len(events))
+            if type(event) is str:
+                if strict:
+                    raise EvidenceError(f"line {line_no}: {event}")
+                logger.warning("skipping malformed evidence line %d: %s", line_no, event)
                 continue
-            except EvidenceError as exc:
-                reason = str(exc)
-        if strict:
-            raise EvidenceError(f"line {line_no}: {reason}") from None
-        logger.warning("skipping malformed evidence line %d: %s", line_no, reason)
+        events.append(event)
     return events
+
+
+def _reread(text: str, strings: dict[str, str], seq: int) -> EvidenceEvent | str:
+    """The event of the evidence line ``text``, read by ``json.loads`` and
+    :func:`~otcms.jsonfield.from_json`, or why the line is refused, in
+    their words."""
+    try:
+        record = within_depth(json.loads(text))
+    except (ValueError, RecursionError) as exc:
+        return f"invalid JSON ({unreadable(exc)})"
+    try:
+        return from_json(EvidenceEvent, record, EvidenceError, strings=strings, seq=seq)
+    except EvidenceError as exc:
+        return str(exc)
 
 
 def evidence_digest(data: bytes) -> str:

@@ -1,5 +1,5 @@
 """The one rule every JSON file is read and written by, derived from the
-dataclass each JSON object fills.
+dataclass or ``typing.NamedTuple`` each JSON object fills.
 
 A field's annotation names the JSON values it takes, by exact type, so
 ``true`` is never an integer and ``"false"`` never a boolean:
@@ -16,20 +16,22 @@ Null is accepted only where the field's default is null, and never for an
 object, which is either given or left out. An absent field
 takes its default, a field without one is required, and keys naming no
 field are ignored. :func:`at_least` and :func:`one_of` narrow a scalar
-field's values through its metadata. Every failure raises the error class
-the loader passes in, with the path to the value: ``rate_spec[0]: pair``,
-``frs[FR1]: srs[SR1.1]: bindings[0]: min_sl``. A slotted dataclass, read
-once per evidence line, gets a reader compiled for it on first use that
-applies the same rule and hands any record it refuses to the field-by-field
-walk, which words the failure.
+field's values as the metadata of its ``Annotated`` annotation. Every
+failure raises the error class the loader passes in, with the path to the
+value: ``rate_spec[0]: pair``, ``frs[FR1]: srs[SR1.1]: bindings[0]: min_sl``.
+A NamedTuple, read once per evidence line, gets a reader compiled for it on
+first use that applies the same rule and hands any record it refuses to the
+field-by-field walk, which words the failure. A text nesting lists and
+objects more than :data:`MAX_DEPTH` deep is refused as nested too deeply
+(see :func:`within_depth`).
 
 :func:`to_json` writes the same forms back under the same keys: an enum as
-its value, a frozenset as a sorted list, a tuple as a list, a dataclass as
-an object. A field that holds a null, false or enum default is left out,
-which :func:`from_json` restores from the absent key; every other field is
-written, other defaults included.
+its value, a frozenset as a sorted list, a tuple as a list, a dataclass or
+NamedTuple as an object. A field that holds a null, false or enum default
+is left out, which :func:`from_json` restores from the absent key; every
+other field is written, other defaults included.
 
-:func:`writer` compiles, once per dataclass of scalar fields, a function
+:func:`writer` compiles, once per class of scalar fields, a function
 giving the text ``canonical(to_json(obj))`` without building the dict: its
 keys are sorted when it is compiled, and a field holding its omitted default
 is left out by the same rule. A value of its field's type is written
@@ -173,14 +175,33 @@ def _check(value, spec: tuple):
 
 
 def unreadable(exc: ValueError | RecursionError) -> str:
-    """Why ``json.loads`` refused a text: its message for invalid JSON, or
-    the reader's limit that valid JSON exceeded (nesting depth, digits of
-    an integer)."""
+    """Why ``json.loads`` or :func:`within_depth` refused a text: its message
+    for invalid JSON, or the reader's limit that valid JSON exceeded (nesting
+    depth, digits of an integer)."""
     if isinstance(exc, json.JSONDecodeError):
         return exc.msg
     if isinstance(exc, RecursionError):
         return "nested too deeply"
     return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
+#: Levels of lists and objects a JSON value may nest, fixed well below
+#: Python's recursion limit so that a refused value can be quoted however
+#: deep the caller's stack is.
+MAX_DEPTH = 512
+
+
+def within_depth(value):
+    """The decoded JSON ``value``; raises RecursionError, as Python's reader
+    does past its own limit, if it nests lists and objects more than
+    :data:`MAX_DEPTH` deep. It walks one level at a time, never recursing."""
+    level = [value]
+    for _ in range(MAX_DEPTH + 1):
+        level = [held for held in level if type(held) is list or type(held) is dict]
+        if not level:
+            return value
+        level = [item for held in level for item in (held.values() if type(held) is dict else held)]
+    raise RecursionError("nested too deeply")
 
 
 def _unique(pairs: list[tuple[str, object]]) -> dict:
@@ -195,9 +216,10 @@ def _unique(pairs: list[tuple[str, object]]) -> dict:
 
 def loads(text: str, error: type[ValueError]):
     """The JSON value of the config text ``text``, in which no object may
-    repeat a key; a text refused raises ``error``, naming the line where it can."""
+    repeat a key or nest deeper than :data:`MAX_DEPTH`; a text refused raises
+    ``error``, naming the line where it can."""
     try:
-        return json.loads(text, object_pairs_hook=_unique)
+        return within_depth(json.loads(text, object_pairs_hook=_unique))
     except json.JSONDecodeError as exc:
         raise error(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except KeyError as exc:
@@ -222,18 +244,31 @@ def read(value, hint, error: type[ValueError], label: str):
 def _fields(cls: type) -> tuple[dict[str, tuple], frozenset[str], tuple[tuple, ...]]:
     """Per JSON key: (field name, its spec as :func:`_check` takes it); the
     names of required fields; and per field in order: (name, the default
-    left out or MISSING, write conversion or None)."""
-    hints = typing.get_type_hints(cls)
+    left out or MISSING, write conversion or None). ``cls`` is a dataclass
+    or a NamedTuple; a field annotated ``Annotated[X, check]`` is read as an
+    ``X`` that ``check`` then narrows."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    if is_dataclass(cls):  # a default factory is a default that is never left out
+        names = [f.name for f in fields(cls)]
+        defaults = {
+            f.name: f.default for f in fields(cls) if f.default is not MISSING or f.default_factory is not MISSING
+        }
+    else:
+        names, defaults = cls._fields, cls._field_defaults
     specs, required, writes = {}, set(), []
-    for f in fields(cls):
-        kinds, convert, what, write = _spec(hints[f.name])
-        if f.default is None and dict not in kinds:  # an object section is given or left out
+    for name in names:
+        hint, check = hints[name], None
+        if typing.get_origin(hint) is typing.Annotated:
+            hint, check = typing.get_args(hint)
+        kinds, convert, what, write = _spec(hint)
+        default = defaults.get(name, MISSING)
+        if default is None and dict not in kinds:  # an object section is given or left out
             kinds, what = (*kinds, _NULL), f"{what} or null"
-        elif f.default is MISSING and f.default_factory is MISSING:
-            required.add(f.name)
-        specs[f.name] = (f.name, (kinds, f.metadata.get("check", convert), what, None))
-        omit = f.default is None or f.default is False or isinstance(f.default, Enum)
-        writes.append((f.name, f.default if omit else MISSING, write))
+        elif name not in defaults:
+            required.add(name)
+        specs[name] = (name, (kinds, check or convert, what, None))
+        omit = default is None or default is False or isinstance(default, Enum)
+        writes.append((name, default if omit else MISSING, write))
     return specs, frozenset(required), tuple(writes)
 
 
@@ -242,27 +277,34 @@ _READERS: dict[tuple, typing.Callable | None] = {}
 
 
 def from_json(cls: type, raw, error: type[ValueError], *, strings: dict | None = None, **given):
-    """Build dataclass ``cls`` from the JSON object ``raw``; ``given`` fields
-    are passed as they are and their keys in ``raw`` ignored.
+    """Build dataclass or NamedTuple ``cls`` from the JSON object ``raw``;
+    ``given`` fields are passed as they are and their keys in ``raw`` ignored.
 
-    A slotted dataclass is read by a reader compiled for it and the names
-    of ``given`` on first use (see :func:`_compile`), which makes each
-    string value the equal one already in ``strings``: a caller reading
-    many records passes one dict to all, so equal values share one object.
-    A record that reader refuses, and every record of another class, is
-    read by :func:`_walk`, which words the failure.
+    A NamedTuple is read by its :func:`reader` for the names of ``given``,
+    which makes each string value the equal one already in ``strings``: a
+    caller reading many records passes one dict to all, so equal values
+    share one object. A record that reader refuses, and every record of a
+    dataclass, is read by :func:`_walk`, which words the failure.
     """
     if type(raw) is not dict:
         raise error(str(_wrong("an object", raw)))
-    key = (cls, *given)
-    reader = _READERS.get(key, MISSING)
-    if reader is MISSING:
-        reader = _READERS[key] = _compile(cls, key[1:])
-    if reader is not None:
-        made = reader(raw, {} if strings is None else strings, **given)
+    read = reader(cls, *given)
+    if read is not None:
+        made = read(raw, {} if strings is None else strings, **given)
         if made is not None:
             return made
     return _walk(cls, raw, error, given)
+
+
+def reader(cls: type, *given: str) -> typing.Callable | None:
+    """``read(raw, strings, **given)``, compiled on first use for the
+    NamedTuple ``cls`` and the field names ``given`` (see :func:`_compile`);
+    None for any other class."""
+    key = (cls, *given)
+    read = _READERS.get(key, MISSING)
+    if read is MISSING:
+        read = _READERS[key] = _compile(cls, given)
+    return read
 
 
 def _walk(cls: type, raw: dict, error: type[ValueError], given: dict):
@@ -288,75 +330,71 @@ def _walk(cls: type, raw: dict, error: type[ValueError], given: dict):
 
 
 def _compile(cls: type, given: tuple[str, ...]) -> typing.Callable | None:
-    """``reader(raw, strings, **given)`` for a slotted dataclass ``cls``
-    without ``__post_init__``, else None.
+    """``read(raw, strings, **given)`` for a NamedTuple ``cls``, else None.
 
     The reader makes the checks and conversions of :func:`_walk` on the
     dict ``raw``, field by field in a function written for ``cls``, and
-    returns None for any value they refuse. It sets each slot through its
-    descriptor on ``object.__new__(cls)``, so a frozen class stays frozen
-    to callers without paying for its ``__init__``, and passes each
-    ``str`` field's value through ``strings.setdefault``.
+    returns None for any value they refuse. It passes each ``str`` field's
+    value through ``strings.setdefault`` and builds the event with one
+    ``tuple.__new__(cls, values)``, without the argument handling of the
+    class's own ``__new__``.
     """
-    if "__slots__" not in vars(cls) or hasattr(cls, "__post_init__"):
+    if not (issubclass(cls, tuple) and hasattr(cls, "_field_defaults")):
         return None
     specs = (_FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls)))[0]
     hints = typing.get_type_hints(cls)
-    env = {"_new": object.__new__, "_cls": cls, "_M": MISSING}
-    body = []
-    for f in fields(cls):
-        name = f.name
-        env[f"_set_{name}"] = vars(cls)[name].__set__
+    env = {"_new": tuple.__new__, "_cls": cls, "_M": MISSING}
+    body, values = [], []
+    for index, name in enumerate(cls._fields):
         if name in given:
-            body.append(f"_set_{name}(_obj, {name})")
+            values.append(name)
             continue
+        var = f"_{index}"
+        values.append(var)
         kinds, convert, _, _ = specs[name][1]
         hint = _unnulled(hints[name])
         nullable = _NULL in kinds
         kinds = tuple(kind for kind in kinds if kind is not _NULL)
-        env[f"_k_{name}"] = kinds[0] if len(kinds) == 1 else kinds
-        steps = [f"if type(_v) {'is not' if len(kinds) == 1 else 'not in'} _k_{name}: return None"]
+        env[f"_k{index}"] = kinds[0] if len(kinds) == 1 else kinds
+        steps = [f"if type({var}) {'is not' if len(kinds) == 1 else 'not in'} _k{index}: return None"]
         if convert is not None:
-            env[f"_convert_{name}"] = convert
-            if isinstance(hint, type) and issubclass(hint, Enum) and "check" not in f.metadata:
+            env[f"_convert{index}"] = convert
+            if isinstance(hint, type) and issubclass(hint, Enum) and convert is _spec(hint)[1]:
                 # The enum's conversion, with its common case, a member's value, inlined.
-                env[f"_members_{name}"] = {member.value: member for member in hint}
-                steps.append(f"_v = _members_{name}.get(_v) or _convert_{name}(_v)")
+                env[f"_members{index}"] = {member.value: member for member in hint}
+                steps.append(f"{var} = _members{index}.get({var}) or _convert{index}({var})")
             else:
-                steps.append(f"_v = _convert_{name}(_v)")
+                steps.append(f"{var} = _convert{index}({var})")
         if hint is str:
-            steps.append("_v = _intern(_v, _v)")
-        default = f.default_factory if f.default is MISSING else f.default
-        env[f"_d_{name}"] = default
+            steps.append(f"{var} = _intern({var}, {var})")
+        default = cls._field_defaults.get(name, MISSING)
         if nullable:  # the default is null: absent and null read alike
-            body += [f"_v = _get({name!r})", "if _v is not None:", *(f"    {step}" for step in steps)]
+            body += [f"{var} = _get({name!r})", f"if {var} is not None:", *(f"    {step}" for step in steps)]
         elif default is MISSING:  # required: the missing marker fails the type test
-            body += [f"_v = _get({name!r}, _M)", *steps]
+            body += [f"{var} = _get({name!r}, _M)", *steps]
         else:
-            call = "()" if f.default is MISSING else ""
-            body += [f"_v = _get({name!r}, _M)", f"if _v is _M: _v = _d_{name}{call}", "else:"]
+            env[f"_d{index}"] = default
+            body += [f"{var} = _get({name!r}, _M)", f"if {var} is _M: {var} = _d{index}", "else:"]
             body += [f"    {step}" for step in steps]
-        body.append(f"_set_{name}(_obj, _v)")
     params = ", ".join(["_raw", "_strings", *(["*", *given] if given else [])])
     source = "\n".join([
         f"def read({params}):",
         "    _get = _raw.get",
         "    _intern = _strings.setdefault",
-        "    _obj = _new(_cls)",
         "    try:",
         *(f"        {line}" for line in body),
         "    except ValueError:",
         "        return None",
-        "    return _obj",
+        f"    return _new(_cls, ({', '.join(values)},))",
     ])
     exec(source, env)
     return env["read"]
 
 
 def to_json(obj) -> dict:
-    """The JSON object form of dataclass instance ``obj``, the inverse of
-    :func:`from_json`: a field holding a null, false or enum default is left
-    out."""
+    """The JSON object form of dataclass or NamedTuple instance ``obj``, the
+    inverse of :func:`from_json`: a field holding a null, false or enum
+    default is left out."""
     cls = type(obj)
     record = {}
     for name, omitted, write in (_FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls)))[2]:
@@ -369,7 +407,7 @@ def to_json(obj) -> dict:
 @cache
 def writer(cls: type) -> typing.Callable[[object], str]:
     """``write(obj)``: the :func:`canonical` text of :func:`to_json` for an
-    instance of dataclass ``cls``, from a function written for ``cls`` (see
+    instance of class ``cls``, from a function written for ``cls`` (see
     the module docstring); a field annotated other than ``str``, ``int``,
     ``bool`` or an enum, alone or with null, raises TypeError here."""
     hints = typing.get_type_hints(cls)
@@ -404,23 +442,23 @@ def writer(cls: type) -> typing.Callable[[object], str]:
     return env["write"]
 
 
-def at_least(low: int) -> dict:
-    """Field metadata admitting only integers from ``low`` up."""
+def at_least(low: int) -> typing.Callable:
+    """``Annotated`` metadata of a field admitting only integers from ``low`` up."""
 
     def check(value: int) -> int:
         if value < low:
             raise _wrong(f"at least {low}", value)
         return value
 
-    return {"check": check}
+    return check
 
 
-def one_of(*allowed) -> dict:
-    """Field metadata admitting only the values ``allowed``."""
+def one_of(*allowed) -> typing.Callable:
+    """``Annotated`` metadata of a field admitting only the values ``allowed``."""
 
     def check(value):
         if value not in allowed:
             raise _wrong("one of " + ", ".join(map(str, allowed)), value)
         return value
 
-    return {"check": check}
+    return check

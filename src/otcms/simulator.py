@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Annotated, Callable
 
 from otcms.catalog import SL_LEVELS, Catalog, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
@@ -88,7 +88,7 @@ class TrafficPattern:
     rate_per_s: float = 1.0
     port: int | None = None
     session_id: str | None = None
-    flavor: str = field(default="data", metadata=one_of("data", "process", "auth"))
+    flavor: Annotated[str, one_of("data", "process", "auth")] = "data"
 
 
 @dataclass(frozen=True)

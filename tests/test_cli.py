@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -152,7 +151,7 @@ class TestEvaluate:
     def test_unicode_line_breaks_inside_strings_evaluated(self, scenario_dir, tmp_path, char, lenient):
         evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
         events = load_evidence(evidence)
-        intruder = dataclasses.replace(events[0], seq=len(events), src_id=f"plc{char}a", protocol="Telnet")
+        intruder = events[0]._replace(seq=len(events), src_id=f"plc{char}a", protocol="Telnet")
         write_evidence([*events, intruder], evidence)
         out = tmp_path / "report.json"
         code = main(["evaluate", "--evidence", str(evidence), "--context", str(context),
@@ -351,6 +350,43 @@ def test_refused_value_quoted_short(scenario_dir, tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert f"otcms: error: {evidence}: line 2: port: expected an integer or null, got " in err
     assert err.rstrip().endswith("...") and len(err) < len(str(evidence)) + 200
+
+
+def _at_stack_depth(frames: int, call):
+    """``call()``, made ``frames`` Python frames deeper than the caller."""
+    return call() if frames == 0 else _at_stack_depth(frames - 1, call)
+
+
+def _frames_left() -> int:
+    """Python frames the recursion limit leaves above the caller's."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return sys.getrecursionlimit() - depth
+
+
+@pytest.mark.parametrize("frames", [0, 100], ids=["direct", "deeper_stack"])
+@pytest.mark.parametrize("file", ["evidence", "context"])
+def test_value_nested_near_the_recursion_limit_exit_two_nested_too_deeply(scenario_dir, tmp_path, capsys, frames, file):
+    """Depths just below the frames Python's recursion limit leaves, where
+    quoting a refused value once raised RecursionError (exit 1), are refused
+    in the decoder's words, however deep the stack ``main`` runs from."""
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    record = {"timestamp": 5, "src_id": "a", "dst_id": "b", "protocol": "MQTT"}
+    sections = json.loads(context.read_text())
+    argv = ["evaluate", "--evidence", str(evidence), "--context", str(context)]
+    room = _frames_left() - frames
+    for depth in range(room - 50, room + 10):
+        nested = JsonText("[" * depth + "]" * depth)
+        if file == "evidence":
+            evidence.write_text(dumps({**record, "port": nested}) + "\n")
+            expected = f"otcms: error: {evidence}: line 1: invalid JSON (nested too deeply)\n"
+        else:
+            context.write_text(dumps({**sections, "zone_map": {"10.0.1.10": nested}}))
+            expected = f"otcms: error: cannot load context {context}: invalid JSON: nested too deeply\n"
+        capsys.readouterr()
+        assert _at_stack_depth(frames, lambda: main(argv)) == 2, depth
+        assert capsys.readouterr().err == expected, depth
 
 
 @pytest.mark.parametrize("field", sorted(MALFORMED_EVIDENCE))

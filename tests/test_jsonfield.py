@@ -7,7 +7,7 @@ written object back to an equal dataclass.
 """
 
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 
 import pytest
@@ -18,20 +18,26 @@ from otcms.jsonfield import from_json, to_json
 from otcms.simulator import GroundTruth, Injection, default_scenario, generate_scenario
 
 
+def defaults(obj) -> dict:
+    """Each field of dataclass or NamedTuple ``obj`` by name: its default, or MISSING."""
+    if is_dataclass(obj):
+        return {f.name: f.default for f in fields(obj)}
+    return {name: obj._field_defaults.get(name, MISSING) for name in obj._fields}
+
+
 def left_out(obj) -> set[str]:
     """The fields of ``obj`` that hold a null, false or enum default."""
     return {
-        f.name
-        for f in fields(obj)
-        if (f.default is None or f.default is False or isinstance(f.default, Enum))
-        and getattr(obj, f.name) is f.default
+        name
+        for name, default in defaults(obj).items()
+        if (default is None or default is False or isinstance(default, Enum)) and getattr(obj, name) is default
     }
 
 
 def assert_written_by_rule(obj, data: dict) -> None:
     """``data`` holds exactly the fields of ``obj`` the rule writes, and so
     does every dataclass nested in it."""
-    assert set(data) == {f.name for f in fields(obj)} - left_out(obj), type(obj).__name__
+    assert set(data) == set(defaults(obj)) - left_out(obj), type(obj).__name__
     for name, value in data.items():
         held = getattr(obj, name)
         if is_dataclass(held):

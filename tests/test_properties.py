@@ -1,7 +1,7 @@
 """Property-based checks over the engine's core invariants."""
 
 import json
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import product
 
 from hypothesis import given, settings
@@ -313,7 +313,7 @@ FULL_RECORD = {
 
 
 @settings(max_examples=300, deadline=None)
-@given(key=st.sampled_from([f.name for f in fields(EvidenceEvent)]), value=json_values)
+@given(key=st.sampled_from(EvidenceEvent._fields), value=json_values)
 def test_any_json_in_an_evidence_field_parses_or_raises_evidence_error(key, value):
     """An evidence field holding any JSON value either parses into an event
     the detectors run on, or fails with EvidenceError (exit 2 on the CLI)."""
@@ -321,7 +321,7 @@ def test_any_json_in_an_evidence_field_parses_or_raises_evidence_error(key, valu
         (event,) = parse_evidence([json.dumps({**FULL_RECORD, key: value})])
     except EvidenceError:
         return
-    events = [*SAMPLE_EVENTS, replace(event, seq=len(SAMPLE_EVENTS))]
+    events = [*SAMPLE_EVENTS, event._replace(seq=len(SAMPLE_EVENTS))]
     run_detectors(events, assemble_sessions(events), default_context())
 
 

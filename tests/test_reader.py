@@ -1,24 +1,22 @@
-"""The reader ``jsonfield`` compiles for a slotted dataclass, against the
+"""The reader ``jsonfield`` compiles for a NamedTuple, against the
 field-by-field walk it falls back to, and the evidence parse built on it;
 and the writer it compiles, against ``json.dumps`` of ``to_json``."""
 
-import dataclasses
 import gc
 import json
 import tracemalloc
 import typing
-from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otcms import jsonfield
 from otcms.evidence import EvidenceError, EvidenceEvent, IdScheme, load_evidence, parse_evidence, write_evidence
 from otcms.jsonfield import from_json
 
-NAMES = [f.name for f in fields(EvidenceEvent)]
+NAMES = list(EvidenceEvent._fields)
 BASE = {"timestamp": 5, "src_id": "10.0.1.10", "dst_id": "10.0.2.20", "protocol": "MQTT"}
 
 # Values each field takes, values of a neighbouring type, and values on the
@@ -72,10 +70,11 @@ def test_compiled_reader_accepts_and_refuses_what_the_walk_does(raw, given_seq):
         assert typed(from_json(EvidenceEvent, raw, EvidenceError, **given)) == expected
 
 
-def test_only_a_slotted_class_gets_a_reader():
+def test_only_a_named_tuple_gets_a_reader():
     from otcms.context import ContextSpec
 
     assert jsonfield._compile(ContextSpec, ()) is None
+    assert jsonfield._compile(tuple, ()) is None
     assert jsonfield._compile(EvidenceEvent, ("seq",)) is not None
 
 
@@ -107,10 +106,11 @@ def test_parsed_event_is_frozen_and_equal_to_a_constructed_one(record):
     )
     assert event == built and hash(event) == hash(built)
     assert typed(event) == typed(built)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         event.port = 1
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         del event.protocol
+    assert event.port == record.get("port") and event.protocol == record["protocol"]
 
 
 def test_equal_strings_share_one_object_within_a_parse():
@@ -148,7 +148,7 @@ def test_streamed_read_peaks_near_what_its_events_retain(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak - retained < 2**20
-    assert retained / len(events) <= 450
+    assert retained / len(events) <= 420  # 380 B measured with CPython 3.11
 
 
 write = jsonfield.writer(EvidenceEvent)
@@ -216,7 +216,7 @@ def test_writer_writes_read_events_as_json_dumps_does(raw, seq):
 def test_writer_writes_constructed_events_as_json_dumps_does(changes, text):
     """Events built through the constructor, any field holding a value of any scalar type."""
     (full,) = parse_evidence([json.dumps(FULL)])
-    event = dataclasses.replace(full, **{"src_id": text, **changes})
+    event = full._replace(**{"src_id": text, **changes})
     assert_written_alike(event)
 
 
@@ -231,7 +231,7 @@ def test_writer_writes_constructed_events_as_json_dumps_does(changes, text):
 )
 def test_writer_writes_each_value_by_its_own_type(changes, text):
     (full,) = parse_evidence([json.dumps(FULL)])
-    event = dataclasses.replace(full, **changes)
+    event = full._replace(**changes)
     assert text in write(event) and "True" not in write(event)
     assert_written_alike(event)
 
@@ -241,3 +241,92 @@ def test_writer_refuses_a_field_that_is_no_scalar_when_compiled():
 
     with pytest.raises(TypeError, match="no compiled JSON form"):
         jsonfield.writer(ContextSpec)
+
+
+# Whitespace ``str.strip`` removes from the ends of a line, JSON's own and
+# more (form feed, U+2028, U+3000), and a BOM, which it keeps.
+ENDS = st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x1f\x85\xa0\u2028\u2029\u3000\ufeff", max_size=3)
+# Value texts ``json.dumps`` never writes for an event field, placed raw.
+RAW_VALUES = st.sampled_from(["NaN", "-Infinity", "9" * 4301, "-0", "1e999", '"\\ud800"', "[" * 40 + "]" * 40])
+# Text after a whole value: JSON's own whitespace, another value, or a stray character.
+TRAILING = st.sampled_from(["x", "}", " 1", "{}", ",", "\x00", " \t", '"'])
+
+
+@st.composite
+def evidence_lines(draw) -> str:
+    """A record's line, often broken: cut short, trailed, given a raw value or a repeated key."""
+    raw = draw(st.one_of(records, accepted_records))
+    text = json.dumps(raw, ensure_ascii=draw(st.booleans()), allow_nan=True)
+    change = draw(st.sampled_from(["none", "raw_value", "repeated_key", "truncated", "trailing"]))
+    if change == "raw_value" or change == "repeated_key":
+        key = draw(st.sampled_from(NAMES))
+        value = draw(RAW_VALUES) if change == "raw_value" else json.dumps(raw.get(key, "repeated"))
+        text = text[:-1] + (", " if raw else "") + f"{json.dumps(key)}: {value}}}"
+    elif change == "truncated":
+        text = text[: draw(st.integers(min_value=0, max_value=len(text) - 1))]
+    elif change == "trailing":
+        text += draw(TRAILING)
+    return draw(ENDS) + text + draw(ENDS)
+
+
+def loaded(line: str):
+    """``line`` parsed as ``json.loads`` and the field-by-field walk read it:
+    no event, the event's typed fields, or the refusal's text."""
+    stripped = line.strip()
+    if not stripped:
+        return []
+    try:
+        record = json.loads(stripped)
+    except (ValueError, RecursionError) as exc:
+        return f"line 1: invalid JSON ({jsonfield.unreadable(exc)})"
+    if type(record) is not dict:
+        return f"line 1: expected an object, got {jsonfield.quoted(json.dumps(record))}"
+    try:
+        return [typed(jsonfield._walk(EvidenceEvent, record, EvidenceError, {"seq": 0}))]
+    except EvidenceError as exc:
+        return f"line 1: {exc}"
+
+
+@settings(max_examples=800, deadline=None)
+@given(line=evidence_lines())
+@example(line="\ufeff" + json.dumps(BASE))
+@example(line="\x0c" + json.dumps(BASE) + "\u2028")
+@example(line=json.dumps(BASE) + " x")
+@example(line=json.dumps(BASE)[:-1] + ', "port": NaN}')
+@example(line=json.dumps(BASE)[:-1] + ', "port": ' + "9" * 4301 + "}")
+@example(line=json.dumps(BASE)[:-1] + ', "protocol": "S7"}')
+@example(line="[1, 2]")
+@example(line='"\\u2028"')
+def test_scanned_line_parses_as_json_loads_reads_it(line):
+    """The evidence parse, which decodes each line with the JSON scanner
+    alone, gives what ``json.loads`` and the walk give: the same event, or
+    the same refusal in the same words."""
+    try:
+        parsed = list(map(typed, parse_evidence([line])))
+    except EvidenceError as exc:
+        parsed = str(exc)
+    assert parsed == loaded(line)
+
+
+@pytest.mark.parametrize(
+    "depth, refusal",
+    [
+        (jsonfield.MAX_DEPTH - 1, "port: expected an integer or null, got [[["),
+        (jsonfield.MAX_DEPTH, "invalid JSON (nested too deeply)"),
+    ],
+    ids=["at_the_limit", "past_the_limit"],
+)
+def test_refused_record_past_the_depth_limit_refused_as_nested_too_deeply(depth, refusal):
+    """A record nesting ``MAX_DEPTH`` levels (its ``port`` one fewer) is
+    refused by its field; one level more, as nested too deeply."""
+    line = json.dumps(BASE)[:-1] + ', "port": ' + "[" * depth + "]" * depth + "}"
+    with pytest.raises(EvidenceError) as refused:
+        parse_evidence([line])
+    assert str(refused.value).startswith(f"line 1: {refusal}")
+
+
+def test_config_text_past_the_depth_limit_refused_as_nested_too_deeply():
+    limit = jsonfield.MAX_DEPTH
+    assert jsonfield.loads("[" * limit + "1" + "]" * limit, ValueError)
+    with pytest.raises(ValueError, match="^invalid JSON: nested too deeply$"):
+        jsonfield.loads("[" * (limit + 1) + "]" * (limit + 1), ValueError)
