@@ -55,8 +55,8 @@ class RateLimit:
     """Sliding-window rate thresholds for one participant pair."""
 
     window_ms: Annotated[int, at_least(1)]
-    max_events_per_window: int | None = None
-    max_bytes_per_window: int | None = None
+    max_events_per_window: Annotated[int | None, at_least(0)] = None
+    max_bytes_per_window: Annotated[int | None, at_least(0)] = None
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class PasswordPolicy:
 @dataclass(frozen=True)
 class CryptoPolicy:
     approved_suites: frozenset[str] = frozenset()
-    min_key_bits: int = 128
+    min_key_bits: Annotated[int, at_least(0)] = 128
     min_protocol_versions: dict[str, str] = field(default_factory=dict, hash=False)
 
 
@@ -105,7 +105,7 @@ class ContextSpec:
     max_failed_attempts: int | None = None
     session_max_ms: int = DEFAULT_SESSION_MAX_MS
     crypto_policy: CryptoPolicy | None = None
-    p2p_bandwidth_limit_bytes_per_s: int | None = None
+    p2p_bandwidth_limit_bytes_per_s: Annotated[int | None, at_least(0)] = None
 
     def __post_init__(self) -> None:
         for zone, target in self.zone_sl_target.items():

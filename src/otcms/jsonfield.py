@@ -409,22 +409,29 @@ def writer(cls: type) -> typing.Callable[[object], str]:
     """``write(obj)``: the :func:`canonical` text of :func:`to_json` for an
     instance of class ``cls``, from a function written for ``cls`` (see
     the module docstring); a field annotated other than ``str``, ``int``,
-    ``bool`` or an enum, alone or with null, raises TypeError here."""
+    ``bool`` or an enum, alone or with null, raises TypeError here.
+
+    A NamedTuple's fields are read by one unpacking, a dataclass's one
+    attribute at a time. An enum field holding a member of its own enum is
+    written from a table of each member's text, made here."""
     hints = typing.get_type_hints(cls)
     writes = (_FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls)))[2]
     env = {"_str": encode_basestring, "_int": int.__repr__, "_canonical": canonical}
-    body = []
-    for index, (name, omitted, _) in enumerate(sorted(writes)):
+    unpacked = not is_dataclass(cls)
+    body = [f"({', '.join(f'_{index}' for index in range(len(writes)))},) = _obj"] if unpacked else []
+    for index, (name, omitted, _) in sorted(enumerate(writes), key=lambda item: item[1][0]):
         hint, var = _unnulled(hints[name]), f"_{index}"
         if hint is str or hint is int:
             text = f"_{hint.__name__}({var}) if type({var}) is {hint.__name__} else _canonical({var})"
         elif hint is bool:
             text = f'"false" if {var} is False else "true" if {var} is True else _canonical({var})'
         elif isinstance(hint, type) and issubclass(hint, Enum):
-            text = f"_canonical({var}.value)"
+            env[f"_t{index}"], env[f"_e{index}"] = hint, {member: canonical(member.value) for member in hint}
+            text = f"_e{index}[{var}] if type({var}) is _t{index} else _canonical({var}.value)"
         else:
             raise TypeError(f"{cls.__name__}.{name}: no compiled JSON form for {hint!r}")
-        body.append(f"{var} = _obj.{name}")
+        if not unpacked:
+            body.append(f"{var} = _obj.{name}")
         append = f"_append({encode_basestring(name) + ':'!r} + ({text}))"
         if omitted is MISSING:
             body.append(append)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -282,6 +283,82 @@ def test_malformed_context_exit_two(scenario_dir, tmp_path, capsys, case):
     capsys.readouterr()
     assert main(["evaluate", "--evidence", str(evidence), "--context", str(context)]) == 2
     assert "otcms: error: cannot load context" in capsys.readouterr().err
+
+
+NEGATIVE_THRESHOLD = {
+    "rate_spec[0]: max_events_per_window": lambda ctx, value: ctx["rate_spec"][0].update(max_events_per_window=value),
+    "rate_spec[0]: max_bytes_per_window": lambda ctx, value: ctx["rate_spec"][0].update(max_bytes_per_window=value),
+    "crypto_policy: min_key_bits": lambda ctx, value: ctx["crypto_policy"].update(min_key_bits=value),
+    "p2p_bandwidth_limit_bytes_per_s": lambda ctx, value: ctx.update(p2p_bandwidth_limit_bytes_per_s=value),
+}
+
+
+@pytest.mark.parametrize("value", [-1, 0])
+@pytest.mark.parametrize("path", sorted(NEGATIVE_THRESHOLD))
+def test_negative_context_threshold_exit_two_naming_it(scenario_dir, tmp_path, capsys, path, value):
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    data = json.loads(context.read_text())
+    NEGATIVE_THRESHOLD[path](data, value)
+    context.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    if value < 0:
+        assert code == 2
+        assert err == f"otcms: error: cannot load context {context}: {path}: expected at least 0, got {value}\n"
+    else:
+        assert code in (0, 1) and "error" not in err
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_collector_paused_for_the_command_and_left_as_found(scenario_dir, tmp_path, monkeypatch, collecting):
+    import otcms.cli
+
+    runs = []
+    for name in ("baseline", "weak"):
+        evidence, context = simulate(scenario_dir / f"{name}.json", tmp_path / name)
+        runs.append(["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(tmp_path / "r")])
+    runs.append(["evaluate", "--evidence", str(tmp_path / "none.jsonl"), "--context", str(context)])
+    seen = []
+    evaluate = otcms.cli.run_evaluation
+
+    def watched(*args, **kwargs):
+        seen.append(gc.isenabled())
+        if len(seen) > 2:
+            raise RuntimeError("failed inside the command")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(otcms.cli, "run_evaluation", watched)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert [main(argv) for argv in runs] == [0, 1, 2]
+        assert gc.isenabled() is collecting
+        with pytest.raises(RuntimeError):
+            main(runs[0])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False, False]
+
+
+def test_collector_pause_holds_no_garbage_growing_with_the_stream(tmp_path):
+    """What one evaluate leaves for the collector is the same few hundred
+    objects at 100 events, at 10,000, and at 100 after 1,000 lines skipped."""
+    scenario = tmp_path / "long.json"
+    scenario.write_text(json.dumps(scenario_to_dict(default_scenario(name="long", seed=1, duration_ms=4_500_000))))
+    evidence, context = simulate(scenario, tmp_path / "sim")
+    events = load_evidence(evidence)
+    assert len(events) >= 10_000
+    found = []
+    for count, bad_lines in ((100, 0), (10_000, 0), (100, 1_000)):
+        write_evidence(events[:count], evidence)
+        evidence.write_text("garbage\n" * bad_lines + evidence.read_text())
+        gc.collect()
+        main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(tmp_path / "r.json"),
+              "--lenient"])
+        found.append(gc.collect())
+    assert len(set(found)) == 1 and found[0] < 1_000
 
 
 MALFORMED_SCENARIO = {

@@ -6,6 +6,7 @@ import gc
 import json
 import tracemalloc
 import typing
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otcms import jsonfield
+from otcms.detectors import Severity
 from otcms.evidence import EvidenceError, EvidenceEvent, IdScheme, load_evidence, parse_evidence, write_evidence
 from otcms.jsonfield import from_json
 
@@ -234,6 +236,35 @@ def test_writer_writes_each_value_by_its_own_type(changes, text):
     event = full._replace(**changes)
     assert text in write(event) and "True" not in write(event)
     assert_written_alike(event)
+
+
+@pytest.mark.parametrize("field", ["id_scheme_src", "id_scheme_dst"])
+@pytest.mark.parametrize("scheme", list(IdScheme), ids=lambda scheme: scheme.name)
+def test_writer_writes_every_scheme_member_as_json_dumps_does(field, scheme):
+    (full,) = parse_evidence([json.dumps(FULL)])
+    event = full._replace(**{field: scheme})
+    assert write(event) == dumped(event)
+    assert (f'"{field}":"{scheme.value}"' in write(event)) is (scheme is not IdScheme.OTHER)
+
+
+class Plain(Enum):
+    IP = "IP"
+
+
+@pytest.mark.parametrize("field", ["id_scheme_src", "id_scheme_dst"])
+@pytest.mark.parametrize("value", ["IP", "Other", Plain.IP, Severity.VIOLATION], ids=repr)
+def test_writer_writes_a_scheme_field_holding_no_scheme_member_as_to_json_does(field, value):
+    """A string equal to a member, or another enum's member, is not written from the member table."""
+    (full,) = parse_evidence([json.dumps(FULL)])
+    event = full._replace(**{field: value})
+    if isinstance(value, Enum):
+        assert write(event) == dumped(event)
+        assert f'"{field}":"{value.value}"' in write(event)
+    else:  # a string has no ``value``: both ways of writing refuse it alike
+        with pytest.raises(AttributeError):
+            jsonfield.to_json(event)
+        with pytest.raises(AttributeError):
+            write(event)
 
 
 def test_writer_refuses_a_field_that_is_no_scalar_when_compiled():
