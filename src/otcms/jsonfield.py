@@ -31,16 +31,17 @@ NamedTuple as an object. A field that holds a null, false or enum default
 is left out, which :func:`from_json` restores from the absent key; every
 other field is written, other defaults included.
 
-:func:`writer` compiles, once per class of scalar fields, a function
+:func:`writer` compiles, once per NamedTuple of scalar fields, a function
 giving the text ``canonical(to_json(obj))`` without building the dict: its
 keys are sorted when it is compiled, and a field holding its omitted default
 is left out by the same rule. A value of its field's type is written
 directly: a ``str`` by ``json.encoder.encode_basestring``, an ``int`` by
-``int.__repr__``, a ``bool`` as ``true`` or ``false``, an enum member as its
-value. Any other value is written by :func:`canonical`, so ``port=True``
-writes ``true``, and one it cannot write raises its TypeError. A field
-annotated other than ``str``, ``int``, ``bool`` or an enum, each alone or
-with null, raises TypeError when the writer is compiled.
+``int.__repr__``, a ``bool`` as ``true`` or ``false``, a member of the
+field's enum as its value's text. Any other value is written by
+:func:`canonical`, so ``port=True`` writes ``true``, and one it cannot write
+raises its TypeError. A class that is no NamedTuple, or a field annotated
+other than ``str``, ``int``, ``bool`` or an enum, each alone or with null,
+raises TypeError when the writer is compiled.
 """
 
 from __future__ import annotations
@@ -329,6 +330,11 @@ def _walk(cls: type, raw: dict, error: type[ValueError], given: dict):
     return cls(**values)
 
 
+def _named_tuple(cls: type) -> bool:
+    """Whether ``cls`` is a NamedTuple class."""
+    return issubclass(cls, tuple) and hasattr(cls, "_field_defaults")
+
+
 def _compile(cls: type, given: tuple[str, ...]) -> typing.Callable | None:
     """``read(raw, strings, **given)`` for a NamedTuple ``cls``, else None.
 
@@ -339,7 +345,7 @@ def _compile(cls: type, given: tuple[str, ...]) -> typing.Callable | None:
     ``tuple.__new__(cls, values)``, without the argument handling of the
     class's own ``__new__``.
     """
-    if not (issubclass(cls, tuple) and hasattr(cls, "_field_defaults")):
+    if not _named_tuple(cls):
         return None
     specs = (_FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls)))[0]
     hints = typing.get_type_hints(cls)
@@ -407,18 +413,20 @@ def to_json(obj) -> dict:
 @cache
 def writer(cls: type) -> typing.Callable[[object], str]:
     """``write(obj)``: the :func:`canonical` text of :func:`to_json` for an
-    instance of class ``cls``, from a function written for ``cls`` (see
-    the module docstring); a field annotated other than ``str``, ``int``,
-    ``bool`` or an enum, alone or with null, raises TypeError here.
+    instance of the NamedTuple ``cls``, from a function written for ``cls``
+    (see the module docstring); any other class, or a field annotated other
+    than ``str``, ``int``, ``bool`` or an enum, alone or with null, raises
+    TypeError here.
 
-    A NamedTuple's fields are read by one unpacking, a dataclass's one
-    attribute at a time. An enum field holding a member of its own enum is
-    written from a table of each member's text, made here."""
+    The function reads every field with one unpacking, and writes a member
+    of an enum field's own enum from a table of each member's text, made
+    here."""
+    if not _named_tuple(cls):
+        raise TypeError(f"{cls.__name__}: no compiled JSON form for a class that is no NamedTuple")
     hints = typing.get_type_hints(cls)
     writes = (_FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls)))[2]
     env = {"_str": encode_basestring, "_int": int.__repr__, "_canonical": canonical}
-    unpacked = not is_dataclass(cls)
-    body = [f"({', '.join(f'_{index}' for index in range(len(writes)))},) = _obj"] if unpacked else []
+    body = [f"({', '.join(f'_{index}' for index in range(len(writes)))},) = _obj"]
     for index, (name, omitted, _) in sorted(enumerate(writes), key=lambda item: item[1][0]):
         hint, var = _unnulled(hints[name]), f"_{index}"
         if hint is str or hint is int:
@@ -430,8 +438,6 @@ def writer(cls: type) -> typing.Callable[[object], str]:
             text = f"_e{index}[{var}] if type({var}) is _t{index} else _canonical({var}.value)"
         else:
             raise TypeError(f"{cls.__name__}.{name}: no compiled JSON form for {hint!r}")
-        if not unpacked:
-            body.append(f"{var} = _obj.{name}")
         append = f"_append({encode_basestring(name) + ':'!r} + ({text}))"
         if omitted is MISSING:
             body.append(append)

@@ -274,6 +274,23 @@ def test_writer_refuses_a_field_that_is_no_scalar_when_compiled():
         jsonfield.writer(ContextSpec)
 
 
+class Listed(typing.NamedTuple):
+    name: str
+    tags: tuple[str, ...] = ()
+
+
+def test_writer_refuses_a_named_tuple_field_that_is_no_scalar_when_compiled():
+    with pytest.raises(TypeError, match="Listed.tags: no compiled JSON form"):
+        jsonfield.writer(Listed)
+
+
+def test_writer_refuses_a_dataclass_of_scalar_fields_when_compiled():
+    from otcms.context import RateLimit
+
+    with pytest.raises(TypeError, match="RateLimit: no compiled JSON form for a class that is no NamedTuple"):
+        jsonfield.writer(RateLimit)
+
+
 # Whitespace ``str.strip`` removes from the ends of a line, JSON's own and
 # more (form feed, U+2028, U+3000), and a BOM, which it keeps.
 ENDS = st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x1f\x85\xa0\u2028\u2029\u3000\ufeff", max_size=3)
