@@ -18,7 +18,7 @@ from typing import Annotated
 
 from otcms.catalog import SL_LEVELS, AttributeKind
 from otcms.evidence import IdScheme
-from otcms.jsonfield import at_least, from_json, load, read, to_json
+from otcms.jsonfield import at_least, check_ranges, from_json, load, read, to_json
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +58,9 @@ class RateLimit:
     max_events_per_window: Annotated[int | None, at_least(0)] = None
     max_bytes_per_window: Annotated[int | None, at_least(0)] = None
 
+    def __post_init__(self) -> None:
+        check_ranges(self, ContextError)
+
 
 @dataclass(frozen=True)
 class PasswordPolicy:
@@ -70,6 +73,9 @@ class CryptoPolicy:
     approved_suites: frozenset[str] = frozenset()
     min_key_bits: Annotated[int, at_least(0)] = 128
     min_protocol_versions: dict[str, str] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self) -> None:
+        check_ranges(self, ContextError)
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,7 @@ class ContextSpec:
     p2p_bandwidth_limit_bytes_per_s: Annotated[int | None, at_least(0)] = None
 
     def __post_init__(self) -> None:
+        check_ranges(self, ContextError)
         for zone, target in self.zone_sl_target.items():
             if target not in SL_LEVELS:
                 raise ContextError(f"zone_sl_target for {zone!r} must be 1..4, got {target}")

@@ -23,18 +23,22 @@ each logical attribute is judged against: while one is unconfigured (null
 or an empty collection) the attribute is indeterminate and no offender is
 sought.
 
-Most traffic questions depend only on the conduit an event travels, the key
-``(src_id, dst_id, protocol, port, id_scheme_src, id_scheme_dst)``: whitelist
-and protocol membership, wireless, cross-zone, untrusted origin and
-person-to-person. A plant has few conduits and many events, so
-:func:`run_detectors` groups the stream by conduit once
-(:func:`group_conduits`), asks each such question of one event per conduit,
-and expands only the conduits that offend back to their events: findings
-still cite every offending event in stream order. Entity classification
-stays memoised per ``(identifier, scheme)`` by ``_classifier``: conduits
-share endpoints (a wide plant has hundreds of conduits over fewer
-identifiers), so classifying per conduit would repeat work the memo does
-once.
+Most questions about one event read neither its ``seq``, nor its
+``timestamp``, nor its ``bytes``. The other fields make the event's shape:
+its conduit ``(src_id, dst_id, protocol, port, id_scheme_src,
+id_scheme_dst)``, protection flags, cipher and key size, version,
+credentials, error code and payload markers. A plant repeats few shapes over
+many events, so :func:`run_detectors` groups the stream by shape once
+(:func:`group_shapes`), asks each such question of one event per shape, and
+expands only the shapes it accepts back to their events: findings still cite
+every offending event in stream order. Shapes compare by ``==``, so an event
+must hold its fields' annotated types (``True == 1``); :func:`parse_evidence`
+and the simulator build only such events. Questions across events (rate
+windows, failed-login runs, directory-protocol runs, sessions) still read
+each event they concern. Entity classification stays memoised per
+``(identifier, scheme)`` by ``_classifier``: shapes share endpoints (a wide
+plant has hundreds of conduits over fewer identifiers), so classifying per
+shape would repeat work the memo does once.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import accumulate, chain
-from operator import attrgetter
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import attrgetter, le, lt, sub
 
 from otcms.catalog import AttributeKind
 from otcms.context import ContextSpec, RateLimit, classify_entity
@@ -305,41 +309,54 @@ def _observed(
 
 
 # --------------------------------------------------------------------------
-# Conduits: questions answered once per distinct conduit
+# Shapes: questions answered once per distinct event shape
 # --------------------------------------------------------------------------
 
-#: ``(src_id, dst_id, protocol, port, id_scheme_src, id_scheme_dst)``
-Conduit = tuple[str, str, str, int | None, IdScheme, IdScheme]
-Conduits = Mapping[Conduit, list[int]]
+#: Shape -> stream positions; a shape is every :class:`EvidenceEvent` field
+#: but ``seq``, ``timestamp`` and ``bytes``, in field order.
+Shapes = Mapping[tuple, list[int]]
 
-_conduit = attrgetter("src_id", "dst_id", "protocol", "port", "id_scheme_src", "id_scheme_dst")
+# A shape is the event tuple without its leading ``seq`` and ``timestamp`` and without ``bytes``.
+_SHAPE_START = EvidenceEvent._fields.index("timestamp") + 1
+_BYTES = EvidenceEvent._fields.index("bytes")
 
 
-def group_conduits(events: list[EvidenceEvent]) -> dict[Conduit, list[int]]:
-    """Conduit -> the ascending stream positions of its events, conduits in
-    order of first appearance."""
-    conduits: defaultdict[Conduit, list[int]] = defaultdict(list)
-    for position, key in enumerate(map(_conduit, events)):
-        conduits[key].append(position)
-    return dict(conduits)
+def group_shapes(events: list[EvidenceEvent]) -> dict[tuple, list[int]]:
+    """Shape -> the ascending stream positions of its events, shapes in order
+    of first appearance. Shapes compare by ``==``, so events must hold their
+    fields' annotated types."""
+    shapes: defaultdict[tuple, list[int]] = defaultdict(list)
+    for position, e in enumerate(events):
+        shapes[e[_SHAPE_START:_BYTES] + e[_BYTES + 1:]].append(position)
+    return dict(shapes)
 
 
 def _where(
-    events: list[EvidenceEvent], conduits: Conduits, keep: Callable[[EvidenceEvent], bool]
+    events: list[EvidenceEvent], shapes: Shapes, keep: Callable[[EvidenceEvent], object]
 ) -> Iterator[EvidenceEvent]:
-    """The events of every conduit whose first event ``keep`` accepts, in
-    stream order. ``keep`` must read conduit fields only; it is asked once per
-    conduit, and nothing is asked before the first event is drawn. The kept
+    """The events of every shape whose first event ``keep`` accepts, in
+    stream order. ``keep`` must read shape fields only; it is asked once per
+    shape, and nothing is asked before the first event is drawn. The kept
     position lists are merged by position, never by ``seq``, which may repeat
     or decrease."""
-    runs = list(_among(events, conduits, keep).values())
+    runs = list(_among(events, shapes, keep).values())
     # sorting concatenated ascending runs is timsort's merge of those runs
     yield from map(events.__getitem__, runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs)))
 
 
-def _among(events: list[EvidenceEvent], conduits: Conduits, keep: Callable[[EvidenceEvent], bool]) -> Conduits:
-    """The conduits whose first event ``keep`` accepts."""
-    return {key: positions for key, positions in conduits.items() if keep(events[positions[0]])}
+def _among(events: list[EvidenceEvent], shapes: Shapes, keep: Callable[[EvidenceEvent], object]) -> Shapes:
+    """The shapes whose first event ``keep`` accepts."""
+    return {key: positions for key, positions in shapes.items() if keep(events[positions[0]])}
+
+
+def _heads(events: list[EvidenceEvent], shapes: Shapes) -> Iterator[EvidenceEvent]:
+    """The first event of each shape, which answers for every event of its shape."""
+    return (events[positions[0]] for positions in shapes.values())
+
+
+def _first(events: list[EvidenceEvent], shapes: Shapes) -> list[EvidenceEvent]:
+    """The earliest event of all ``shapes`` in stream order, alone in a list, or none."""
+    return [events[min(positions[0] for positions in shapes.values())]] if shapes else []
 
 
 # --------------------------------------------------------------------------
@@ -347,10 +364,10 @@ def _among(events: list[EvidenceEvent], conduits: Conduits, keep: Callable[[Evid
 # --------------------------------------------------------------------------
 
 def detect_unknown_factors(
-    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits | None = None
+    events: list[EvidenceEvent], ctx: ContextSpec, shapes: Shapes | None = None
 ) -> list[AttributeVerdict]:
     """Whitelist checks for protocols, communication triples and process ids."""
-    conduits = group_conduits(events) if conduits is None else conduits
+    shapes = group_shapes(events) if shapes is None else shapes
 
     def src_unknown(e: EvidenceEvent) -> bool:
         return e.id_scheme_src is IdScheme.PROCESS_ID and (e.src_id, e.dst_id) not in ctx.known_software_processes
@@ -360,7 +377,7 @@ def detect_unknown_factors(
 
     def unknown_processes():
         message = "software process {!r} unknown for device {!r}"
-        for e in _where(events, conduits, lambda e: src_unknown(e) or dst_unknown(e)):
+        for e in _where(events, shapes, lambda e: src_unknown(e) or dst_unknown(e)):
             if src_unknown(e):
                 yield _violation("unknown_software_process", message.format(e.src_id, e.dst_id), e.seq)
             if dst_unknown(e):
@@ -368,11 +385,11 @@ def detect_unknown_factors(
 
     unknown_protocols = (
         _violation("unknown_protocol", f"protocol {e.protocol!r} not in the expected protocol set", e.seq)
-        for e in _where(events, conduits, lambda e: e.protocol not in ctx.expected_protocols)
+        for e in _where(events, shapes, lambda e: e.protocol not in ctx.expected_protocols)
     )
     unknown_communications = (
         _violation("unknown_communication", f"communication ({e.src_id} -> {e.dst_id}, {e.protocol}) not whitelisted", e.seq)
-        for e in _where(events, conduits, lambda e: not ctx.matches_communication(e.src_id, e.dst_id, e.protocol))
+        for e in _where(events, shapes, lambda e: not ctx.matches_communication(e.src_id, e.dst_id, e.protocol))
     )
     return [
         _judge("unknown_protocol", unknown_protocols, ctx=ctx),
@@ -392,21 +409,36 @@ def _window_violations(
 
     ``items`` are (timestamp, bytes, seq) sorted by timestamp. Returns the
     first violating window, if any, its message ending in ``suffix``.
+
+    With ``m`` the event limit (the item count without one), anchor ``i``
+    holds more than ``m`` events exactly when ``times[i + m]`` falls inside
+    its window. Else its window holds at most ``m`` items, so, with no
+    negative byte count, at most the bytes of the ``m`` items from ``i``.
+    While that bound never exceeds the byte limit, only anchors over the
+    event limit can violate, and one pass at C level finds them; otherwise
+    every anchor is checked. :class:`RateLimit` refuses a negative limit.
     """
-    window_ms = limit.window_ms
+    window_ms, max_events, max_bytes = limit.window_ms, limit.max_events_per_window, limit.max_bytes_per_window
     times = [timestamp for timestamp, _, _ in items]
     byte_sums = list(accumulate((size for _, size, _ in items), initial=0))
-    for left, (timestamp, _, seq) in enumerate(items):
-        right = bisect_left(times, timestamp + window_ms, left)
+    m = len(items) if max_events is None else min(max_events, len(items))
+    anchors: Iterable[int] = range(len(items))
+    if max_bytes is None or (
+        all(map(le, byte_sums, islice(byte_sums, 1, None)))  # no negative byte count
+        and max(map(sub, islice(byte_sums, m, None), byte_sums)) <= max_bytes
+    ):
+        anchors = compress(anchors, map(lt, map(sub, islice(times, m, None), times), repeat(window_ms)))
+    for left in anchors:
+        right = bisect_left(times, times[left] + window_ms, left)
         count = right - left
         total_bytes = byte_sums[right] - byte_sums[left]
-        if limit.max_events_per_window is not None and count > limit.max_events_per_window:
-            excess = f"{count} events in {window_ms} ms exceeds {limit.max_events_per_window}"
-        elif limit.max_bytes_per_window is not None and total_bytes > limit.max_bytes_per_window:
-            excess = f"{total_bytes} bytes in {window_ms} ms exceeds {limit.max_bytes_per_window}"
+        if max_events is not None and count > max_events:
+            excess = f"{count} events in {window_ms} ms exceeds {max_events}"
+        elif max_bytes is not None and total_bytes > max_bytes:
+            excess = f"{total_bytes} bytes in {window_ms} ms exceeds {max_bytes}"
         else:
             continue
-        return _violation(attribute_id, f"{pair[0]}<->{pair[1]}: {excess}{suffix}", seq)
+        return _violation(attribute_id, f"{pair[0]}<->{pair[1]}: {excess}{suffix}", items[left][2])
     return None
 
 
@@ -447,24 +479,28 @@ def _version_below(version: str, minimum: str) -> bool:
 
 
 def detect_security_strength(
-    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits | None = None
+    events: list[EvidenceEvent], ctx: ContextSpec, shapes: Shapes | None = None
 ) -> list[AttributeVerdict]:
-    conduits = group_conduits(events) if conduits is None else conduits
+    shapes = group_shapes(events) if shapes is None else shapes
 
-    def weak_encryption():
+    def weaknesses(e: EvidenceEvent) -> list[str]:
         policy = ctx.crypto_policy
-        below = cache(_version_below)
-        for e in events:
-            if e.cipher_suite is not None and policy.approved_suites and e.cipher_suite not in policy.approved_suites:
-                yield _violation("weak_encryption", f"cipher suite {e.cipher_suite!r} not approved", e.seq)
-            if e.key_bits is not None and e.key_bits < policy.min_key_bits:
-                yield _violation("weak_encryption", f"key size {e.key_bits} below minimum {policy.min_key_bits}", e.seq)
-            if e.protocol_version is not None:
-                minimum = policy.min_protocol_versions.get(e.protocol)
-                if minimum is not None and below(e.protocol_version, minimum):
-                    yield _violation(
-                        "weak_encryption", f"{e.protocol} version {e.protocol_version} below minimum {minimum}", e.seq
-                    )
+        found = []
+        if e.cipher_suite is not None and policy.approved_suites and e.cipher_suite not in policy.approved_suites:
+            found.append(f"cipher suite {e.cipher_suite!r} not approved")
+        if e.key_bits is not None and e.key_bits < policy.min_key_bits:
+            found.append(f"key size {e.key_bits} below minimum {policy.min_key_bits}")
+        if e.protocol_version is not None:
+            minimum = policy.min_protocol_versions.get(e.protocol)
+            if minimum is not None and _version_below(e.protocol_version, minimum):
+                found.append(f"{e.protocol} version {e.protocol_version} below minimum {minimum}")
+        return found
+
+    weak_encryption = (
+        _violation("weak_encryption", message, e.seq)
+        for e in _where(events, shapes, weaknesses)
+        for message in weaknesses(e)
+    )
 
     def insecure_conduit(e: EvidenceEvent) -> bool:
         counterpart = SECURE_COUNTERPARTS.get(e.protocol)
@@ -476,10 +512,10 @@ def detect_security_strength(
             f"{e.protocol} used on a conduit expecting {SECURE_COUNTERPARTS[e.protocol]} ({e.src_id} -> {e.dst_id})",
             e.seq,
         )
-        for e in _where(events, conduits, insecure_conduit)
+        for e in _where(events, shapes, insecure_conduit)
     )
 
-    observed = [(e.seq, e.cleartext_password) for e in events if e.cleartext_password]
+    observed = [(e.seq, e.cleartext_password) for e in _where(events, shapes, attrgetter("cleartext_password"))]
     short = (
         _violation("password_policy", f"password of length {len(pw)} below minimum {ctx.password_policy.min_length}", seq)
         for seq, pw in observed
@@ -499,7 +535,7 @@ def detect_security_strength(
             )
         )
     return [
-        _judge("weak_encryption", weak_encryption(), ctx=ctx),
+        _judge("weak_encryption", weak_encryption, ctx=ctx),
         _judge("insecure_protocol", insecure, ctx=ctx),
         _judge("password_policy", short, extras=unequal, ctx=ctx),
     ]
@@ -509,16 +545,18 @@ def detect_security_strength(
 # Authenticator feedback (cleartext authenticators)
 # --------------------------------------------------------------------------
 
-def detect_cleartext_authenticators(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
+def detect_cleartext_authenticators(
+    events: list[EvidenceEvent], ctx: ContextSpec, shapes: Shapes | None = None
+) -> list[AttributeVerdict]:
     """No actual authenticator may be monitorable by itself on the wire."""
+    shapes = group_shapes(events) if shapes is None else shapes
     offenders = [
         _violation(
             "authenticator_obscured", f"cleartext password observable ({e.src_id} -> {e.dst_id}, {e.protocol})", e.seq
         )
-        for e in events
-        if e.cleartext_password and e.tls_present is not True
+        for e in _where(events, shapes, lambda e: e.cleartext_password and e.tls_present is not True)
     ]
-    evidenced = not offenders and any(e.auth_result is not None or e.cleartext_password for e in events)
+    evidenced = not offenders and any(e.auth_result is not None or e.cleartext_password for e in _heads(events, shapes))
     return [_judge("authenticator_obscured", offenders, evidenced)]
 
 
@@ -526,16 +564,17 @@ def detect_cleartext_authenticators(events: list[EvidenceEvent], ctx: ContextSpe
 # Unsuccessful login attempts
 # --------------------------------------------------------------------------
 
-def detect_auth_attempts(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
+def detect_auth_attempts(
+    events: list[EvidenceEvent], ctx: ContextSpec, shapes: Shapes | None = None
+) -> list[AttributeVerdict]:
     """Count consecutive failed logins per directed (src, dst); runs reset on success."""
+    shapes = group_shapes(events) if shapes is None else shapes
 
     def offenders():
         limit = ctx.max_failed_attempts
         runs: dict[tuple[str, str], int] = {}
         flagged: set[tuple[str, str]] = set()
-        for e in events:
-            if e.auth_result is None:
-                continue
+        for e in _where(events, shapes, lambda e: e.auth_result is not None):
             key = (e.src_id, e.dst_id)
             if e.auth_result == "Failure":
                 runs[key] = runs.get(key, 0) + 1
@@ -613,25 +652,23 @@ def _protected(e: EvidenceEvent) -> bool:
     return e.tls_present is True or e.cert_present is True or e.protocol in PROTECTED_PROTOCOLS
 
 
-def detect_integrity_anomalies(events: list[EvidenceEvent], sessions: list[Session]) -> list[AttributeVerdict]:
+def detect_integrity_anomalies(
+    events: list[EvidenceEvent], sessions: list[Session], shapes: Shapes | None = None
+) -> list[AttributeVerdict]:
     """Error codes and fragmentation on unprotected conduits break integrity.
 
     An anomaly violates only when the carrying event explicitly lacks
     protection (tls false, no certificate, no inherently protected
     protocol); unknown flags never violate.
     """
+    shapes = group_shapes(events) if shapes is None else shapes
+    anomalies = _among(events, shapes, lambda e: e.error_code is not None or e.fragmented)
     offenders = []
-    anomalies = 0
-    for e in events:
-        if e.error_code is not None or e.fragmented:
-            anomalies += 1
-            if e.tls_present is False and not _protected(e):
-                marker = f"error code {e.error_code!r}" if e.error_code is not None else "fragmented traffic"
-                offenders.append(
-                    _violation("data_integrity", f"{marker} on unprotected conduit {e.src_id} -> {e.dst_id}", e.seq)
-                )
+    for e in _where(events, anomalies, lambda e: e.tls_present is False and not _protected(e)):
+        marker = f"error code {e.error_code!r}" if e.error_code is not None else "fragmented traffic"
+        offenders.append(_violation("data_integrity", f"{marker} on unprotected conduit {e.src_id} -> {e.dst_id}", e.seq))
     # offenders imply anomalies, so the protection scan runs only without them
-    evidenced = anomalies == 0 and bool(events) and all(_protected(e) for e in events)
+    evidenced = not anomalies and bool(shapes) and all(map(_protected, _heads(events, shapes)))
     return [_judge("data_integrity", offenders, evidenced)]
 
 
@@ -639,7 +676,9 @@ def detect_integrity_anomalies(events: list[EvidenceEvent], sessions: list[Sessi
 # IAC management systems (directory protocol runs)
 # --------------------------------------------------------------------------
 
-def detect_iac_management(events: list[EvidenceEvent], run_len: int = IAC_RUN_LEN) -> list[AttributeVerdict]:
+def detect_iac_management(
+    events: list[EvidenceEvent], run_len: int = IAC_RUN_LEN, shapes: Shapes | None = None
+) -> list[AttributeVerdict]:
     """Directory-protocol run counting.
 
     A run of ``run_len`` consecutive events (by stream order within one
@@ -648,9 +687,12 @@ def detect_iac_management(events: list[EvidenceEvent], run_len: int = IAC_RUN_LE
     run is indeterminate, never a violation: these requirements demand the
     existence of a mechanism, which passive monitoring cannot disprove.
     """
+    shapes = group_shapes(events) if shapes is None else shapes
+    # only the events of pairs that ever speak a directory protocol can start or break a run
+    directory_pairs = {e.pair() for e in _heads(events, shapes) if e.protocol in IAC_MANAGEMENT_PROTOCOLS}
     current: dict[tuple[str, str], int] = {}
     best: dict[tuple[str, str], tuple[int, int]] = {}
-    for e in events:
+    for e in _where(events, shapes, lambda e: e.pair() in directory_pairs):
         pair = e.pair()
         if e.protocol in IAC_MANAGEMENT_PROTOCOLS:
             count = current.get(pair, 0) + 1
@@ -671,36 +713,35 @@ def detect_iac_management(events: list[EvidenceEvent], run_len: int = IAC_RUN_LE
 # Public key infrastructure
 # --------------------------------------------------------------------------
 
-def detect_pki_best_practice(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
+def detect_pki_best_practice(
+    events: list[EvidenceEvent], ctx: ContextSpec, shapes: Shapes | None = None
+) -> list[AttributeVerdict]:
     """Certificate presence and the TLS/DTLS best-practice combination.
 
     No certificate anywhere means no PKI is operated and both verdicts are
     not applicable. Once certificates appear, every certificate-bearing
     event must also run over TLS/DTLS to count as best practice.
     """
+    shapes = group_shapes(events) if shapes is None else shapes
     # snapshot transfers evidence hardware security (supporting info only;
     # the compliance call itself stays with the manual attribute)
     extras = [
         _info("pki_present", "hardware-security snapshot transfer observed", e.seq)
-        for e in events
-        if e.snapshot_transfer
+        for e in _where(events, shapes, attrgetter("snapshot_transfer"))
     ]
-    cert_events = [e for e in events if e.cert_present is True]
-    absent = Status.INDETERMINATE if cert_events else Status.NOT_APPLICABLE
+    certs = _among(events, shapes, lambda e: e.cert_present is True)
+    absent = Status.INDETERMINATE if certs else Status.NOT_APPLICABLE
+    x509 = _among(events, certs, lambda e: e.protocol in ctx.x509_capable_protocols)
     present = _observed(
-        "pki_present",
-        ((e.seq, f"certificate observed on {e.protocol}") for e in cert_events if e.protocol in ctx.x509_capable_protocols),
-        absent,
-        extras,
+        "pki_present", ((e.seq, f"certificate observed on {e.protocol}") for e in _first(events, x509)), absent, extras
     )
     offenders = [
         _violation(
             "pki_best_practice", f"certificate exchanged without TLS/DTLS ({e.src_id} -> {e.dst_id}, {e.protocol})", e.seq
         )
-        for e in cert_events
-        if e.tls_present is False
+        for e in _where(events, certs, lambda e: e.tls_present is False)
     ]
-    evidenced = bool(cert_events) and all(e.tls_present is True for e in cert_events)
+    evidenced = bool(certs) and all(e.tls_present is True for e in _heads(events, certs))
     return [present, _judge("pki_best_practice", offenders, evidenced, absent)]
 
 
@@ -709,13 +750,13 @@ def detect_pki_best_practice(events: list[EvidenceEvent], ctx: ContextSpec) -> l
 # --------------------------------------------------------------------------
 
 def detect_wireless_iac(
-    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits | None = None
+    events: list[EvidenceEvent], ctx: ContextSpec, shapes: Shapes | None = None
 ) -> list[AttributeVerdict]:
-    conduits = group_conduits(events) if conduits is None else conduits
-    wireless = _among(events, conduits, lambda e: e.protocol in ctx.wireless_protocols)
+    shapes = group_shapes(events) if shapes is None else shapes
+    wireless = _among(events, shapes, lambda e: e.protocol in ctx.wireless_protocols)
     observed = _observed(
         "is_wireless_observed",
-        ((e.seq, f"wireless protocol {e.protocol} observed") for e in _where(events, wireless, lambda e: True)),
+        ((e.seq, f"wireless protocol {e.protocol} observed") for e in _first(events, wireless)),
         Status.NOT_APPLICABLE,
     )
     if not wireless:
@@ -758,16 +799,16 @@ def _untrusted_origin(e: EvidenceEvent, ctx: ContextSpec, classify) -> bool:
 
 
 def detect_untrusted_access(
-    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits | None = None
+    events: list[EvidenceEvent], ctx: ContextSpec, shapes: Shapes | None = None
 ) -> list[AttributeVerdict]:
     """Untrusted-origin connections must use protocols capable of IAC; not
     applicable when no connection has an untrusted origin."""
-    conduits = group_conduits(events) if conduits is None else conduits
+    shapes = group_shapes(events) if shapes is None else shapes
 
     @cache
     def untrusted() -> list[EvidenceEvent]:
         classify = _classifier(ctx)
-        return list(_where(events, conduits, lambda e: _untrusted_origin(e, ctx, classify)))
+        return list(_where(events, shapes, lambda e: _untrusted_origin(e, ctx, classify)))
 
     def offenders():
         for e in untrusted():
@@ -785,28 +826,27 @@ def detect_untrusted_access(
 # Authorization and mobile code
 # --------------------------------------------------------------------------
 
-def detect_authorization_controls(events: list[EvidenceEvent], ctx: ContextSpec) -> list[AttributeVerdict]:
+def detect_authorization_controls(
+    events: list[EvidenceEvent], ctx: ContextSpec, shapes: Shapes | None = None
+) -> list[AttributeVerdict]:
+    shapes = group_shapes(events) if shapes is None else shapes
     evidence = "authorization mechanism evidence: {}"
-    mechanisms = (
-        (e.seq, evidence.format("IPSec traffic" if e.protocol in AUTHORIZATION_PROTOCOLS else "access-list transfer"))
-        for e in events
-        if e.protocol in AUTHORIZATION_PROTOCOLS or e.access_list_transfer
-    )
-    mobile_events = [
-        e for e in events if e.mobile_code and e.src_id in ctx.mobile_device_identifiers
-    ]
+    mechanisms = _among(events, shapes, lambda e: e.protocol in AUTHORIZATION_PROTOCOLS or e.access_list_transfer)
+    mobile = _among(events, shapes, lambda e: e.mobile_code and e.src_id in ctx.mobile_device_identifiers)
     offenders = [
         _violation(
             "mobile_code_control",
             f"mobile code from device {e.src_id!r} without integrity certification",
             e.seq,
         )
-        for e in mobile_events
-        if e.cert_present is not True
+        for e in _where(events, mobile, lambda e: e.cert_present is not True)
     ]
     return [
-        _observed("authorization_enforced", mechanisms),
-        _judge("mobile_code_control", offenders, bool(mobile_events), Status.NOT_APPLICABLE),
+        _observed("authorization_enforced", (
+            (e.seq, evidence.format("IPSec traffic" if e.protocol in AUTHORIZATION_PROTOCOLS else "access-list transfer"))
+            for e in _first(events, mechanisms)
+        )),
+        _judge("mobile_code_control", offenders, bool(mobile), Status.NOT_APPLICABLE),
     ]
 
 
@@ -815,11 +855,11 @@ def detect_authorization_controls(events: list[EvidenceEvent], ctx: ContextSpec)
 # --------------------------------------------------------------------------
 
 def detect_segmentation(
-    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits | None = None
+    events: list[EvidenceEvent], ctx: ContextSpec, shapes: Shapes | None = None
 ) -> list[AttributeVerdict]:
     """Zone-aware checks: segmentation, independence, boundary whitelisting,
     person-to-person restriction and data partitioning."""
-    conduits = group_conduits(events) if conduits is None else conduits
+    shapes = group_shapes(events) if shapes is None else shapes
     zones = ctx.zone_map
 
     def crosses(e: EvidenceEvent) -> bool:
@@ -835,7 +875,7 @@ def detect_segmentation(
             and ctx.mandatory_communication(e.src_id, e.dst_id, e.protocol)
         )
 
-    cross = _among(events, conduits, crosses)
+    cross = _among(events, shapes, crosses)
     unsanctioned = [
         _violation(
             "logical_segmentation",
@@ -870,13 +910,13 @@ def detect_segmentation(
         _judge("logical_segmentation", unsanctioned, ctx=ctx),
         _judge("non_control_independence", dependence, ctx=ctx),
         _judge("boundary_default_deny", boundary, bool(cross), Status.NOT_APPLICABLE, ctx=ctx),
-        _detect_p2p(events, ctx, conduits),
+        _detect_p2p(events, ctx, shapes),
         _judge("data_partitioning", file_transfers, ctx=ctx),
     ]
 
 
 def _p2p_events(
-    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits
+    events: list[EvidenceEvent], ctx: ContextSpec, shapes: Shapes
 ) -> Iterator[tuple[EvidenceEvent, int]]:
     """Person-to-person events, each with the highest SL target of its zones (0 without one)."""
     classify = _classifier(ctx)
@@ -888,19 +928,19 @@ def _p2p_events(
         dst = classify(e.dst_id, e.id_scheme_dst)
         return src.is_human is True and dst.is_human is True
 
-    for e in _where(events, conduits, between_humans):
+    for e in _where(events, shapes, between_humans):
         zones = (classify(e.src_id, e.id_scheme_src).zone, classify(e.dst_id, e.id_scheme_dst).zone)
         yield e, max((ctx.zone_sl_target[zone] for zone in zones if zone in ctx.zone_sl_target), default=0)
 
 
-def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits) -> AttributeVerdict:
+def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec, shapes: Shapes) -> AttributeVerdict:
     """Person-to-person traffic is forbidden in a zone of SL target 3 or more,
     and below that held to the bandwidth limit, unverifiable without one."""
     limit = ctx.p2p_bandwidth_limit_bytes_per_s
 
     @cache
     def p2p() -> list[tuple[EvidenceEvent, int]]:
-        return list(_p2p_events(events, ctx, conduits))
+        return list(_p2p_events(events, ctx, shapes))
 
     def offenders():
         low_sl: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
@@ -931,17 +971,17 @@ def _detect_p2p(events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduit
 # --------------------------------------------------------------------------
 
 def detect_least_functionality(
-    events: list[EvidenceEvent], ctx: ContextSpec, conduits: Conduits | None = None
+    events: list[EvidenceEvent], ctx: ContextSpec, shapes: Shapes | None = None
 ) -> list[AttributeVerdict]:
     """Protocol and port whitelisting; shares the membership core with the
     unknown-protocol check but additionally covers ports/services."""
-    conduits = group_conduits(events) if conduits is None else conduits
+    shapes = group_shapes(events) if shapes is None else shapes
 
     def unexpected_port(e: EvidenceEvent) -> bool:
         return e.port is not None and bool(ctx.expected_ports) and e.port not in ctx.expected_ports
 
     def offenders():
-        for e in _where(events, conduits, lambda e: e.protocol not in ctx.expected_protocols or unexpected_port(e)):
+        for e in _where(events, shapes, lambda e: e.protocol not in ctx.expected_protocols or unexpected_port(e)):
             if e.protocol not in ctx.expected_protocols:
                 yield _violation("least_functionality", f"unexpected protocol {e.protocol!r} in use", e.seq)
             else:
@@ -954,18 +994,21 @@ def detect_least_functionality(
 # Audit logs and continuous monitoring
 # --------------------------------------------------------------------------
 
-def detect_audit_and_monitoring(events: list[EvidenceEvent]) -> list[AttributeVerdict]:
-    audits = [e for e in events if e.audit_record]
+def detect_audit_and_monitoring(events: list[EvidenceEvent], shapes: Shapes | None = None) -> list[AttributeVerdict]:
+    shapes = group_shapes(events) if shapes is None else shapes
+    audits = _among(events, shapes, attrgetter("audit_record"))
     missing = [
         _violation("audit_timestamped", "audit record without a timestamp", e.seq)
-        for e in audits
-        if not e.record_timestamp
+        for e in _where(events, audits, lambda e: not e.record_timestamp)
     ]
-    heartbeats = ((e.seq, "monitoring infrastructure heartbeat observed") for e in events if e.ids_heartbeat)
+    heartbeats = _among(events, shapes, attrgetter("ids_heartbeat"))
     return [
-        _observed("audit_log_exists", ((e.seq, "audit record transfer observed") for e in audits)),
+        _observed("audit_log_exists", ((e.seq, "audit record transfer observed") for e in _first(events, audits))),
         _judge("audit_timestamped", missing, evidenced=bool(audits)),
-        _observed("continuous_monitoring", heartbeats),
+        _observed(
+            "continuous_monitoring",
+            ((e.seq, "monitoring infrastructure heartbeat observed") for e in _first(events, heartbeats)),
+        ),
     ]
 
 
@@ -982,29 +1025,33 @@ def run_detectors(
 
     Emits exactly the registry's attribute ids, each exactly once, in
     registry order. Detectors are independent and share only immutable
-    inputs. An empty stream carries no evidence, so everything is
-    indeterminate rather than vacuously fulfilled.
+    inputs, the stream's :func:`group_shapes` among them. Every event must
+    hold its fields' annotated types, as :func:`parse_evidence` and the
+    simulator guarantee: shapes compare by ``==``, so an event with
+    ``tls_present=1`` would be judged as one with ``True``. An empty stream
+    carries no evidence, so everything is indeterminate rather than
+    vacuously fulfilled.
     """
     if not events:
         return {attribute_id: _verdict(attribute_id, Status.INDETERMINATE) for attribute_id in REGISTRY}
 
-    conduits = group_conduits(events)
+    shapes = group_shapes(events)
     verdicts: list[AttributeVerdict] = []
-    verdicts += detect_unknown_factors(events, ctx, conduits)
+    verdicts += detect_unknown_factors(events, ctx, shapes)
     verdicts += detect_abnormal_behavior(sessions, ctx)
-    verdicts += detect_security_strength(events, ctx, conduits)
-    verdicts += detect_cleartext_authenticators(events, ctx)
-    verdicts += detect_auth_attempts(events, ctx)
+    verdicts += detect_security_strength(events, ctx, shapes)
+    verdicts += detect_cleartext_authenticators(events, ctx, shapes)
+    verdicts += detect_auth_attempts(events, ctx, shapes)
     verdicts += detect_session_violations(sessions, ctx)
-    verdicts += detect_integrity_anomalies(events, sessions)
-    verdicts += detect_iac_management(events)
-    verdicts += detect_pki_best_practice(events, ctx)
-    verdicts += detect_wireless_iac(events, ctx, conduits)
-    verdicts += detect_untrusted_access(events, ctx, conduits)
-    verdicts += detect_authorization_controls(events, ctx)
-    verdicts += detect_segmentation(events, ctx, conduits)
-    verdicts += detect_least_functionality(events, ctx, conduits)
-    verdicts += detect_audit_and_monitoring(events)
+    verdicts += detect_integrity_anomalies(events, sessions, shapes)
+    verdicts += detect_iac_management(events, shapes=shapes)
+    verdicts += detect_pki_best_practice(events, ctx, shapes)
+    verdicts += detect_wireless_iac(events, ctx, shapes)
+    verdicts += detect_untrusted_access(events, ctx, shapes)
+    verdicts += detect_authorization_controls(events, ctx, shapes)
+    verdicts += detect_segmentation(events, ctx, shapes)
+    verdicts += detect_least_functionality(events, ctx, shapes)
+    verdicts += detect_audit_and_monitoring(events, shapes)
 
     by_id = {v.attribute_id: v for v in verdicts}
     if set(by_id) != set(REGISTRY) or len(verdicts) != len(REGISTRY):

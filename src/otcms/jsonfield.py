@@ -16,7 +16,8 @@ Null is accepted only where the field's default is null, and never for an
 object, which is either given or left out. An absent field
 takes its default, a field without one is required, and keys naming no
 field are ignored. :func:`at_least` and :func:`one_of` narrow a scalar
-field's values as the metadata of its ``Annotated`` annotation. Every
+field's values as the metadata of its ``Annotated`` annotation, and a
+dataclass that calls :func:`check_ranges` applies them on construction. Every
 failure raises the error class the loader passes in, with the path to the
 value: ``rate_spec[0]: pair``, ``frs[FR1]: srs[SR1.1]: bindings[0]: min_sl``.
 A NamedTuple, read once per evidence line, gets a reader compiled for it on
@@ -453,6 +454,32 @@ def writer(cls: type) -> typing.Callable[[object], str]:
     ])
     exec(source, env)
     return env["write"]
+
+
+@cache
+def _narrowings(cls: type) -> tuple[tuple[str, typing.Callable], ...]:
+    """(field name, check) for every field of dataclass ``cls`` annotated
+    ``Annotated[X, check]``."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return tuple(
+        (f.name, typing.get_args(hints[f.name])[1])
+        for f in fields(cls)
+        if typing.get_origin(hints[f.name]) is typing.Annotated
+    )
+
+
+def check_ranges(obj, error: type[ValueError]) -> None:
+    """Apply to dataclass ``obj`` the ``Annotated`` checks of its fields, so a
+    value a file is refused for is refused on construction too; a null is
+    not checked. Raises ``error`` naming the field:
+    ``window_ms: expected at least 1, got 0``."""
+    for name, check in _narrowings(type(obj)):
+        value = getattr(obj, name)
+        if value is not None:
+            try:
+                check(value)
+            except ValueError as exc:
+                raise error(_under(name, exc)) from None
 
 
 def at_least(low: int) -> typing.Callable:

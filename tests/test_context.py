@@ -6,6 +6,8 @@ from otcms.cli import main
 from otcms.context import (
     ContextError,
     ContextSpec,
+    CryptoPolicy,
+    RateLimit,
     classify_entity,
     context_from_dict,
     context_to_dict,
@@ -59,6 +61,31 @@ class TestLoadContext:
         loose = {"pair": ["b", "a"], "window_ms": 1000, "max_events_per_window": 999}
         with pytest.raises(ContextError, match=r"^rate_spec\[1\]: pair \['a', 'b'\] is already limited by rate_spec\[0\]$"):
             context_from_dict({"rate_spec": [strict, loose]})
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RateLimit(window_ms=0), "window_ms: expected at least 1, got 0"),
+        (lambda: RateLimit(window_ms=1000, max_events_per_window=-1), "max_events_per_window: expected at least 0, got -1"),
+        (lambda: RateLimit(window_ms=1000, max_bytes_per_window=-1), "max_bytes_per_window: expected at least 0, got -1"),
+        (lambda: CryptoPolicy(min_key_bits=-5), "min_key_bits: expected at least 0, got -5"),
+        (lambda: ContextSpec(p2p_bandwidth_limit_bytes_per_s=-1), "p2p_bandwidth_limit_bytes_per_s: expected at least 0, got -1"),
+    ], ids=["window_ms", "max_events_per_window", "max_bytes_per_window", "min_key_bits", "p2p_bandwidth"])
+    def test_ranges_applied_on_construction(self, build, message):
+        with pytest.raises(ContextError) as refused:
+            build()
+        assert str(refused.value) == message
+
+    def test_range_ends_and_nulls_built(self):
+        limit = RateLimit(window_ms=1, max_events_per_window=0, max_bytes_per_window=0)
+        assert (limit.window_ms, limit.max_events_per_window, limit.max_bytes_per_window) == (1, 0, 0)
+        assert RateLimit(window_ms=1).max_events_per_window is None
+        assert CryptoPolicy(min_key_bits=0).min_key_bits == 0
+        assert ContextSpec(p2p_bandwidth_limit_bytes_per_s=0).p2p_bandwidth_limit_bytes_per_s == 0
+
+    def test_refused_file_keeps_its_path_and_wording(self):
+        rate = {"pair": ["a", "b"], "window_ms": 1000, "max_events_per_window": -1}
+        with pytest.raises(ContextError) as refused:
+            context_from_dict({"rate_spec": [rate]})
+        assert str(refused.value) == "rate_spec[0]: max_events_per_window: expected at least 0, got -1"
 
     def test_bad_prefix_rejected(self):
         with pytest.raises(ContextError, match="prefix"):

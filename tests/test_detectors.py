@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -33,7 +34,7 @@ from otcms.detectors import (
     detect_unknown_factors,
     detect_untrusted_access,
     detect_wireless_iac,
-    group_conduits,
+    group_shapes,
     run_detectors,
 )
 from otcms.evidence import EvidenceEvent, IdScheme, assemble_sessions
@@ -1017,9 +1018,9 @@ def sparse_contexts(draw, events):
 
 
 class TestConduitGrouping:
-    """Conduit questions are asked once per conduit, but the findings equal a
-    per-event judgement's: the same messages citing the same events in
-    stream order."""
+    """Conduit questions are asked once per shape, which refines the conduit,
+    but the findings equal a per-event judgement's: the same messages citing
+    the same events in stream order."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -1092,7 +1093,7 @@ class TestConduitGrouping:
         # two interleaved conduits whose seqs fall: a merge by seq would give 2, 3, 4, 5
         ctx = ContextSpec(expected_protocols=frozenset({"MQTT"}))
         events = [ev(seq=seq, src=src, protocol="Telnet") for seq, src in zip((5, 4, 3, 2), ("a", "b", "a", "b"))]
-        assert len(group_conduits(events)) == 2
+        assert len(group_shapes(events)) == 2
         got = by_id(detect_unknown_factors(events, ctx))["unknown_protocol"]
         assert [f.seq_refs for f in got.findings] == [(5,), (4,), (3,), (2,)]
 
@@ -1101,10 +1102,215 @@ class TestConduitGrouping:
 
         def counting(events):
             calls.append(len(events))
-            return group_conduits(events)
+            return group_shapes(events)
 
-        monkeypatch.setattr(detectors, "group_conduits", counting)
+        monkeypatch.setattr(detectors, "group_shapes", counting)
         scenario = default_scenario(injections=tuple(Injection(attribute_id=a) for a in sorted(INJECTIONS)))
         events, _ = generate_scenario(scenario, catalog)
         run_detectors(events, assemble_sessions(events), scenario.spec)
         assert calls == [len(events)]
+
+
+# --------------------------------------------------------------------------
+# Shape grouping against every event as its own shape
+# --------------------------------------------------------------------------
+
+#: A few values for each shape field outside the conduit.
+SHAPE_VALUES = {
+    "protocol_version": [None, "1.0", "1.3", "x"],
+    "tls_present": [None, True, False],
+    "cert_present": [None, True, False],
+    "cipher_suite": [None, "GOOD", "WEAK"],
+    "key_bits": [None, 64, 256],
+    "cleartext_password": [None, "pw", "longpassword"],
+    "auth_result": [None, "Success", "Failure"],
+    "session_id": [None, "s1"],
+    "error_code": [None, "E1"],
+    "fragmented": [False, True],
+    "direction_external": [None, True],
+    "access_list_transfer": [False, True],
+    "mobile_code": [False, True],
+    "audit_record": [False, True],
+    "record_timestamp": [False, True],
+    "ids_heartbeat": [False, True],
+    "snapshot_transfer": [False, True],
+}
+DIRECTORY_PROTOCOLS = sorted(detectors.IAC_MANAGEMENT_PROTOCOLS)
+
+
+@st.composite
+def shape_streams(draw):
+    """:func:`conduit_streams` whose events also take one of a few sets of the
+    other shape fields, some set copying another with one field changed, and
+    some conduits moved to a directory protocol."""
+    directory = draw(st.sets(st.sampled_from(IDS), max_size=3))
+    protocol = st.sampled_from(DIRECTORY_PROTOCOLS)
+    events = [
+        e._replace(protocol=draw(protocol)) if e.src_id in directory else e for e in draw(conduit_streams())
+    ]
+    fields = st.fixed_dictionaries({name: st.sampled_from(values) for name, values in SHAPE_VALUES.items()})
+    sets = draw(st.lists(fields, min_size=1, max_size=2))
+    for name in draw(st.lists(st.sampled_from(sorted(SHAPE_VALUES)), max_size=6)):
+        copied = draw(st.sampled_from(sets))
+        sets.append({**copied, name: draw(st.sampled_from([v for v in SHAPE_VALUES[name] if v != copied[name]]))})
+    return [e._replace(**draw(st.sampled_from(sets))) for e in events]
+
+
+@st.composite
+def full_contexts(draw, events):
+    """:func:`sparse_contexts` plus the sections shape questions and rate
+    windows read, each possibly left unconfigured."""
+    ctx = draw(sparse_contexts(events))
+    pair = st.tuples(st.sampled_from(IDS), st.sampled_from(IDS)).map(lambda pair: tuple(sorted(pair)))
+    limit = st.builds(
+        RateLimit, st.sampled_from([1, 100, 1000]), st.none() | st.integers(0, 8), st.none() | st.integers(0, 9000)
+    )
+    versions = st.dictionaries(st.sampled_from(PROTOCOLS + DIRECTORY_PROTOCOLS), st.sampled_from(["1.2", "x"]))
+    return dataclasses.replace(
+        ctx,
+        crypto_policy=draw(st.none() | st.builds(
+            CryptoPolicy, st.frozensets(st.sampled_from(["GOOD", "WEAK"])), st.sampled_from([0, 128]), versions
+        )),
+        password_policy=draw(st.none() | st.builds(PasswordPolicy, st.integers(1, 12))),
+        max_failed_attempts=draw(st.none() | st.integers(0, 2)),
+        mobile_device_identifiers=draw(st.frozensets(st.sampled_from(IDS))),
+        rate_spec=draw(st.dictionaries(pair, limit, max_size=3)),
+        session_max_ms=draw(st.sampled_from([500, 3_600_000])),
+    )
+
+
+def per_event_verdicts(events, ctx):
+    """Every detector, given a grouping in which each event is its own shape."""
+    alone = {position: [position] for position in range(len(events))}
+    sessions = assemble_sessions(events)
+    return by_id([
+        *detect_unknown_factors(events, ctx, alone),
+        *detect_abnormal_behavior(sessions, ctx),
+        *detect_security_strength(events, ctx, alone),
+        *detect_cleartext_authenticators(events, ctx, alone),
+        *detect_auth_attempts(events, ctx, alone),
+        *detect_session_violations(sessions, ctx),
+        *detect_integrity_anomalies(events, sessions, alone),
+        *detect_iac_management(events, shapes=alone),
+        *detect_pki_best_practice(events, ctx, alone),
+        *detect_wireless_iac(events, ctx, alone),
+        *detect_untrusted_access(events, ctx, alone),
+        *detect_authorization_controls(events, ctx, alone),
+        *detect_segmentation(events, ctx, alone),
+        *detect_least_functionality(events, ctx, alone),
+        *detect_audit_and_monitoring(events, alone),
+    ])
+
+
+#: Per shape field: the event fields a base event starts from, and the
+#: variant value that makes some verdict differ when judged as the base.
+ONE_FIELD_APART = {
+    "src_id": ({}, "bob"),
+    "dst_id": ({}, "bob"),
+    "protocol": ({}, "Telnet"),
+    "id_scheme_src": ({}, IdScheme.PROCESS_ID),
+    "id_scheme_dst": ({}, IdScheme.PROCESS_ID),
+    "protocol_version": ({"protocol_version": "1.3"}, "1.0"),
+    "port": ({}, 21),
+    "tls_present": ({"tls_present": True, "cert_present": True}, False),
+    "cert_present": ({"mobile_code": True, "cert_present": True}, None),
+    "cipher_suite": ({"cipher_suite": "GOOD"}, "WEAK"),
+    "key_bits": ({"key_bits": 256}, 64),
+    "cleartext_password": ({"tls_present": True}, "pw"),
+    "auth_result": ({}, "Failure"),
+    "session_id": ({}, "s1"),
+    "error_code": ({"tls_present": False}, "E1"),
+    "fragmented": ({"tls_present": False}, True),
+    "direction_external": ({}, True),
+    "access_list_transfer": ({}, True),
+    "mobile_code": ({}, True),
+    "audit_record": ({}, True),
+    "record_timestamp": ({"audit_record": True, "record_timestamp": True}, False),
+    "ids_heartbeat": ({}, True),
+    "snapshot_transfer": ({}, True),
+}
+#: Shape fields no detector reads: only the grouping tells them apart.
+UNREAD_FIELDS = {"direction_external"}
+
+
+class TestShapeGrouping:
+    """Every question about one event is asked once per shape, yet all 29
+    verdicts equal those of the same detectors judging each event alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_verdicts_match_every_event_its_own_shape(self, data):
+        events = data.draw(shape_streams())
+        ctx = data.draw(full_contexts(events))
+        grouped = run_detectors(events, assemble_sessions(events), ctx)
+        assert grouped == per_event_verdicts(events, ctx)
+
+    def test_shape_fields_are_all_but_seq_timestamp_and_bytes(self):
+        shape_fields = set(EvidenceEvent._fields) - {"seq", "timestamp", "bytes"}
+        assert set(ONE_FIELD_APART) == shape_fields
+        assert len(group_shapes([ev(seq=0, t=5, bytes=10), ev(seq=7, t=0, bytes=0)])) == 1
+
+    @pytest.mark.parametrize("field", sorted(ONE_FIELD_APART))
+    def test_events_one_field_apart_judged_apart(self, field):
+        base_fields, variant = ONE_FIELD_APART[field]
+        ctx = ContextSpec(
+            expected_protocols=frozenset({"MQTT"}),
+            expected_ports=frozenset({8883}),
+            expected_communications=(comm("proc1", "plc", "MQTT"),),
+            known_software_processes=frozenset({("proc9", "plc")}),
+            mobile_device_identifiers=frozenset({"proc1"}),
+            crypto_policy=CryptoPolicy(frozenset({"GOOD"}), 128, {"MQTT": "1.2"}),
+            password_policy=PasswordPolicy(min_length=8),
+            max_failed_attempts=0,
+        )
+        base = ev(src="proc1", dst="plc", port=8883, **base_fields)
+        events = [
+            (base._replace(**{field: variant}) if seq % 2 else base)._replace(seq=seq, timestamp=seq)
+            for seq in range(4)
+        ]
+        assert len(group_shapes(events)) == 2
+        expected = per_event_verdicts(events, ctx)
+        assert run_detectors(events, assemble_sessions(events), ctx) == expected
+        # judged as the base, as a key without the field would judge it, the variant reads otherwise
+        as_base = [base._replace(seq=seq, timestamp=seq) for seq in range(4)]
+        assert (per_event_verdicts(as_base, ctx) != expected) == (field not in UNREAD_FIELDS)
+
+
+# --------------------------------------------------------------------------
+# Rate windows against a per-anchor recount
+# --------------------------------------------------------------------------
+
+def recounted_window(items, limit):
+    """(message tail, seq) of the first anchor whose window, counted item by
+    item from the anchor on, exceeds a limit; None without one."""
+    for left, (timestamp, _, seq) in enumerate(items):
+        inside = [size for t, size, _ in items[left:] if t < timestamp + limit.window_ms]
+        if limit.max_events_per_window is not None and len(inside) > limit.max_events_per_window:
+            return f"{len(inside)} events in {limit.window_ms} ms exceeds {limit.max_events_per_window}", seq
+        if limit.max_bytes_per_window is not None and sum(inside) > limit.max_bytes_per_window:
+            return f"{sum(inside)} bytes in {limit.window_ms} ms exceeds {limit.max_bytes_per_window}", seq
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_window_violations_match_per_anchor_recount(data):
+    # few timestamps repeat; byte counts include zeros and, as only a library
+    # caller can build them, negative counts
+    sizes = st.sampled_from([0, 0, 1, 50, 400]) | st.integers(-500, 500)
+    if data.draw(st.booleans()):
+        sizes = st.sampled_from([0, 0, 1, 50, 400]) | st.integers(0, 500)
+    raw = data.draw(st.lists(st.tuples(st.integers(0, 40), sizes), max_size=30))
+    items = sorted((t, size, seq) for seq, (t, size) in enumerate(raw))
+    limit = RateLimit(
+        window_ms=data.draw(st.sampled_from([1, 3, 10, 100])),
+        max_events_per_window=data.draw(st.none() | st.integers(0, len(items) + 2)),
+        max_bytes_per_window=data.draw(st.none() | st.integers(0, 1200) | st.just(10**6)),
+    )
+    got = detectors._window_violations(items, limit, "abnormal_behavior", ("a", "b"), " (x)")
+    expected = recounted_window(items, limit)
+    if expected is None:
+        assert got is None
+    else:
+        tail, seq = expected
+        assert (got.message, got.seq_refs) == (f"a<->b: {tail} (x)", (seq,))
