@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -134,6 +135,17 @@ def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEv
     :func:`_reread`, which words the refusal. One string memo per call makes
     equal string values share one object across the stream.
 
+    A line repeating an earlier line's shape, its text pieces and key names
+    left after cutting the integer runs of ``"bytes":``, ``"seq":`` and
+    ``"timestamp":`` (:data:`_RUNS`), is read from the shape's template: the
+    event of its second line, admitted only if :func:`_template` finds each
+    run read into its own field alone. A hit takes the line's ``timestamp``,
+    ``bytes`` and position; a run past Python's digit limit, and every line
+    of a refused shape, is read as above. Shapes are kept up to
+    :data:`_SHAPE_ROOM` characters, and cutting stops once lines of a new or
+    refused shape outnumber hits by more than :data:`_MISSES`. Events,
+    refusals, line numbers and warnings are the same either way.
+
     A line is malformed when its JSON is invalid or too large for Python's
     reader (nested too deeply, an integer of too many digits) or when its
     record is refused; a refused record nested more than
@@ -145,25 +157,92 @@ def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEv
     strings: dict[str, str] = {}
     read = reader(EvidenceEvent, "seq")
     scan = json.JSONDecoder().scan_once
+
+    def parse(text: str, seq: int) -> EvidenceEvent | None:
+        """The event of a line read by the scanner and ``read``, or None."""
+        try:
+            record, end = scan(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            return None
+        # ``strip`` removes JSON's whitespace too, so the scanner reads the whole line or the line is not JSON.
+        return read(record, strings, seq=seq) if end == len(text) and type(record) is dict else None
+
+    # Per shape: False once seen, () refused, else its template (see _template).
+    cut, templates, lead, room = re.compile(_RUNS).split, {}, 0, _SHAPE_ROOM
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
-        try:
-            record, end = scan(stripped, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        # ``strip`` removes JSON's whitespace too, so the scanner reads the whole line or the line is not JSON.
-        event = read(record, strings, seq=len(events)) if end == len(stripped) and type(record) is dict else None
+        if cut:
+            parts = cut(stripped)
+            shape = (*parts[0::3], *parts[1::3])
+            template = templates.get(shape)
+            if template:
+                values = template[0].copy()
+                try:  # every run, ``seq``'s too, so one past Python's digit limit takes the path below
+                    for field, at in template[1]:
+                        values[field] = int(parts[at])
+                except ValueError:
+                    pass
+                else:
+                    values[0] = len(events)  # ``seq``, the event's position
+                    events.append(tuple.__new__(EvidenceEvent, values))
+                    lead -= 1
+                    continue
+            if template is not False:  # a shape's second line, which may admit it, counts on neither side
+                if template is None and len(stripped) <= room:
+                    templates[shape] = False
+                    room -= len(stripped)
+                lead += 1
+                if lead > _MISSES:
+                    cut = None
+        event = parse(stripped, len(events))
         if event is None:
             event = _reread(stripped, strings, len(events))
-            if type(event) is str:
-                if strict:
-                    raise EvidenceError(f"line {line_no}: {event}")
-                logger.warning("skipping malformed evidence line %d: %s", line_no, event)
-                continue
+        if cut and template is False:
+            templates[shape] = () if type(event) is str else _template(event, parts, parse)
+        if type(event) is str:
+            if strict:
+                raise EvidenceError(f"line {line_no}: {event}")
+            logger.warning("skipping malformed evidence line %d: %s", line_no, event)
+            continue
         events.append(event)
     return events
+
+
+#: Splits an evidence line into its text between runs, each run's key with
+#: its colon, and the run: a JSON integer of no sign, fraction or exponent.
+#: Compiled on first use, as the reader is, so importing compiles nothing.
+_RUNS = r'("(?:bytes|seq|timestamp)":)(0|[1-9][0-9]*)(?![0-9.eE])'
+#: The field each run's key names.
+_RUN_FIELDS = {f'"{name}":': EvidenceEvent._fields.index(name) for name in ("bytes", "seq", "timestamp")}
+#: Most characters of line text one parse keeps in its shapes.
+_SHAPE_ROOM = 2**20
+#: By how many lines those of a new or refused shape may outnumber template hits before the cut stops.
+_MISSES = 512
+
+
+def _template(event: EvidenceEvent, parts: list[str], parse) -> tuple:
+    """The template of the evidence line cut into ``parts`` and read as
+    ``event``: the event's fields as a list, and (field, index in ``parts``)
+    per run. It is () if ``parse``, given the line with one run changed,
+    reads an event changed otherwise than in that run's field, or at all
+    for a ``seq`` run, whose field is the event's position. This refuses a
+    run key given twice, nested in an unknown value or ending an unknown
+    key after an escaped quote."""
+    slots = []
+    for index in range(2, len(parts), 3):
+        field = _RUN_FIELDS[parts[index - 1]]
+        changed = parts.copy()
+        # Unlike the field's value, so a run the field does not read from shows.
+        changed[index] = "1" if event[field] == 0 else "0"
+        expected = list(event)
+        if parts[index - 1] != '"seq":':
+            expected[field] = int(changed[index])
+        if parse("".join(changed), event.seq) != tuple(expected):
+            return ()
+        slots.append((field, index))
+    return list(event), tuple(slots)
 
 
 def _reread(text: str, strings: dict[str, str], seq: int) -> EvidenceEvent | str:

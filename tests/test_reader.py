@@ -1,9 +1,12 @@
 """The reader ``jsonfield`` compiles for a NamedTuple, against the
-field-by-field walk it falls back to, and the evidence parse built on it;
-and the writer it compiles, against ``json.dumps`` of ``to_json``."""
+field-by-field walk it falls back to, and the evidence parse built on it,
+with the templates it reads repeated lines from; and the writer it
+compiles, against ``json.dumps`` of ``to_json``."""
 
 import gc
 import json
+import logging
+import re
 import tracemalloc
 import typing
 from enum import Enum
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from otcms import jsonfield
+from otcms import evidence, jsonfield
 from otcms.detectors import Severity
 from otcms.evidence import EvidenceError, EvidenceEvent, IdScheme, load_evidence, parse_evidence, write_evidence
 from otcms.jsonfield import from_json
@@ -378,3 +381,139 @@ def test_config_text_past_the_depth_limit_refused_as_nested_too_deeply():
     assert jsonfield.loads("[" * limit + "1" + "]" * limit, ValueError)
     with pytest.raises(ValueError, match="^invalid JSON: nested too deeply$"):
         jsonfield.loads("[" * (limit + 1) + "]" * (limit + 1), ValueError)
+
+
+# A line whose text outside the digit runs of ``bytes``, ``seq`` and
+# ``timestamp`` repeats an earlier line's is read from a template. Lines
+# here are built from members: fixed ones, and ones holding a number whose
+# text changes from line to line.
+RUN_KEYS = ("bytes", "seq", "timestamp")
+# Keys a number is written under: each run key; one escaped, which the cut
+# cannot see; unknown keys ending in a run key after an escaped quote, which
+# it can; and an unknown key differing in case.
+NUMBER_KEYS = st.sampled_from(
+    ['"bytes"', '"seq"', '"timestamp"', '"\\u0062ytes"', '"a\\"bytes"', '"\\"seq"', '"x\\"timestamp"', '"Bytes"']
+)
+# Where such a member sits: in the record, or nested in an unknown object or list.
+NUMBER_PLACES = st.sampled_from(["{}", '"extra":{{{}}}', '"extra":[{{{}}}]', '"extra":{{"deeper":{{{}}}}}'])
+# Members naming a run key inside a string.
+STRING_MEMBERS = st.sampled_from(['"note":"\\"bytes\\":5"', '"src_id":"\\"seq\\":1,"', '"\\"timestamp\\":7":"x"'])
+RUNS = st.integers(0, 10**12).map(str) | st.sampled_from(["0", "9" * 4301])
+# Texts replacing a run in a later line: runs of other lengths, none (the
+# text a key of joined pieces would take for the template's), and numbers
+# and values that are no run.
+CHANGED = RUNS | st.just("") | st.sampled_from(
+    ["00", "05", "-0", "-5", "5.0", "0.5", "5e3", "5E3", "1.5e2", "0e0", "5.", "1" * 4301 + ".5", '"5"', "true",
+     "null", "[]", "\x00", " 5"]
+)
+
+
+@st.composite
+def templated_streams(draw) -> list[str]:
+    """Lines of one template: the first two alike but for their digit runs,
+    so the second admits the template, and in the rest each run's text
+    replaced."""
+    record = draw(accepted_records)
+    fixed = [f"{json.dumps(key)}:{json.dumps(value)}" for key, value in record.items() if key not in RUN_KEYS]
+    fixed += draw(st.lists(STRING_MEMBERS, max_size=2))
+    numbers = draw(st.lists(st.tuples(NUMBER_KEYS, NUMBER_PLACES), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        numbers.append(('"timestamp"', "{}"))
+    order = draw(st.permutations(range(len(fixed) + len(numbers))))
+    colon = draw(st.sampled_from([":", ": "]))
+
+    def line(texts: list[str]) -> str:
+        members = fixed + [place.format(key + colon + text) for (key, place), text in zip(numbers, texts)]
+        return "{" + ",".join(members[index] for index in order) + "}"
+
+    runs, changed = (st.lists(texts, min_size=len(numbers), max_size=len(numbers)) for texts in (RUNS, CHANGED))
+    return [line(draw(runs)), line(draw(runs))] + [line(draw(changed)) for _ in range(draw(st.integers(1, 3)))]
+
+
+def read_alone(lines: list[str], strict: bool):
+    """``lines`` as each reads alone (see :func:`loaded`), numbered in the
+    stream: the typed events, or in strict mode the first refusal; and the
+    warnings of lenient mode."""
+    events, warnings = [], []
+    for line_no, line in enumerate(lines, start=1):
+        got = loaded(line)
+        if type(got) is str:
+            reason = got.removeprefix("line 1: ")
+            if strict:
+                return f"line {line_no}: {reason}", warnings
+            warnings.append(f"skipping malformed evidence line {line_no}: {reason}")
+            continue
+        events += [[(int, len(events)), *fields[1:]] for fields in got]
+    return events, warnings
+
+
+def read_together(lines: list[str], strict: bool):
+    """``lines`` read as one stream, in the form of :func:`read_alone`."""
+    warnings = []
+    handler = logging.Handler()
+    handler.emit = lambda record: warnings.append(record.getMessage())
+    log = logging.getLogger("otcms.evidence")
+    log.addHandler(handler)
+    try:
+        return list(map(typed, parse_evidence(lines, strict=strict))), warnings
+    except EvidenceError as exc:
+        return str(exc), warnings
+    finally:
+        log.removeHandler(handler)
+
+
+@settings(max_examples=600, deadline=None)
+@given(lines=templated_streams(), strict=st.booleans())
+@example(lines=['{"bytes":5,"dst_id":"b","extra":{"bytes":%d},"protocol":"","src_id":"a","timestamp":1}' % n
+                for n in (6, 8, 7)], strict=True)
+@example(lines=['{"dst_id":"b","extra":{"bytes":%d},"protocol":"","src_id":"a","timestamp":0}' % n for n in (0, 1, 1)],
+         strict=True)
+@example(lines=['{"bytes":%s,"dst_id":"b","protocol":"","src_id":"a","timestamp":1}' % run for run in ("1", "2", "")],
+         strict=True)
+@example(lines=['{"timestamp":1,"timestamp":2}', '{"timestamp":3,"timestamp":4}', '{"timestamp":5,"timestamp":6}'],
+         strict=True)
+@example(lines=['{"dst_id":"b","protocol":"","seq":%s,"src_id":"a","timestamp":2}' % run
+                for run in ("1", "1", "9" * 4301, "")], strict=False)
+def test_template_hit_parses_as_each_line_read_alone(lines, strict):
+    """A stream whose later lines are template hits, or near misses, reads
+    as each line read alone: the same events, or the same refusal in the
+    same words with the same line number, and the same lenient warnings.
+    The cut must take only whole JSON integers, which no result shows: a
+    template cut out of a float is refused, or harmless for ``seq``."""
+    for line in lines:
+        for run in re.finditer(evidence._RUNS, line):
+            assert line[run.end():][:1] not in set("0123456789.eE")
+    assert read_together(lines, strict) == read_alone(lines, strict)
+
+
+@pytest.fixture
+def admitted(monkeypatch) -> list:
+    """Every template an evidence parse admits, () for one it refuses."""
+    made = []
+    template = evidence._template
+    monkeypatch.setattr(evidence, "_template", lambda *args: made.append(template(*args)) or made[-1])
+    return made
+
+
+def test_repeated_protocol_key_read_from_a_template_keeps_its_last_value(admitted):
+    """A line giving ``protocol`` twice reads, as ``json.loads`` does, its
+    last value, also where later copies are template hits."""
+    line = '{"bytes":%d,"dst_id":"10.0.2.20","port":4840,"protocol":"Telnet","protocol":"MQTT","seq":%d,' \
+           '"src_id":"10.0.1.10","timestamp":%d}'
+    lines = [line % runs for runs in [(9, 0, 5), (310, 17, 99_999), (4, 3, 10**13)]]
+    events = parse_evidence(lines)
+    assert (list(map(typed, events)), []) == read_alone(lines, True)
+    assert [(e.protocol, e.timestamp, e.bytes) for e in events] == [
+        ("MQTT", 5, 9), ("MQTT", 99_999, 310), ("MQTT", 10**13, 4)
+    ]
+    assert len(admitted) == 1 and admitted[0]
+    assert events[2].port is events[1].port  # a hit shares the template's objects
+
+
+def test_repeated_timestamp_key_admits_no_template(admitted):
+    """A line giving ``timestamp`` twice reads its last value; its shape is
+    refused a template, once."""
+    lines = ['{"dst_id":"b","protocol":"MQTT","src_id":"a","timestamp":%d,"timestamp":%d}' % pair
+             for pair in [(1, 2), (30, 40), (500, 6)]]
+    assert [e.timestamp for e in parse_evidence(lines)] == [2, 40, 6]
+    assert admitted == [()]
