@@ -18,8 +18,11 @@ import hashlib
 import json
 import logging
 import re
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Annotated, BinaryIO, Iterable, Iterator, NamedTuple
 
@@ -214,11 +217,14 @@ def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEv
 #: its colon, and the run: a JSON integer of no sign, fraction or exponent.
 #: Compiled on first use, as the reader is, so importing compiles nothing.
 _RUNS = r'("(?:bytes|seq|timestamp)":)(0|[1-9][0-9]*)(?![0-9.eE])'
+#: The fields whose integers a shape leaves out, in key order.
+_RUN_NAMES = ("bytes", "seq", "timestamp")
 #: The field each run's key names.
-_RUN_FIELDS = {f'"{name}":': EvidenceEvent._fields.index(name) for name in ("bytes", "seq", "timestamp")}
-#: Most characters of line text one parse keeps in its shapes.
+_RUN_FIELDS = {f'"{name}":': EvidenceEvent._fields.index(name) for name in _RUN_NAMES}
+#: Most characters of line text one parse, or one write, keeps in its shapes.
 _SHAPE_ROOM = 2**20
-#: By how many lines those of a new or refused shape may outnumber template hits before the cut stops.
+#: By how many lines those of a new or refused shape may outnumber template
+#: hits before the cut, or the writer's templating, stops.
 _MISSES = 512
 
 
@@ -306,20 +312,75 @@ def to_jsonl(events: Iterable[EvidenceEvent]) -> str:
     """Canonical JSON Lines serialization: one line per event, each ended by
     a line feed, written by the :func:`~otcms.jsonfield.writer` compiled for
     :class:`EvidenceEvent`: the :func:`~otcms.jsonfield.canonical` text of
-    its :func:`~otcms.jsonfield.to_json` record."""
-    lines = list(map(writer(EvidenceEvent), events))
-    return "\n".join(lines) + ("\n" if lines else "")
+    its :func:`~otcms.jsonfield.to_json` record. An event repeating an
+    earlier one's shape is written from that shape's template (see
+    :func:`_lines`), to the same text."""
+    return "".join(_lines(events))
 
 
 def jsonl_digest(events: Iterable[EvidenceEvent]) -> str:
     """The :func:`evidence_digest` of ``to_jsonl(events)`` in UTF-8, hashed
     line by line as :func:`read_evidence` hashes a file, so the text is
-    never held whole."""
+    never held whole; lines come from :func:`_lines`, as there."""
     sha256 = hashlib.sha256()
     update = sha256.update
-    for line in map(writer(EvidenceEvent), events):
-        update((line + "\n").encode("utf-8"))
+    for line in _lines(events):
+        update(line.encode("utf-8"))
     return _digest(sha256)
+
+
+#: The values of an event's ``bytes``, ``seq`` and ``timestamp``, in key order.
+_RUN_VALUES = itemgetter(*_RUN_FIELDS.values())
+#: An event's shape: every other field.
+_SHAPE = itemgetter(*sorted(set(range(len(EvidenceEvent._fields))) - set(_RUN_FIELDS.values())))
+
+
+@cache
+def _annotated() -> list[frozenset]:
+    """Per event field, the types its annotation names; read on first use,
+    so importing evaluates no annotation."""
+    return [frozenset(typing.get_args(hint) or (hint,)) for hint in typing.get_type_hints(EvidenceEvent).values()]
+
+
+def _lines(events: Iterable[EvidenceEvent]) -> Iterator[str]:
+    """Each event's line and its line feed, as the writer compiled for
+    :class:`EvidenceEvent` writes it. A shape's first event, if its fields
+    hold their annotated types, is written by that writer cut at ``bytes``,
+    ``seq`` and ``timestamp``: the pieces, joined by ``%d``, are the shape's
+    template, and the three integers are formatted into it. A later event
+    holding the same type in every field is written from the template, as
+    equal values of other types write other text (``True == 1``,
+    ``IdScheme.IP == "IP"``); any other event is written whole. Templates
+    are kept up to :data:`_SHAPE_ROOM` characters, and templating stops once
+    events missing a template outnumber hits by more than :data:`_MISSES`."""
+    cut, annotated = writer(EvidenceEvent, *_RUN_NAMES), _annotated()
+    # Per shape: the field types of its first event, and its template.
+    templates, lead, room = {}, 0, _SHAPE_ROOM
+    events = iter(events)
+    for event in events:
+        shape, kinds = _SHAPE(event), [*map(type, event)]
+        try:
+            template = templates.get(shape)
+        except TypeError:  # a list or dict in a field
+            template = False
+        if template and template[0] == kinds:
+            lead -= 1
+            yield template[1] % _RUN_VALUES(event)
+            continue
+        if template is None and all(map(frozenset.__contains__, annotated, kinds)):
+            text = "%d".join(piece.replace("%", "%%") for piece in cut(event)) + "\n"
+            if len(text) <= room:
+                templates[shape] = kinds, text
+                room -= len(text)
+            yield text % _RUN_VALUES(event)
+        else:
+            yield writer(EvidenceEvent)(event) + "\n"
+        lead += 1
+        if lead > _MISSES:
+            break
+    write = writer(EvidenceEvent)
+    for event in events:
+        yield write(event) + "\n"
 
 
 def write_evidence(events: Iterable[EvidenceEvent], path: str | Path) -> None:

@@ -42,7 +42,8 @@ field's enum as its value's text. Any other value is written by
 :func:`canonical`, so ``port=True`` writes ``true``, and one it cannot write
 raises its TypeError. A class that is no NamedTuple, or a field annotated
 other than ``str``, ``int``, ``bool`` or an enum, each alone or with null,
-raises TypeError when the writer is compiled.
+raises TypeError when the writer is compiled. Compiled with slots, fields
+never left out, it gives the same text cut around their values.
 """
 
 from __future__ import annotations
@@ -412,7 +413,7 @@ def to_json(obj) -> dict:
 
 
 @cache
-def writer(cls: type) -> typing.Callable[[object], str]:
+def writer(cls: type, *slots: str) -> typing.Callable:
     """``write(obj)``: the :func:`canonical` text of :func:`to_json` for an
     instance of the NamedTuple ``cls``, from a function written for ``cls``
     (see the module docstring); any other class, or a field annotated other
@@ -421,15 +422,26 @@ def writer(cls: type) -> typing.Callable[[object], str]:
 
     The function reads every field with one unpacking, and writes a member
     of an enum field's own enum from a table of each member's text, made
-    here."""
+    here. Given ``slots``, names of fields that are never left out, it
+    gives that text cut around each slot's value instead: one piece more
+    than ``slots``, in key order, each slot's key and colon ending the
+    piece before its value."""
     if not _named_tuple(cls):
         raise TypeError(f"{cls.__name__}: no compiled JSON form for a class that is no NamedTuple")
+    if not set(slots) <= set(cls._fields):
+        raise TypeError(f"{cls.__name__}: no field {sorted(set(slots) - set(cls._fields))[0]!r} to cut at")
     hints = typing.get_type_hints(cls)
     writes = (_FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls)))[2]
     env = {"_str": encode_basestring, "_int": int.__repr__, "_canonical": canonical}
-    body = [f"({', '.join(f'_{index}' for index in range(len(writes)))},) = _obj"]
+    body, cuts = [f"({', '.join(f'_{index}' for index in range(len(writes)))},) = _obj"], 0
     for index, (name, omitted, _) in sorted(enumerate(writes), key=lambda item: item[1][0]):
-        hint, var = _unnulled(hints[name]), f"_{index}"
+        hint, var, key = _unnulled(hints[name]), f"_{index}", encode_basestring(name) + ":"
+        if name in slots:
+            if omitted is not MISSING:
+                raise TypeError(f"{cls.__name__}.{name}: a slot must be a field that is never left out")
+            opening, cuts = "," if cuts else "{", cuts + 1
+            body += [f"_append({key!r})", f'_pieces.append({opening!r} + ",".join(_parts))', "_parts.clear()"]
+            continue
         if hint is str or hint is int:
             text = f"_{hint.__name__}({var}) if type({var}) is {hint.__name__} else _canonical({var})"
         elif hint is bool:
@@ -439,7 +451,7 @@ def writer(cls: type) -> typing.Callable[[object], str]:
             text = f"_e{index}[{var}] if type({var}) is _t{index} else _canonical({var}.value)"
         else:
             raise TypeError(f"{cls.__name__}.{name}: no compiled JSON form for {hint!r}")
-        append = f"_append({encode_basestring(name) + ':'!r} + ({text}))"
+        append = f"_append({key!r} + ({text}))"
         if omitted is MISSING:
             body.append(append)
         else:
@@ -447,10 +459,11 @@ def writer(cls: type) -> typing.Callable[[object], str]:
             body += [f"if {var} is not _o{index}:", f"    {append}"]
     source = "\n".join([
         "def write(_obj):",
-        "    _parts = []",
+        "    _parts, _pieces = [], []" if slots else "    _parts = []",
         "    _append = _parts.append",
         *(f"    {line}" for line in body),
-        '    return "{" + ",".join(_parts) + "}"',
+        *(['    _pieces.append("," + ",".join(_parts) + "}" if _parts else "}")', "    return _pieces"] if slots
+          else ['    return "{" + ",".join(_parts) + "}"']),
     ])
     exec(source, env)
     return env["write"]

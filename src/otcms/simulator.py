@@ -67,6 +67,10 @@ _SCHEMES = {
 
 _VERSIONS = {"MQTT": "5.0", "OPCUA": "1.04", "LDAP": "3"}
 _CIPHER = "TLS_AES_128_GCM_SHA256"
+#: The fields of every event ``_secure`` builds, unless it is given others.
+_SECURE = {"tls_present": True, "cert_present": True, "cipher_suite": _CIPHER, "key_bits": 256}
+#: Every event field, in order, holding its default (None where it has none).
+_BLANK = dict.fromkeys(EvidenceEvent._fields) | EvidenceEvent._field_defaults
 
 
 class ScenarioError(ValueError):
@@ -182,39 +186,16 @@ def default_scenario(
 # Event construction
 # --------------------------------------------------------------------------
 
-def _scheme(identifier: str) -> IdScheme:
-    return _SCHEMES.get(identifier, IdScheme.OTHER)
-
-
 def _record(t: int, src: str, dst: str, protocol: str, **kw) -> dict:
-    record = dict(
-        timestamp=int(t),
-        src_id=src,
-        dst_id=dst,
-        protocol=protocol,
-        id_scheme_src=_scheme(src),
-        id_scheme_dst=_scheme(dst),
-        direction_external=kw.pop("direction_external", False),
-    )
-    record.update(kw)
-    return record
+    """The fields of an event but ``seq``, by name; a field left out takes its default."""
+    return {"timestamp": int(t), "src_id": src, "dst_id": dst, "protocol": protocol,
+            "id_scheme_src": _SCHEMES.get(src, IdScheme.OTHER), "id_scheme_dst": _SCHEMES.get(dst, IdScheme.OTHER),
+            "direction_external": False, **kw}
 
 
 def _secure(t: int, src: str, dst: str, protocol: str, port: int | None, sid: str | None, nbytes: int, **kw) -> dict:
-    base = dict(
-        port=port,
-        session_id=sid,
-        bytes=nbytes,
-        tls_present=True,
-        cert_present=True,
-        cipher_suite=_CIPHER,
-        key_bits=256,
-    )
-    version = _VERSIONS.get(protocol)
-    if version is not None:
-        base["protocol_version"] = version
-    base.update(kw)
-    return _record(t, src, dst, protocol, **base)
+    return {**_record(t, src, dst, protocol), "port": port, "session_id": sid, "bytes": nbytes,
+            "protocol_version": _VERSIONS.get(protocol), **_SECURE, **kw}
 
 
 def _baseline_records(scenario: Scenario, rng: random.Random) -> list[dict]:
@@ -472,7 +453,10 @@ def generate_scenario(scenario: Scenario, catalog: Catalog | None = None) -> tup
         fulfilled |= spec.fulfills
 
     records.sort(key=itemgetter("timestamp"))
-    events = [EvidenceEvent(seq=seq, **record) for seq, record in enumerate(records)]
+    # Built as the parse builds events, from the values in field order: each record's over the defaults.
+    events = [tuple.__new__(EvidenceEvent, {**_BLANK, **record, "seq": seq}.values()) for seq, record in enumerate(records)]
+    if max(map(len, events), default=0) > len(_BLANK):
+        raise TypeError(f"no event field {min(set().union(*records) - _BLANK.keys())!r}")
     truth = ground_truth_for(violated, fulfilled, scenario.sl_target, catalog)
     return events, truth
 

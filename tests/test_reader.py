@@ -1,9 +1,11 @@
 """The reader ``jsonfield`` compiles for a NamedTuple, against the
 field-by-field walk it falls back to, and the evidence parse built on it,
 with the templates it reads repeated lines from; and the writer it
-compiles, against ``json.dumps`` of ``to_json``."""
+compiles, against ``json.dumps`` of ``to_json``, with the templates
+``to_jsonl`` writes repeated shapes from, against that writer."""
 
 import gc
+import hashlib
 import json
 import logging
 import re
@@ -127,15 +129,15 @@ def test_equal_strings_share_one_object_within_a_parse():
     assert again.src_id == events[0].src_id and again.src_id is not events[0].src_id  # one memo per parse
 
 
-def test_streamed_read_peaks_near_what_its_events_retain(tmp_path):
-    path = tmp_path / "evidence.jsonl"
+def assert_streamed_read_peaks_near_what_its_events_retain(path: Path, sessions: int) -> list[EvidenceEvent]:
+    """The events read, whose ids cycle with periods 5, 7, 3 and ``sessions``."""
     write_evidence(
         [
             EvidenceEvent(
                 seq=i, timestamp=1_700_000_000_000 + 37 * i, src_id=f"10.0.{i % 5}.10", dst_id=f"10.0.{i % 7}.20",
                 protocol=("OPCUA", "MQTT", "Modbus")[i % 3], id_scheme_src=IdScheme.IP, id_scheme_dst=IdScheme.IP,
                 protocol_version="1.04", port=(4840, 8883, 502)[i % 3], tls_present=True, cert_present=True,
-                cipher_suite="TLS_AES_128_GCM_SHA256", key_bits=256, session_id=f"sess-{i % 48}",
+                cipher_suite="TLS_AES_128_GCM_SHA256", key_bits=256, session_id=f"sess-{i % sessions}",
                 bytes=300 + i % 400, direction_external=False,
             )
             for i in range(7000)
@@ -149,11 +151,24 @@ def test_streamed_read_peaks_near_what_its_events_retain(tmp_path):
     try:
         before = tracemalloc.get_traced_memory()[0]
         events = load_evidence(path)
+        gc.collect()  # what the free lists hold is not retained
         retained, peak = (size - before for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert peak - retained < 2**20
     assert retained / len(events) <= 420  # 380 B measured with CPython 3.11
+    return events
+
+
+def test_streamed_read_peaks_near_what_its_events_retain(tmp_path):
+    """Shapes repeat every 1,680 lines: the parse stops cutting before any repeats."""
+    assert_streamed_read_peaks_near_what_its_events_retain(tmp_path / "evidence.jsonl", 48)
+
+
+def test_streamed_read_of_template_hits_peaks_near_what_its_events_retain(tmp_path):
+    """Shapes repeat every 105 lines: nearly every event is built from a template."""
+    events = assert_streamed_read_peaks_near_what_its_events_retain(tmp_path / "evidence.jsonl", 15)
+    assert events[-1].port is events[-106].port  # a hit shares the template's objects
 
 
 write = jsonfield.writer(EvidenceEvent)
@@ -292,6 +307,109 @@ def test_writer_refuses_a_dataclass_of_scalar_fields_when_compiled():
 
     with pytest.raises(TypeError, match="RateLimit: no compiled JSON form for a class that is no NamedTuple"):
         jsonfield.writer(RateLimit)
+
+
+class Named(str):
+    """A ``str`` subclass: equal to its text, but no exact ``str`` to the writer."""
+
+
+# Values one field of a repeated shape takes from line to line: equal, and
+# equal in hash, across types whose written text differs.
+COLLIDING = st.sampled_from(
+    [(True, 1, 1.0), (False, 0, None, 0.0, -0.0), (IdScheme.IP, "IP", Named("IP")), ("a", Named("a")),
+     (IdScheme.OTHER, "Other"), (256, 256.0, True)]
+)
+SHAPE_NAMES = [name for name in NAMES if name not in ("seq", "timestamp", "bytes")]
+# Values of ``seq``, ``timestamp`` and ``bytes``: mostly integers of other
+# digit counts, which a template writes, and values it must not write.
+RUN_VALUES = st.one_of(
+    st.integers(0, 10**12),
+    st.integers(0, 99),
+    st.integers(max_value=-1),
+    st.sampled_from([2**70, 10**4300, True, False, 1.0, 0.5, -0.0, 0.0]),
+)
+
+
+@st.composite
+def repeated_shapes(draw) -> list[EvidenceEvent]:
+    """Events of one shape, but for one field taking colliding values of
+    other types, and for their ``seq``, ``timestamp`` and ``bytes``."""
+    made = jsonfield._compile(EvidenceEvent, ("seq",))(draw(accepted_records), {}, seq=0)
+    base = made if made is not None else parse_evidence([json.dumps(FULL)])[0]
+    field, values = draw(st.sampled_from(SHAPE_NAMES)), draw(COLLIDING)
+    return [
+        base._replace(seq=draw(RUN_VALUES), timestamp=draw(RUN_VALUES), bytes=draw(RUN_VALUES),
+                      **{field: draw(st.sampled_from(values))})
+        for _ in range(draw(st.integers(2, 8)))
+    ]
+
+
+def hashed(lines: list[str]) -> str:
+    """The evidence digest of ``lines``, each encoded alone: a lone surrogate
+    is refused naming its place in its line."""
+    sha256 = hashlib.sha256()
+    for line in lines:
+        sha256.update(line.encode("utf-8"))
+    return "sha256:" + sha256.hexdigest()
+
+
+def outcome(produce):
+    """What ``produce()`` gives, or the type and text of what it raises."""
+    try:
+        return produce()
+    except (AttributeError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(events=repeated_shapes())
+@example(events=[EvidenceEvent(seq=0, timestamp=1, src_id="a", dst_id="b", protocol="P", port=port, bytes=9)
+                 for port in (1, True, 1.0)])
+@example(events=[EvidenceEvent(seq=seq, timestamp=1, src_id="a", dst_id="b", protocol="P%d") for seq in (5, 10, True)])
+@example(events=[EvidenceEvent(seq=seq, timestamp=1, src_id="a", dst_id="b", protocol="P") for seq in (True, True)])
+@example(events=[EvidenceEvent(seq=0, timestamp=1, src_id="a", dst_id="b", protocol="P", port=[1, 2])] * 2)
+@example(events=[EvidenceEvent(seq=0, timestamp=1, src_id="a", dst_id="b", protocol="P", port=port)
+                 for port in (0.0, -0.0)])
+@example(events=[EvidenceEvent(seq=0, timestamp=1, src_id="a", dst_id="b", protocol="P", id_scheme_src=scheme)
+                 for scheme in (IdScheme.IP, "IP")])
+def test_templated_writer_writes_each_event_as_written_alone(events):
+    """``to_jsonl`` and ``jsonl_digest``, which write a repeated shape from
+    its template, give the lines the writer gives each event alone, joined
+    and hashed, or raise as it raises for the first event it refuses."""
+    alone = outcome(lambda: [write(event) + "\n" for event in events])
+    expected = [alone, alone] if type(alone) is tuple else ["".join(alone), outcome(lambda: hashed(alone))]
+    assert [outcome(lambda: evidence.to_jsonl(events)), outcome(lambda: evidence.jsonl_digest(events))] == expected
+
+
+def test_repeated_shape_is_cut_once(monkeypatch):
+    """Events of one shape but for their ``seq``, ``timestamp`` and
+    ``bytes`` are written by the cut writer once, then from the shape's
+    template; none is written whole."""
+    written = []
+
+    def counted(cls, *slots):
+        """The writer for ``cls`` and ``slots``, noting each event it writes."""
+        return lambda event: written.append((slots, event)) or jsonfield.writer(cls, *slots)(event)
+
+    monkeypatch.setattr(evidence, "writer", counted)
+    (full,) = parse_evidence([json.dumps(FULL)])
+    events = [full._replace(seq=i, timestamp=10**i, bytes=i % 7) for i in range(50)]
+    assert evidence.to_jsonl(events) == "".join(write(event) + "\n" for event in events)
+    assert written == [(("bytes", "seq", "timestamp"), events[0])]
+
+
+def test_writer_cut_at_slots_gives_the_text_around_their_values():
+    (full,) = parse_evidence([json.dumps(FULL)])
+    event = full._replace(seq=3)  # bytes 10, timestamp 5
+    pieces = jsonfield.writer(EvidenceEvent, "bytes", "seq", "timestamp")(event)
+    assert [piece.rsplit(",", 1)[-1] for piece in pieces] == ['"bytes":', '"seq":', '"timestamp":', '"tls_present":true}']
+    assert "10".join(pieces[:2]) + "3" + "5".join(pieces[2:]) == write(event)
+
+
+@pytest.mark.parametrize("slot, refusal", [("port", "EvidenceEvent.port: a slot must be"), ("size", "no field 'size'")])
+def test_writer_refuses_a_slot_it_cannot_cut_at(slot, refusal):
+    with pytest.raises(TypeError, match=refusal):
+        jsonfield.writer(EvidenceEvent, slot)
 
 
 # Whitespace ``str.strip`` removes from the ends of a line, JSON's own and

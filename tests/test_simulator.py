@@ -104,6 +104,14 @@ class TestInjections:
         with pytest.raises(ScenarioError, match=r"injections\[1\]: at_ms: expected at least 0, got -5000"):
             default_scenario(injections=(Injection("weak_encryption"), Injection("weak_encryption", at_ms=-5000)))
 
+    def test_record_naming_no_event_field_refused(self, monkeypatch, catalog):
+        def build(sc, t0):
+            return [simulator._record(t0, simulator.PLC1, simulator.HMI1, "Telnet", colour="red")]
+
+        monkeypatch.setitem(INJECTIONS, "unknown_protocol", replace(INJECTIONS["unknown_protocol"], build=build))
+        with pytest.raises(TypeError, match="^no event field 'colour'$"):
+            generate_scenario(default_scenario(injections=(Injection("unknown_protocol"),)), catalog)
+
     def test_combined_injections_union(self, catalog):
         sc = default_scenario(
             injections=(
