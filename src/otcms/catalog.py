@@ -164,6 +164,11 @@ def parse_catalog(text: str) -> Catalog:
     expected = [f"FR{i}" for i in range(1, 8)]
     if [fr.id for fr in catalog.frs] != expected:
         raise CatalogError(f"catalog must contain exactly FR1..FR7 in order, got {[fr.id for fr in catalog.frs]}")
+    for fr in catalog.frs:  # IEC 62443-3-3 numbering: the text report files SR<n>.<m> under FR<n>
+        prefix = f"SR{fr.id[2:]}."
+        for sr in fr.srs:
+            if not sr.id.startswith(prefix):
+                raise CatalogError(f"{fr.id}: SR id {sr.id!r} does not start with {prefix!r}{_line_note(text, sr.id)}")
     return catalog
 
 

@@ -54,7 +54,7 @@ from operator import attrgetter, le, lt, sub
 
 from otcms.catalog import AttributeKind
 from otcms.context import ContextSpec, RateLimit, classify_entity
-from otcms.evidence import EvidenceEvent, IdScheme, Session
+from otcms.evidence import SHAPE_GAP, SHAPE_START, EvidenceEvent, IdScheme, Session
 
 #: Length of the protocol run taken as evidence of a directory-backed
 #: account/identifier/authenticator management system. Matches the packet
@@ -313,12 +313,9 @@ def _observed(
 # --------------------------------------------------------------------------
 
 #: Shape -> stream positions; a shape is every :class:`EvidenceEvent` field
-#: but ``seq``, ``timestamp`` and ``bytes``, in field order.
+#: but ``seq``, ``timestamp`` and ``bytes``, in field order, as the evidence
+#: writer keys its templates.
 Shapes = Mapping[tuple, list[int]]
-
-# A shape is the event tuple without its leading ``seq`` and ``timestamp`` and without ``bytes``.
-_SHAPE_START = EvidenceEvent._fields.index("timestamp") + 1
-_BYTES = EvidenceEvent._fields.index("bytes")
 
 
 def group_shapes(events: list[EvidenceEvent]) -> dict[tuple, list[int]]:
@@ -327,7 +324,7 @@ def group_shapes(events: list[EvidenceEvent]) -> dict[tuple, list[int]]:
     fields' annotated types."""
     shapes: defaultdict[tuple, list[int]] = defaultdict(list)
     for position, e in enumerate(events):
-        shapes[e[_SHAPE_START:_BYTES] + e[_BYTES + 1:]].append(position)
+        shapes[e[SHAPE_START:SHAPE_GAP] + e[SHAPE_GAP + 1:]].append(position)
     return dict(shapes)
 
 

@@ -201,7 +201,7 @@ def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEv
                     cut = None
         event = parse(stripped, len(events))
         if event is None:
-            event = _reread(stripped, strings, len(events))
+            event = _reread(stripped, len(events))
         if cut and template is False:
             templates[shape] = () if type(event) is str else _template(event, parts, parse)
         if type(event) is str:
@@ -221,6 +221,9 @@ _RUNS = r'("(?:bytes|seq|timestamp)":)(0|[1-9][0-9]*)(?![0-9.eE])'
 _RUN_NAMES = ("bytes", "seq", "timestamp")
 #: The field each run's key names.
 _RUN_FIELDS = {f'"{name}":': EvidenceEvent._fields.index(name) for name in _RUN_NAMES}
+#: An event's shape, ``e[SHAPE_START:SHAPE_GAP] + e[SHAPE_GAP + 1:]``: every field but the
+#: runs', whose fields are the leading ones and one more.
+SHAPE_START, SHAPE_GAP = len(_RUN_NAMES) - 1, max(_RUN_FIELDS.values())
 #: Most characters of line text one parse, or one write, keeps in its shapes.
 _SHAPE_ROOM = 2**20
 #: By how many lines those of a new or refused shape may outnumber template
@@ -251,7 +254,7 @@ def _template(event: EvidenceEvent, parts: list[str], parse) -> tuple:
     return list(event), tuple(slots)
 
 
-def _reread(text: str, strings: dict[str, str], seq: int) -> EvidenceEvent | str:
+def _reread(text: str, seq: int) -> EvidenceEvent | str:
     """The event of the evidence line ``text``, read by ``json.loads`` and
     :func:`~otcms.jsonfield.from_json`, or why the line is refused, in
     their words."""
@@ -260,7 +263,7 @@ def _reread(text: str, strings: dict[str, str], seq: int) -> EvidenceEvent | str
     except (ValueError, RecursionError) as exc:
         return f"invalid JSON ({unreadable(exc)})"
     try:
-        return from_json(EvidenceEvent, record, EvidenceError, strings=strings, seq=seq)
+        return from_json(EvidenceEvent, record, EvidenceError, seq=seq)
     except EvidenceError as exc:
         return str(exc)
 
@@ -321,7 +324,8 @@ def to_jsonl(events: Iterable[EvidenceEvent]) -> str:
 def jsonl_digest(events: Iterable[EvidenceEvent]) -> str:
     """The :func:`evidence_digest` of ``to_jsonl(events)`` in UTF-8, hashed
     line by line as :func:`read_evidence` hashes a file, so the text is
-    never held whole; lines come from :func:`_lines`, as there."""
+    never held whole; lines come from :func:`_lines`, as there. It refuses
+    at the first line it cannot write or encode."""
     sha256 = hashlib.sha256()
     update = sha256.update
     for line in _lines(events):
@@ -331,8 +335,6 @@ def jsonl_digest(events: Iterable[EvidenceEvent]) -> str:
 
 #: The values of an event's ``bytes``, ``seq`` and ``timestamp``, in key order.
 _RUN_VALUES = itemgetter(*_RUN_FIELDS.values())
-#: An event's shape: every other field.
-_SHAPE = itemgetter(*sorted(set(range(len(EvidenceEvent._fields))) - set(_RUN_FIELDS.values())))
 
 
 @cache
@@ -358,7 +360,7 @@ def _lines(events: Iterable[EvidenceEvent]) -> Iterator[str]:
     templates, lead, room = {}, 0, _SHAPE_ROOM
     events = iter(events)
     for event in events:
-        shape, kinds = _SHAPE(event), [*map(type, event)]
+        shape, kinds = event[SHAPE_START:SHAPE_GAP] + event[SHAPE_GAP + 1:], [*map(type, event)]
         try:
             template = templates.get(shape)
         except TypeError:  # a list or dict in a field

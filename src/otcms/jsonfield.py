@@ -20,11 +20,12 @@ field's values as the metadata of its ``Annotated`` annotation, and a
 dataclass that calls :func:`check_ranges` applies them on construction. Every
 failure raises the error class the loader passes in, with the path to the
 value: ``rate_spec[0]: pair``, ``frs[FR1]: srs[SR1.1]: bindings[0]: min_sl``.
-A NamedTuple, read once per evidence line, gets a reader compiled for it on
-first use that applies the same rule and hands any record it refuses to the
-field-by-field walk, which words the failure. A text nesting lists and
-objects more than :data:`MAX_DEPTH` deep is refused as nested too deeply
-(see :func:`within_depth`).
+:func:`from_json` is the one read that words a failure. For a NamedTuple
+read once per evidence line, :func:`reader` compiles on first use a function
+applying the same rule that returns None for a record it refuses; the
+caller reads only that record again, by :func:`from_json`. A text nesting
+lists and objects more than :data:`MAX_DEPTH` deep is refused as nested too
+deeply (see :func:`within_depth`).
 
 :func:`to_json` writes the same forms back under the same keys: an enum as
 its value, a frozenset as a sorted list, a tuple as a list, a dataclass or
@@ -244,12 +245,13 @@ def read(value, hint, error: type[ValueError], label: str):
         raise error(_under(label, exc)) from None
 
 
-def _fields(cls: type) -> tuple[dict[str, tuple], frozenset[str], tuple[tuple, ...]]:
+@cache
+def _fields(cls: type) -> tuple[dict[str, tuple], frozenset[str], tuple[tuple, ...], tuple[tuple, ...]]:
     """Per JSON key: (field name, its spec as :func:`_check` takes it); the
-    names of required fields; and per field in order: (name, the default
-    left out or MISSING, write conversion or None). ``cls`` is a dataclass
-    or a NamedTuple; a field annotated ``Annotated[X, check]`` is read as an
-    ``X`` that ``check`` then narrows."""
+    names of required fields; per field in order: (name, the default left
+    out or MISSING, write conversion or None); and (name, check) per field
+    annotated ``Annotated[X, check]``, which is read as an ``X`` that
+    ``check`` then narrows. ``cls`` is a dataclass or a NamedTuple."""
     hints = typing.get_type_hints(cls, include_extras=True)
     if is_dataclass(cls):  # a default factory is a default that is never left out
         names = [f.name for f in fields(cls)]
@@ -258,11 +260,12 @@ def _fields(cls: type) -> tuple[dict[str, tuple], frozenset[str], tuple[tuple, .
         }
     else:
         names, defaults = cls._fields, cls._field_defaults
-    specs, required, writes = {}, set(), []
+    specs, required, writes, narrowings = {}, set(), [], []
     for name in names:
         hint, check = hints[name], None
         if typing.get_origin(hint) is typing.Annotated:
             hint, check = typing.get_args(hint)
+            narrowings.append((name, check))
         kinds, convert, what, write = _spec(hint)
         default = defaults.get(name, MISSING)
         if default is None and dict not in kinds:  # an object section is given or left out
@@ -272,49 +275,21 @@ def _fields(cls: type) -> tuple[dict[str, tuple], frozenset[str], tuple[tuple, .
         specs[name] = (name, (kinds, check or convert, what, None))
         omit = default is None or default is False or isinstance(default, Enum)
         writes.append((name, default if omit else MISSING, write))
-    return specs, frozenset(required), tuple(writes)
+    return specs, frozenset(required), tuple(writes), tuple(narrowings)
 
 
-_FIELDS: dict[type, tuple[dict[str, tuple], frozenset[str], tuple[tuple, ...]]] = {}
-_READERS: dict[tuple, typing.Callable | None] = {}
+def from_json(cls: type, raw, error: type[ValueError], **given):
+    """Build dataclass or NamedTuple ``cls`` from the JSON object ``raw`` by
+    a walk over its keys, checking each against its field; raises ``error``
+    with the path to the first value refused. ``given`` fields are passed
+    as they are and their keys in ``raw`` ignored.
 
-
-def from_json(cls: type, raw, error: type[ValueError], *, strings: dict | None = None, **given):
-    """Build dataclass or NamedTuple ``cls`` from the JSON object ``raw``;
-    ``given`` fields are passed as they are and their keys in ``raw`` ignored.
-
-    A NamedTuple is read by its :func:`reader` for the names of ``given``,
-    which makes each string value the equal one already in ``strings``: a
-    caller reading many records passes one dict to all, so equal values
-    share one object. A record that reader refuses, and every record of a
-    dataclass, is read by :func:`_walk`, which words the failure.
-    """
+    This is the one field-by-field read, and the one that words a refusal:
+    a caller reading many records of a NamedTuple uses its :func:`reader`
+    and reads here only a record that reader refused."""
     if type(raw) is not dict:
         raise error(str(_wrong("an object", raw)))
-    read = reader(cls, *given)
-    if read is not None:
-        made = read(raw, {} if strings is None else strings, **given)
-        if made is not None:
-            return made
-    return _walk(cls, raw, error, given)
-
-
-def reader(cls: type, *given: str) -> typing.Callable | None:
-    """``read(raw, strings, **given)``, compiled on first use for the
-    NamedTuple ``cls`` and the field names ``given`` (see :func:`_compile`);
-    None for any other class."""
-    key = (cls, *given)
-    read = _READERS.get(key, MISSING)
-    if read is MISSING:
-        read = _READERS[key] = _compile(cls, given)
-    return read
-
-
-def _walk(cls: type, raw: dict, error: type[ValueError], given: dict):
-    """:func:`from_json` by a walk over the keys of ``raw``, checking each
-    against its field; raises ``error`` with the path to the first value
-    refused. ``given`` is consumed."""
-    specs, required, _ = _FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls))
+    specs, required, _, _ = _fields(cls)
     values = given
     for key, value in raw.items():
         entry = specs.get(key)
@@ -332,24 +307,28 @@ def _walk(cls: type, raw: dict, error: type[ValueError], given: dict):
     return cls(**values)
 
 
-def _named_tuple(cls: type) -> bool:
-    """Whether ``cls`` is a NamedTuple class."""
-    return issubclass(cls, tuple) and hasattr(cls, "_field_defaults")
+def _require_named_tuple(cls: type) -> None:
+    """Raise TypeError unless ``cls`` is a NamedTuple class: only one gets compiled code."""
+    if not (issubclass(cls, tuple) and hasattr(cls, "_field_defaults")):
+        raise TypeError(f"{cls.__name__}: no compiled JSON form for a class that is no NamedTuple")
 
 
-def _compile(cls: type, given: tuple[str, ...]) -> typing.Callable | None:
-    """``read(raw, strings, **given)`` for a NamedTuple ``cls``, else None.
+@cache
+def reader(cls: type, *given: str) -> typing.Callable:
+    """``read(raw, strings, **given)``, compiled on first use for the
+    NamedTuple ``cls`` and the field names ``given``; any other class raises
+    TypeError here.
 
-    The reader makes the checks and conversions of :func:`_walk` on the
+    The reader makes the checks and conversions of :func:`from_json` on the
     dict ``raw``, field by field in a function written for ``cls``, and
-    returns None for any value they refuse. It passes each ``str`` field's
-    value through ``strings.setdefault`` and builds the event with one
-    ``tuple.__new__(cls, values)``, without the argument handling of the
-    class's own ``__new__``.
+    returns None for any value they refuse: the caller reads that record by
+    :func:`from_json`, which words the refusal. Each ``str`` field's value
+    passes through ``strings.setdefault``, so records read with one dict
+    share equal strings, and the record is built with one
+    ``tuple.__new__(cls, values)``, without the class's argument handling.
     """
-    if not _named_tuple(cls):
-        return None
-    specs = (_FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls)))[0]
+    _require_named_tuple(cls)
+    specs = _fields(cls)[0]
     hints = typing.get_type_hints(cls)
     env = {"_new": tuple.__new__, "_cls": cls, "_M": MISSING}
     body, values = [], []
@@ -405,7 +384,7 @@ def to_json(obj) -> dict:
     default is left out."""
     cls = type(obj)
     record = {}
-    for name, omitted, write in (_FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls)))[2]:
+    for name, omitted, write in _fields(cls)[2]:
         value = getattr(obj, name)
         if value is not omitted:
             record[name] = value if write is None else write(value)
@@ -426,12 +405,11 @@ def writer(cls: type, *slots: str) -> typing.Callable:
     gives that text cut around each slot's value instead: one piece more
     than ``slots``, in key order, each slot's key and colon ending the
     piece before its value."""
-    if not _named_tuple(cls):
-        raise TypeError(f"{cls.__name__}: no compiled JSON form for a class that is no NamedTuple")
+    _require_named_tuple(cls)
     if not set(slots) <= set(cls._fields):
         raise TypeError(f"{cls.__name__}: no field {sorted(set(slots) - set(cls._fields))[0]!r} to cut at")
     hints = typing.get_type_hints(cls)
-    writes = (_FIELDS.get(cls) or _FIELDS.setdefault(cls, _fields(cls)))[2]
+    writes = _fields(cls)[2]
     env = {"_str": encode_basestring, "_int": int.__repr__, "_canonical": canonical}
     body, cuts = [f"({', '.join(f'_{index}' for index in range(len(writes)))},) = _obj"], 0
     for index, (name, omitted, _) in sorted(enumerate(writes), key=lambda item: item[1][0]):
@@ -469,24 +447,12 @@ def writer(cls: type, *slots: str) -> typing.Callable:
     return env["write"]
 
 
-@cache
-def _narrowings(cls: type) -> tuple[tuple[str, typing.Callable], ...]:
-    """(field name, check) for every field of dataclass ``cls`` annotated
-    ``Annotated[X, check]``."""
-    hints = typing.get_type_hints(cls, include_extras=True)
-    return tuple(
-        (f.name, typing.get_args(hints[f.name])[1])
-        for f in fields(cls)
-        if typing.get_origin(hints[f.name]) is typing.Annotated
-    )
-
-
 def check_ranges(obj, error: type[ValueError]) -> None:
     """Apply to dataclass ``obj`` the ``Annotated`` checks of its fields, so a
     value a file is refused for is refused on construction too; a null is
     not checked. Raises ``error`` naming the field:
     ``window_ms: expected at least 1, got 0``."""
-    for name, check in _narrowings(type(obj)):
+    for name, check in _fields(type(obj))[3]:
         value = getattr(obj, name)
         if value is not None:
             try:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -77,6 +78,16 @@ class TestLoad:
         data["frs"].pop()
         with pytest.raises(CatalogError, match="FR1..FR7"):
             parse_catalog(json.dumps(data))
+
+    @pytest.mark.parametrize("sr_id, fr_index", [("CUSTOM-1", 0), ("SR1.99", 1), ("SR2", 1)])
+    def test_sr_id_not_naming_its_fr_refused(self, sr_id, fr_index):
+        data = minimal_catalog_dict()
+        data["frs"][fr_index]["srs"][0]["id"] = sr_id
+        text = json.dumps(data, indent=2)
+        line = text[: text.index(f'"{sr_id}"')].count("\n") + 1
+        refused = f"FR{fr_index + 1}: SR id '{sr_id}' does not start with 'SR{fr_index + 1}.' (line {line})"
+        with pytest.raises(CatalogError, match=f"^{re.escape(refused)}$"):
+            parse_catalog(text)
 
     def test_round_trip_structural_equality(self, catalog):
         assert parse_catalog(serialize_catalog(catalog)) == catalog

@@ -240,6 +240,17 @@ class TestRendering:
         assert report.catalog_version in text
         assert report.evidence_digest in text
 
+    def test_human_output_lists_every_sr_once_under_its_fr(self, catalog):
+        filed, fr_id = [], None
+        table = render_report(self._report(catalog), "human").split("achieved SL\n", 1)[1].split("\n\n", 1)[0]
+        for line in table.splitlines():
+            if line.startswith("["):
+                fr_id = line.split()[1]
+            else:
+                filed.append((fr_id, line.split()[0]))
+        assert filed == [(fr.id, sr.id) for fr in catalog.frs for sr in fr.srs]
+        assert len(filed) == 51
+
     def test_unknown_format_rejected(self, catalog):
         with pytest.raises(ValueError, match="unknown report format"):
             render_report(self._report(catalog), "yaml")

@@ -1,14 +1,16 @@
 """The reader ``jsonfield`` compiles for a NamedTuple, against the
-field-by-field walk it falls back to, and the evidence parse built on it,
-with the templates it reads repeated lines from; and the writer it
-compiles, against ``json.dumps`` of ``to_json``, with the templates
-``to_jsonl`` writes repeated shapes from, against that writer."""
+field-by-field walk of ``from_json``, which reads what it refuses, and the
+evidence parse built on it, with the templates it reads repeated lines
+from; and the writer it compiles, against ``json.dumps`` of ``to_json``,
+with the templates ``to_jsonl`` writes repeated shapes from, against that
+writer."""
 
 import gc
 import hashlib
 import json
 import logging
 import re
+import sys
 import tracemalloc
 import typing
 from enum import Enum
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from otcms import evidence, jsonfield
 from otcms.detectors import Severity
 from otcms.evidence import EvidenceError, EvidenceEvent, IdScheme, load_evidence, parse_evidence, write_evidence
-from otcms.jsonfield import from_json
+from otcms.jsonfield import from_json, reader
 
 NAMES = list(EvidenceEvent._fields)
 BASE = {"timestamp": 5, "src_id": "10.0.1.10", "dst_id": "10.0.2.20", "protocol": "MQTT"}
@@ -55,7 +57,7 @@ def typed(event: EvidenceEvent) -> list:
 def walked(raw: dict, **given):
     """The walk's event for ``raw``, or its error text."""
     try:
-        return typed(jsonfield._walk(EvidenceEvent, raw, EvidenceError, given))
+        return typed(from_json(EvidenceEvent, raw, EvidenceError, **given))
     except EvidenceError as exc:
         return str(exc)
 
@@ -64,9 +66,9 @@ def walked(raw: dict, **given):
 @given(raw=records, given_seq=st.booleans())
 def test_compiled_reader_accepts_and_refuses_what_the_walk_does(raw, given_seq):
     given = {"seq": 7} if given_seq else {}
-    reader = jsonfield._compile(EvidenceEvent, tuple(given))
+    read = reader(EvidenceEvent, *given)
     expected = walked(raw, **given)
-    made = reader(raw, {}, **given)
+    made = read(raw, {}, **given)
     if isinstance(expected, str):
         assert made is None
         with pytest.raises(EvidenceError) as refused:
@@ -80,18 +82,18 @@ def test_compiled_reader_accepts_and_refuses_what_the_walk_does(raw, given_seq):
 def test_only_a_named_tuple_gets_a_reader():
     from otcms.context import ContextSpec
 
-    assert jsonfield._compile(ContextSpec, ()) is None
-    assert jsonfield._compile(tuple, ()) is None
-    assert jsonfield._compile(EvidenceEvent, ("seq",)) is not None
+    for cls in (ContextSpec, tuple):
+        with pytest.raises(TypeError, match=f"^{cls.__name__}: no compiled JSON form for a class that is no NamedTuple$"):
+            reader(cls)
+    assert reader(EvidenceEvent, "seq") is not None
 
 
 def test_no_reader_is_compiled_at_import():
     import subprocess
-    import sys
 
     import otcms
 
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import otcms, otcms.jsonfield as j; print(len(j._READERS))"
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import otcms, otcms.jsonfield as j; print(j.reader.cache_info().currsize)"
     src = str(Path(otcms.__file__).parents[1])
     assert subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True).stdout == "0\n"
 
@@ -226,7 +228,7 @@ def assert_written_alike(event: EvidenceEvent) -> None:
 @settings(max_examples=400, deadline=None)
 @given(raw=st.one_of(records, accepted_records), seq=st.integers(min_value=0))
 def test_writer_writes_read_events_as_json_dumps_does(raw, seq):
-    made = jsonfield._compile(EvidenceEvent, ("seq",))(raw, {}, seq=seq)
+    made = reader(EvidenceEvent, "seq")(raw, {}, seq=seq)
     if made is not None:
         assert_written_alike(made)
 
@@ -330,26 +332,42 @@ RUN_VALUES = st.one_of(
 )
 
 
+# The smallest integer past Python's digit limit, whose text ``repr`` refuses.
+TOO_LONG = 10 ** sys.get_int_max_str_digits()
+
+
+class Events(list):
+    """Events Hypothesis can report: an integer past Python's digit limit,
+    whose text ``EvidenceEvent.__repr__`` cannot give, is shown by its size."""
+
+    def __repr__(self) -> str:
+        def shown(value):
+            return f"<int of {value.bit_length()} bits>" if type(value) is int and abs(value) >= TOO_LONG else value
+
+        return repr([EvidenceEvent._make(map(shown, event)) for event in self])
+
+
 @st.composite
-def repeated_shapes(draw) -> list[EvidenceEvent]:
+def repeated_shapes(draw) -> Events:
     """Events of one shape, but for one field taking colliding values of
     other types, and for their ``seq``, ``timestamp`` and ``bytes``."""
-    made = jsonfield._compile(EvidenceEvent, ("seq",))(draw(accepted_records), {}, seq=0)
+    made = reader(EvidenceEvent, "seq")(draw(accepted_records), {}, seq=0)
     base = made if made is not None else parse_evidence([json.dumps(FULL)])[0]
     field, values = draw(st.sampled_from(SHAPE_NAMES)), draw(COLLIDING)
-    return [
+    return Events(
         base._replace(seq=draw(RUN_VALUES), timestamp=draw(RUN_VALUES), bytes=draw(RUN_VALUES),
                       **{field: draw(st.sampled_from(values))})
         for _ in range(draw(st.integers(2, 8)))
-    ]
+    )
 
 
-def hashed(lines: list[str]) -> str:
-    """The evidence digest of ``lines``, each encoded alone: a lone surrogate
-    is refused naming its place in its line."""
+def hashed(events: list[EvidenceEvent]) -> str:
+    """The evidence digest of ``events``, each written alone and its line
+    encoded before the next is written: the first event refused, in writing
+    or in encoding, raises (a lone surrogate naming its place in its line)."""
     sha256 = hashlib.sha256()
-    for line in lines:
-        sha256.update(line.encode("utf-8"))
+    for event in events:
+        sha256.update((write(event) + "\n").encode("utf-8"))
     return "sha256:" + sha256.hexdigest()
 
 
@@ -372,12 +390,16 @@ def outcome(produce):
                  for port in (0.0, -0.0)])
 @example(events=[EvidenceEvent(seq=0, timestamp=1, src_id="a", dst_id="b", protocol="P", id_scheme_src=scheme)
                  for scheme in (IdScheme.IP, "IP")])
+@example(events=Events(EvidenceEvent(seq=0, timestamp=timestamp, src_id="\ud800", dst_id="b", protocol="P")
+                       for timestamp in (1, 10**4300)))
 def test_templated_writer_writes_each_event_as_written_alone(events):
     """``to_jsonl`` and ``jsonl_digest``, which write a repeated shape from
     its template, give the lines the writer gives each event alone, joined
-    and hashed, or raise as it raises for the first event it refuses."""
-    alone = outcome(lambda: [write(event) + "\n" for event in events])
-    expected = [alone, alone] if type(alone) is tuple else ["".join(alone), outcome(lambda: hashed(alone))]
+    and hashed, or raise what writing, and for the digest encoding, raises
+    first event by event in stream order: a lone surrogate in an earlier
+    line is refused by the digest before a later line's 4,301-digit integer."""
+    joined = outcome(lambda: "".join(write(event) + "\n" for event in events))
+    expected = [joined, outcome(lambda: hashed(events))]
     assert [outcome(lambda: evidence.to_jsonl(events)), outcome(lambda: evidence.jsonl_digest(events))] == expected
 
 
@@ -451,7 +473,7 @@ def loaded(line: str):
     if type(record) is not dict:
         return f"line 1: expected an object, got {jsonfield.quoted(json.dumps(record))}"
     try:
-        return [typed(jsonfield._walk(EvidenceEvent, record, EvidenceError, {"seq": 0}))]
+        return [typed(from_json(EvidenceEvent, record, EvidenceError, seq=0))]
     except EvidenceError as exc:
         return f"line 1: {exc}"
 
