@@ -14,11 +14,12 @@ report renders it NotApplicable instead of claiming compliance.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from enum import Enum
 from importlib import resources
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Annotated, Mapping
 
@@ -135,13 +136,12 @@ def default_catalog_path() -> Path:
     return Path(str(resources.files("otcms").joinpath("data/catalog-62443-3-3.json")))
 
 
-def _line_note(raw_text: str, needle: str) -> str:
-    """`` (line N)`` for the first quoted occurrence of ``needle``, else empty."""
-    position = raw_text.find(f'"{needle}"')
-    if position < 0:
-        return ""
-    line = raw_text.count("\n", 0, position) + 1
-    return f" (line {line})"
+def _line_note(raw_text: str, sr_id: str, nth: int = 0) -> str:
+    """`` (line N)`` of the ``nth`` (from 0) ``"id"`` member whose value is
+    ``sr_id`` as JSON writes it, else empty; other strings equal to it do not count."""
+    members = re.finditer(r'"id"\s*:\s*' + re.escape(json.dumps(sr_id, ensure_ascii=False)), raw_text)
+    match = next(islice(members, nth, None), None)
+    return "" if match is None else " (line %d)" % (raw_text.count("\n", 0, match.start()) + 1)
 
 
 def parse_catalog(text: str) -> Catalog:
@@ -154,7 +154,7 @@ def parse_catalog(text: str) -> Catalog:
             if not sr.id:
                 raise CatalogError(f"{fr.id}: SR without an id")
             if sr.id in seen_srs:
-                raise CatalogError(f"duplicate SR id {sr.id!r}{_line_note(text, sr.id)}")
+                raise CatalogError(f"duplicate SR id {sr.id!r}{_line_note(text, sr.id, 1)}")
             seen_srs.add(sr.id)
             if not sr.bindings and not sr.enhancements and not sr.not_monitorable:
                 raise CatalogError(f"{sr.id}: no bindings and not flagged not_monitorable{_line_note(text, sr.id)}")

@@ -89,9 +89,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise _Refusal(f"cannot evaluate with catalog {catalog_path}: {exc}") from None
     ctx = _load("context", args.context, load_context)
     manual = _load("manual attributes", args.manual, load_manual_attributes, catalog) if args.manual else None
+    shapes: dict = {}  # filled by the parse, so sessions and detectors group nothing again
     try:
         with open(args.evidence, "rb") as file:
-            events, digest = read_evidence(file, strict=not args.lenient)
+            events, digest = read_evidence(file, strict=not args.lenient, shapes=shapes)
     except OSError as exc:
         raise _Refusal(f"cannot read evidence {args.evidence}: {exc}") from None
     except EvidenceError as exc:
@@ -106,6 +107,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         gap_ms=args.session_gap_ms,
         digest=digest,
         generated_at=generated_at,
+        shapes=shapes,
     )
     _emit(render_report(report, _FORMATS[args.format]), f"report {args.out}", args.out)
 

@@ -28,24 +28,24 @@ Most questions about one event read neither its ``seq``, nor its
 its conduit ``(src_id, dst_id, protocol, port, id_scheme_src,
 id_scheme_dst)``, protection flags, cipher and key size, version,
 credentials, error code and payload markers. A plant repeats few shapes over
-many events, so :func:`run_detectors` groups the stream by shape once
-(:func:`group_shapes`), asks each such question of one event per shape, and
-expands only the shapes it accepts back to their events: findings still cite
-every offending event in stream order. Shapes compare by ``==``, so an event
-must hold its fields' annotated types (``True == 1``); :func:`parse_evidence`
-and the simulator build only such events. Questions across events (rate
-windows, failed-login runs, directory-protocol runs, sessions) still read
-each event they concern. Entity classification stays memoised per
-``(identifier, scheme)`` by ``_classifier``: shapes share endpoints (a wide
-plant has hundreds of conduits over fewer identifiers), so classifying per
-shape would repeat work the memo does once.
+many events, so :func:`run_detectors` takes the stream grouped by shape once
+(:func:`group_shapes`, or the parse's grouping), asks each such question of
+one event per shape, and expands only the shapes it accepts back to their
+events: findings still cite every offending event in stream order. Shapes
+compare by ``==``, so an event must hold its fields' annotated types
+(``True == 1``); :func:`parse_evidence` and the simulator build only such
+events. Questions across events (rate windows, failed-login runs,
+directory-protocol runs, sessions) still read each event they concern.
+Entity classification stays memoised per ``(identifier, scheme)`` by
+``_classifier``: shapes share endpoints (a wide plant has hundreds of
+conduits over fewer identifiers), so classifying per shape would repeat work
+the memo does once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
-from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -54,7 +54,7 @@ from operator import attrgetter, le, lt, sub
 
 from otcms.catalog import AttributeKind
 from otcms.context import ContextSpec, RateLimit, classify_entity
-from otcms.evidence import SHAPE_GAP, SHAPE_START, EvidenceEvent, IdScheme, Session
+from otcms.evidence import EvidenceEvent, IdScheme, Session, Shapes, group_shapes
 
 #: Length of the protocol run taken as evidence of a directory-backed
 #: account/identifier/authenticator management system. Matches the packet
@@ -311,22 +311,6 @@ def _observed(
 # --------------------------------------------------------------------------
 # Shapes: questions answered once per distinct event shape
 # --------------------------------------------------------------------------
-
-#: Shape -> stream positions; a shape is every :class:`EvidenceEvent` field
-#: but ``seq``, ``timestamp`` and ``bytes``, in field order, as the evidence
-#: writer keys its templates.
-Shapes = Mapping[tuple, list[int]]
-
-
-def group_shapes(events: list[EvidenceEvent]) -> dict[tuple, list[int]]:
-    """Shape -> the ascending stream positions of its events, shapes in order
-    of first appearance. Shapes compare by ``==``, so events must hold their
-    fields' annotated types."""
-    shapes: defaultdict[tuple, list[int]] = defaultdict(list)
-    for position, e in enumerate(events):
-        shapes[e[SHAPE_START:SHAPE_GAP] + e[SHAPE_GAP + 1:]].append(position)
-    return dict(shapes)
-
 
 def _where(
     events: list[EvidenceEvent], shapes: Shapes, keep: Callable[[EvidenceEvent], object]
@@ -1017,22 +1001,23 @@ def run_detectors(
     events: list[EvidenceEvent],
     sessions: list[Session],
     ctx: ContextSpec,
+    shapes: Shapes | None = None,
 ) -> dict[str, AttributeVerdict]:
     """Run every detector once; returns attribute_id -> verdict.
 
     Emits exactly the registry's attribute ids, each exactly once, in
     registry order. Detectors are independent and share only immutable
-    inputs, the stream's :func:`group_shapes` among them. Every event must
-    hold its fields' annotated types, as :func:`parse_evidence` and the
-    simulator guarantee: shapes compare by ``==``, so an event with
-    ``tls_present=1`` would be judged as one with ``True``. An empty stream
-    carries no evidence, so everything is indeterminate rather than
-    vacuously fulfilled.
+    inputs, the stream's :func:`group_shapes` (``shapes``, else made here)
+    among them. Every event must hold its fields' annotated types, as
+    :func:`parse_evidence` and the simulator guarantee: shapes compare by
+    ``==``, so an event with ``tls_present=1`` would be judged as one with
+    ``True``. An empty stream carries no evidence, so everything is
+    indeterminate rather than vacuously fulfilled.
     """
     if not events:
         return {attribute_id: _verdict(attribute_id, Status.INDETERMINATE) for attribute_id in REGISTRY}
 
-    shapes = group_shapes(events)
+    shapes = group_shapes(events) if shapes is None else shapes
     verdicts: list[AttributeVerdict] = []
     verdicts += detect_unknown_factors(events, ctx, shapes)
     verdicts += detect_abnormal_behavior(sessions, ctx)

@@ -7,7 +7,7 @@ from otcms.catalog import AttributeKind, Catalog, require_valid
 from otcms.compliance import ComplianceReport, build_report
 from otcms.context import ContextSpec, ManualAttributeFile
 from otcms.detectors import AttributeVerdict, Finding, Severity, Status, registry_kinds, run_detectors
-from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceEvent, assemble_sessions, jsonl_digest
+from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceEvent, Shapes, assemble_sessions, group_shapes, jsonl_digest
 from otcms.evidence import evidence_digest  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 
@@ -42,14 +42,17 @@ def evaluate_verdicts(
     events: list[EvidenceEvent],
     manual: ManualAttributeFile | None = None,
     gap_ms: int = DEFAULT_SESSION_GAP_MS,
+    shapes: Shapes | None = None,
 ) -> dict[str, AttributeVerdict]:
     """Sessions + detector suite + manual merge; the full verdict map.
 
+    Sessions and detectors share ``shapes``, else the events' :func:`~otcms.evidence.group_shapes`.
     A catalog ``otcms catalog validate`` rejects raises
     :class:`~otcms.catalog.CatalogError` naming its first issue.
     """
     require_valid(catalog, registry_kinds())
-    verdicts = run_detectors(events, assemble_sessions(events, gap_ms=gap_ms), ctx)
+    shapes = group_shapes(events) if shapes is None else shapes
+    verdicts = run_detectors(events, assemble_sessions(events, gap_ms=gap_ms, shapes=shapes), ctx, shapes)
     verdicts.update(manual_verdicts(catalog, manual))
     return verdicts
 
@@ -63,13 +66,14 @@ def run_evaluation(
     gap_ms: int = DEFAULT_SESSION_GAP_MS,
     digest: str | None = None,
     generated_at: int = 0,
+    shapes: Shapes | None = None,
 ) -> ComplianceReport:
     """Run the full pipeline over parsed events and return the report.
 
     Without a ``digest``, the report's is that of the events' canonical
     serialisation, :func:`~otcms.evidence.to_jsonl`, hashed line by line.
     """
-    verdicts = evaluate_verdicts(catalog, ctx, events, manual=manual, gap_ms=gap_ms)
+    verdicts = evaluate_verdicts(catalog, ctx, events, manual=manual, gap_ms=gap_ms, shapes=shapes)
     if digest is None:
         digest = jsonl_digest(events)
     return build_report(

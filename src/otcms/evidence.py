@@ -19,12 +19,14 @@ import json
 import logging
 import re
 import typing
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from itertools import chain, pairwise
 from operator import itemgetter
 from pathlib import Path
-from typing import Annotated, BinaryIO, Iterable, Iterator, NamedTuple
+from typing import Annotated, BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
 from otcms.jsonfield import at_least, from_json, one_of, reader, unreadable, within_depth, writer
 
@@ -128,7 +130,7 @@ class Session:
         return self.end - self.start
 
 
-def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEvent]:
+def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | None = None) -> list[EvidenceEvent]:
     """Parse a JSON Lines evidence stream into events in file order.
 
     ``seq`` is assigned 0..n-1 over the parsed events; any ``seq`` present
@@ -155,6 +157,10 @@ def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEv
     :data:`~otcms.jsonfield.MAX_DEPTH` deep is refused as nested too deeply.
     In strict mode a malformed line raises :class:`EvidenceError` naming the
     line; in lenient mode it is skipped with a warning.
+
+    An empty dict ``shapes`` is filled with the events' :func:`group_shapes`
+    on the way: a template holds its shape's position list, which each hit
+    appends to, and every other event is put in under its shape.
     """
     events: list[EvidenceEvent] = []
     strings: dict[str, str] = {}
@@ -171,7 +177,7 @@ def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEv
         return read(record, strings, seq=seq) if end == len(text) and type(record) is dict else None
 
     # Per shape: False once seen, () refused, else its template (see _template).
-    cut, templates, lead, room = re.compile(_RUNS).split, {}, 0, _SHAPE_ROOM
+    cut, templates, lead, room, positions = re.compile(_RUNS).split, {}, 0, _SHAPE_ROOM, None
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
@@ -188,8 +194,10 @@ def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEv
                 except ValueError:
                     pass
                 else:
-                    values[0] = len(events)  # ``seq``, the event's position
+                    values[0] = position = len(events)  # ``seq``, the event's position
                     events.append(tuple.__new__(EvidenceEvent, values))
+                    if shapes is not None:
+                        template[2].append(position)
                     lead -= 1
                     continue
             if template is not False:  # a shape's second line, which may admit it, counts on neither side
@@ -202,14 +210,17 @@ def parse_evidence(lines: Iterable[str], strict: bool = True) -> list[EvidenceEv
         event = parse(stripped, len(events))
         if event is None:
             event = _reread(stripped, len(events))
-        if cut and template is False:
-            templates[shape] = () if type(event) is str else _template(event, parts, parse)
         if type(event) is str:
             if strict:
                 raise EvidenceError(f"line {line_no}: {event}")
             logger.warning("skipping malformed evidence line %d: %s", line_no, event)
-            continue
-        events.append(event)
+        else:
+            events.append(event)
+            if shapes is not None:
+                positions = shapes.setdefault(event[SHAPE_START:SHAPE_GAP] + event[SHAPE_GAP + 1:], [])
+                positions.append(event.seq)
+        if cut and template is False:
+            templates[shape] = () if type(event) is str else _template(event, parts, parse, positions)
     return events
 
 
@@ -224,6 +235,7 @@ _RUN_FIELDS = {f'"{name}":': EvidenceEvent._fields.index(name) for name in _RUN_
 #: An event's shape, ``e[SHAPE_START:SHAPE_GAP] + e[SHAPE_GAP + 1:]``: every field but the
 #: runs', whose fields are the leading ones and one more.
 SHAPE_START, SHAPE_GAP = len(_RUN_NAMES) - 1, max(_RUN_FIELDS.values())
+Shapes = Mapping[tuple, list[int]]  #: shape -> stream positions, as :func:`group_shapes` gives them
 #: Most characters of line text one parse, or one write, keeps in its shapes.
 _SHAPE_ROOM = 2**20
 #: By how many lines those of a new or refused shape may outnumber template
@@ -231,14 +243,14 @@ _SHAPE_ROOM = 2**20
 _MISSES = 512
 
 
-def _template(event: EvidenceEvent, parts: list[str], parse) -> tuple:
+def _template(event: EvidenceEvent, parts: list[str], parse, positions: list[int] | None) -> tuple:
     """The template of the evidence line cut into ``parts`` and read as
-    ``event``: the event's fields as a list, and (field, index in ``parts``)
-    per run. It is () if ``parse``, given the line with one run changed,
-    reads an event changed otherwise than in that run's field, or at all
-    for a ``seq`` run, whose field is the event's position. This refuses a
-    run key given twice, nested in an unknown value or ending an unknown
-    key after an escaped quote."""
+    ``event``: the event's fields as a list, (field, index in ``parts``) per
+    run, and ``positions``. It is () if ``parse``, given the line with one
+    run changed, reads an event changed otherwise than in that run's field,
+    or at all for a ``seq`` run, whose field is the event's position. This
+    refuses a run key given twice, nested in an unknown value or ending an
+    unknown key after an escaped quote."""
     slots = []
     for index in range(2, len(parts), 3):
         field = _RUN_FIELDS[parts[index - 1]]
@@ -251,7 +263,17 @@ def _template(event: EvidenceEvent, parts: list[str], parse) -> tuple:
         if parse("".join(changed), event.seq) != tuple(expected):
             return ()
         slots.append((field, index))
-    return list(event), tuple(slots)
+    return list(event), tuple(slots), positions
+
+
+def group_shapes(events: list[EvidenceEvent]) -> dict[tuple, list[int]]:
+    """Shape -> the ascending stream positions of its events, shapes in order
+    of first appearance. Shapes compare by ``==``, so events must hold their
+    fields' annotated types."""
+    shapes: defaultdict[tuple, list[int]] = defaultdict(list)
+    for position, e in enumerate(events):
+        shapes[e[SHAPE_START:SHAPE_GAP] + e[SHAPE_GAP + 1:]].append(position)
+    return dict(shapes)
 
 
 def _reread(text: str, seq: int) -> EvidenceEvent | str:
@@ -278,9 +300,10 @@ def _digest(sha256) -> str:
     return "sha256:" + sha256.hexdigest()
 
 
-def read_evidence(file: BinaryIO, strict: bool = True) -> tuple[list[EvidenceEvent], str]:
+def read_evidence(file: BinaryIO, strict: bool = True, *, shapes: dict | None = None) -> tuple[list[EvidenceEvent], str]:
     """Parse an evidence file opened in binary mode, in one pass: its events
-    (by :func:`parse_evidence`) and its :func:`evidence_digest`.
+    (by :func:`parse_evidence`, which fills ``shapes`` if given) and its
+    :func:`evidence_digest`.
 
     Each line is hashed and decoded as it is read, so neither the file's
     bytes nor its text is ever held whole. Records are separated at line
@@ -301,7 +324,7 @@ def read_evidence(file: BinaryIO, strict: bool = True) -> tuple[list[EvidenceEve
             except UnicodeDecodeError as exc:
                 raise EvidenceError(f"line {line_no}: not UTF-8 ({exc.reason})") from None
 
-    return parse_evidence(lines(), strict=strict), _digest(sha256)
+    return parse_evidence(lines(), strict=strict, shapes=shapes), _digest(sha256)
 
 
 def load_evidence(path: str | Path, strict: bool = True) -> list[EvidenceEvent]:
@@ -393,6 +416,7 @@ def assemble_sessions(
     events: list[EvidenceEvent],
     gap_ms: int = DEFAULT_SESSION_GAP_MS,
     explicit_ids: bool = True,
+    shapes: Shapes | None = None,
 ) -> list[Session]:
     """Group events into sessions.
 
@@ -401,30 +425,26 @@ def assemble_sessions(
     Within a group, a silence longer than ``gap_ms`` starts a new session.
     The result partitions the input and is deterministic for identical
     input and parameters.
+
+    Pair and ``session_id`` are shape fields, so shapes are grouped, not
+    events: ``shapes`` is the stream's :func:`group_shapes`, made here if not given.
     """
     if gap_ms <= 0:
         raise ValueError("gap_ms must be positive")
 
-    groups: dict[tuple, list[EvidenceEvent]] = {}
-    for event in events:
-        sid = event.session_id if explicit_ids else None
-        groups.setdefault((event.pair(), sid), []).append(event)
+    groups: dict[tuple, list[list[int]]] = {}
+    for positions in (group_shapes(events) if shapes is None else shapes).values():
+        head = events[positions[0]]
+        groups.setdefault((head.pair(), head.session_id if explicit_ids else None), []).append(positions)
 
     sessions: list[Session] = []
-    for (pair, sid), members in groups.items():
-        members = sorted(members, key=lambda e: (e.timestamp, e.seq))
-        chunk: list[EvidenceEvent] = []
-        chunks: list[list[EvidenceEvent]] = []
-        for event in members:
-            if chunk and event.timestamp - chunk[-1].timestamp > gap_ms:
-                chunks.append(chunk)
-                chunk = []
-            chunk.append(event)
-        if chunk:
-            chunks.append(chunk)
+    for (pair, sid), runs in groups.items():
+        # timsort merges the ascending runs into stream order, then sorts by (timestamp, seq), stably
+        members = sorted(map(events.__getitem__, sorted(chain.from_iterable(runs))), key=itemgetter(1, 0))
+        cuts = [i for i in range(1, len(members)) if members[i].timestamp - members[i - 1].timestamp > gap_ms]
         base = f"{pair[0]}|{pair[1]}" + (f"|{sid}" if sid is not None else "")
-        for index, part in enumerate(chunks):
-            sessions.append(Session(session_key=f"{base}#{index}", participants=pair, events=part))
+        for index, (start, stop) in enumerate(pairwise([0, *cuts, len(members)])):
+            sessions.append(Session(session_key=f"{base}#{index}", participants=pair, events=members[start:stop]))
 
     sessions.sort(key=lambda s: (s.start, s.events[0].seq))
     return sessions

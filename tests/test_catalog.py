@@ -6,6 +6,7 @@ import pytest
 from otcms.catalog import (
     AttributeKind,
     CatalogError,
+    default_catalog_path,
     load_catalog,
     parse_catalog,
     required_attributes,
@@ -51,6 +52,24 @@ class TestLoad:
         data["frs"][0]["srs"].append(dict(data["frs"][0]["srs"][0]))
         with pytest.raises(CatalogError, match="duplicate SR id 'SR1.1'"):
             parse_catalog(json.dumps(data))
+
+    def test_duplicate_sr_named_at_its_own_line(self):
+        # the bundled catalog with SR1.1 appended again to FR1: its first copy sits at line 10
+        data = json.loads(default_catalog_path().read_text(encoding="utf-8"))
+        data["frs"][0]["srs"].append(data["frs"][0]["srs"][0])
+        text = json.dumps(data, indent=2)
+        assert [n for n, line in enumerate(text.split("\n"), 1) if '"id": "SR1.1"' in line] == [10, 182]
+        with pytest.raises(CatalogError, match=r"^duplicate SR id 'SR1\.1' \(line 182\)$"):
+            parse_catalog(text)
+
+    def test_refused_sr_named_at_its_id_not_at_an_equal_title(self):
+        data = minimal_catalog_dict()
+        data["frs"][0]["srs"][0]["title"] = "CUSTOM-1"
+        data["frs"][1]["srs"][0]["id"] = "CUSTOM-1"
+        text = json.dumps(data, indent=2)
+        line = text[: text.index('"id": "CUSTOM-1"')].count("\n") + 1
+        with pytest.raises(CatalogError, match=rf"^FR2: SR id 'CUSTOM-1' does not start with 'SR2\.' \(line {line}\)$"):
+            parse_catalog(text)
 
     def test_unknown_kind_rejected(self):
         data = minimal_catalog_dict()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otcms import detectors
+from otcms import cli, detectors, engine, evidence
+from otcms.compliance import parse_report
 from otcms.context import (
     CommEntry,
     ContextSpec,
@@ -38,7 +39,8 @@ from otcms.detectors import (
     run_detectors,
 )
 from otcms.evidence import EvidenceEvent, IdScheme, assemble_sessions
-from otcms.simulator import INJECTIONS, Injection, default_scenario, generate_scenario
+from otcms.engine import run_evaluation
+from otcms.simulator import INJECTIONS, Injection, default_scenario, generate_scenario, save_scenario_outputs
 
 from conftest import ev
 
@@ -1097,17 +1099,33 @@ class TestConduitGrouping:
         got = by_id(detect_unknown_factors(events, ctx))["unknown_protocol"]
         assert [f.seq_refs for f in got.findings] == [(5,), (4,), (3,), (2,)]
 
-    def test_run_detectors_groups_once(self, monkeypatch, catalog):
+    def test_run_detectors_groups_once(self, monkeypatch, catalog, tmp_path):
+        """``otcms evaluate`` takes the grouping its parse built and never calls
+        ``group_shapes``; ``run_evaluation`` calls it once, for sessions and
+        detectors alike."""
+        scenario = default_scenario(injections=tuple(Injection(attribute_id=a) for a in sorted(INJECTIONS)))
+        save_scenario_outputs(scenario, tmp_path, catalog=catalog, emit_context=True)
+
+        def refused(events):
+            raise AssertionError("the stream was grouped again")
+
+        for module in (evidence, detectors, engine):
+            monkeypatch.setattr(module, "group_shapes", refused)
+        argv = ["evaluate", "--evidence", str(tmp_path / "evidence.jsonl"), "--context", str(tmp_path / "context.json"),
+                "--out", str(tmp_path / "report.json"), "--generated-at", "0"]
+        assert cli.main(argv) == 1
+        assert parse_report((tmp_path / "report.json").read_text(encoding="utf-8")).noncompliant_sr_ids()
+
         calls = []
 
         def counting(events):
             calls.append(len(events))
             return group_shapes(events)
 
-        monkeypatch.setattr(detectors, "group_shapes", counting)
-        scenario = default_scenario(injections=tuple(Injection(attribute_id=a) for a in sorted(INJECTIONS)))
+        for module in (evidence, detectors, engine):
+            monkeypatch.setattr(module, "group_shapes", counting)
         events, _ = generate_scenario(scenario, catalog)
-        run_detectors(events, assemble_sessions(events), scenario.spec)
+        run_evaluation(catalog, scenario.spec, events)
         assert calls == [len(events)]
 
 

@@ -1,15 +1,24 @@
 import hashlib
 import json
 import random
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_detectors import shape_streams
 
+from otcms import evidence
 from otcms.engine import run_evaluation
 from otcms.evidence import (
+    DEFAULT_SESSION_GAP_MS,
     EvidenceError,
     IdScheme,
+    Session,
     assemble_sessions,
     evidence_digest,
+    group_shapes,
     load_evidence,
     parse_evidence,
     read_evidence,
@@ -204,3 +213,117 @@ def test_record_omits_absent_fields():
     assert "fragmented" not in record
     assert "session_id" not in record
     assert record["id_scheme_src"] == "IP"
+
+
+# --------------------------------------------------------------------------
+# The parse's shape grouping, and sessions built from shapes
+# --------------------------------------------------------------------------
+
+def sessions_event_by_event(events, gap_ms, explicit_ids):
+    """Sessions grouped event by event by ``(pair, session_id)``: the
+    assembly that grouping by shape must reproduce."""
+    groups = {}
+    for event in events:
+        groups.setdefault((event.pair(), event.session_id if explicit_ids else None), []).append(event)
+    sessions = []
+    for (pair, sid), members in groups.items():
+        members = sorted(members, key=lambda e: (e.timestamp, e.seq))
+        chunks = [[members[0]]]
+        for previous, event in zip(members, members[1:]):
+            if event.timestamp - previous.timestamp > gap_ms:
+                chunks.append([])
+            chunks[-1].append(event)
+        base = f"{pair[0]}|{pair[1]}" + (f"|{sid}" if sid is not None else "")
+        sessions += [Session(f"{base}#{index}", pair, chunk) for index, chunk in enumerate(chunks)]
+    sessions.sort(key=lambda s: (s.start, s.events[0].seq))
+    return sessions
+
+
+def assert_sessions_from_shapes(events, shapes):
+    """``assemble_sessions`` given ``shapes``, and without them, equals the
+    event-by-event assembly, with and without explicit session ids."""
+    for explicit_ids in (True, False):
+        for gap_ms in (1, 700, DEFAULT_SESSION_GAP_MS):
+            expected = sessions_event_by_event(events, gap_ms, explicit_ids)
+            assert assemble_sessions(events, gap_ms, explicit_ids, shapes=shapes) == expected
+            assert assemble_sessions(events, gap_ms, explicit_ids) == expected
+
+
+def assert_parse_groups(lines, strict=False):
+    """The parse's grouping of ``lines`` is ``group_shapes`` of its events:
+    the same shapes in the same order, each with the same positions, each
+    position the very ``seq`` of its event; the events are those of a parse
+    that groups nothing."""
+    shapes = {}
+    events = parse_evidence(lines, strict=strict, shapes=shapes)
+    assert events == parse_evidence(lines, strict=strict)
+    assert list(shapes.items()) == list(group_shapes(events).items())
+    assert all(events[position].seq is position for positions in shapes.values() for position in positions)
+    return events, shapes
+
+
+#: Lines a lenient read skips, each refused in another way.
+MALFORMED = [
+    "not json",
+    '{"seq":',
+    '{"seq":1,"timestamp":2,"src_id":"a","dst_id":"b"}',
+    '{"seq":1,"timestamp":-2,"src_id":"a","dst_id":"b","protocol":"MQTT"}',
+]
+
+
+@st.composite
+def evidence_texts(draw):
+    """The JSON Lines of a ``shape_streams`` stream, whose ``seq``s repeat and
+    fall. Some records are written with their keys reversed, some with
+    spaces after colons (so no run is cut), and some with a ``"bytes"`` key
+    given twice, which refuses their shape's template; malformed lines, some
+    a copy of a written line with a timestamp past the digit limit, go in
+    between."""
+    events = draw(shape_streams())
+    lines = []
+    for text in to_jsonl(events).split("\n")[:-1]:
+        how = draw(st.sampled_from(["written", "written", "reversed", "spaced", "bytes twice"]))
+        record = json.loads(text)
+        if how == "reversed":
+            text = json.dumps(dict(reversed(record.items())), separators=(",", ":"), ensure_ascii=False)
+        elif how == "spaced":
+            text = json.dumps(record, ensure_ascii=False)
+        elif how == "bytes twice":
+            text = '{"bytes":%d,' % draw(st.integers(0, 99)) + text[1:]
+        lines.append(text)
+    for _ in range(draw(st.integers(0, 3))):
+        bad = draw(st.sampled_from(MALFORMED) | st.sampled_from(lines).map(
+            lambda text: re.sub(r'"timestamp":[0-9]+', '"timestamp":' + "9" * 4301, text)
+        ))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return events, lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=evidence_texts(),
+    misses=st.sampled_from([0, 1, 4, evidence._MISSES]),
+    room=st.sampled_from([150, evidence._SHAPE_ROOM]),
+    coarse=st.sampled_from([1, 700, 10**6]),
+)
+def test_parse_groups_by_shape_and_sessions_are_built_from_shapes(text, misses, room, coarse):
+    """``misses`` and ``room`` move the cut-off and the template table's
+    bound into the stream; ``coarse`` makes timestamps of the drawn events
+    equal."""
+    drawn, lines = text
+    with mock.patch.object(evidence, "_MISSES", misses), mock.patch.object(evidence, "_SHAPE_ROOM", room):
+        events, shapes = assert_parse_groups(lines)
+    assert_sessions_from_shapes(events, shapes)
+    drawn = [event._replace(timestamp=event.timestamp // coarse) for event in drawn]
+    assert_sessions_from_shapes(drawn, group_shapes(drawn))
+
+
+def test_parse_groups_past_the_miss_limit():
+    # more new shapes than the limit allows, then each shape again, in two key orders
+    distinct = evidence._MISSES + 40
+    events = [ev(seq=n, t=n, port=n % distinct, session_id=f"s{n % distinct % 7}", bytes=n) for n in range(3 * distinct)]
+    lines = to_jsonl(events).split("\n")[:-1]
+    lines[1::2] = [json.dumps(dict(reversed(json.loads(text).items())), separators=(",", ":")) for text in lines[1::2]]
+    parsed, shapes = assert_parse_groups(lines, strict=True)
+    assert len(shapes) == distinct and parsed == events
+    assert_sessions_from_shapes(parsed, shapes)

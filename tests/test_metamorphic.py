@@ -8,6 +8,8 @@ report as it was, checked through ``run_evaluation`` and through
   insignificant whitespace, unknown keys, ``\\u`` escapes of ASCII
   characters, CRLF line ends) reads the same events and gives the same
   report.
+* R4: inserting malformed lines and reading with ``--lenient`` reads the
+  same events, grouped by shape as before, and gives the same report.
 
 The report's ``evidence_digest`` follows the evidence bytes, so it is left
 out of each comparison. The streams are the default plant's, simulated,
@@ -17,6 +19,7 @@ and the ``shape_streams`` of the detector tests with their contexts.
 import io
 import json
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -56,22 +59,22 @@ def drawn(draw):
 streams = simulated() | drawn()
 
 
-def library_body(ctx, events) -> dict:
+def library_body(ctx, events, shapes=None) -> dict:
     """The report of ``run_evaluation`` without its evidence digest."""
-    body = json.loads(report_body(run_evaluation(CATALOG, ctx, events)))
+    body = json.loads(report_body(run_evaluation(CATALOG, ctx, events, shapes=shapes)))
     del body["evidence_digest"]
     return body
 
 
-def cli_body(ctx, text: str) -> tuple[int, dict]:
-    """Exit code and report of ``otcms evaluate`` on the evidence ``text``,
-    the report without its evidence digest."""
+def cli_body(ctx, text: str, *options: str) -> tuple[int, dict]:
+    """Exit code and report of ``otcms evaluate`` with ``options`` on the
+    evidence ``text``, the report without its evidence digest."""
     with tempfile.TemporaryDirectory() as tmp:
         evidence, context, out = (Path(tmp) / name for name in ("evidence.jsonl", "context.json", "report.json"))
         evidence.write_bytes(text.encode("utf-8"))
         context.write_text(json.dumps(context_to_dict(ctx)), encoding="utf-8")
         code = main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(out),
-                     "--generated-at", "0"])
+                     "--generated-at", "0", *options])
         body = json.loads(out.read_text(encoding="utf-8"))
     del body["evidence_digest"]
     return code, body
@@ -161,3 +164,34 @@ def test_r3_rewrites_json_ignores_keep_events_and_report(stream, how):
     assert to_jsonl(reread) == to_jsonl(read)  # the written form tells True from 1
     assert library_body(ctx, reread) == library_body(ctx, read)
     assert cli_body(ctx, rewrite) == cli_body(ctx, text)
+
+
+#: Lines a lenient read skips, each refused in another way.
+MALFORMED = [
+    "not json",
+    '{"seq":',
+    '{"timestamp":1,"src_id":"a","dst_id":"b"}',
+    '{"timestamp":1,"src_id":"a","dst_id":"b","protocol":"MQTT","bytes":-1}',
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(stream=streams, data=st.data())
+def test_r4_malformed_lines_read_leniently_keep_the_report(stream, data):
+    """Some inserted lines copy a written line with a timestamp past Python's
+    digit limit: they share that line's shape, so a template would read them
+    if its run could be read."""
+    events, ctx = stream
+    text = to_jsonl(events)
+    lines = text.split("\n")[:-1]
+    for _ in range(data.draw(st.integers(1, 3))):
+        bad = data.draw(st.sampled_from(MALFORMED) | st.sampled_from(lines).map(
+            lambda line: re.sub(r'"timestamp":[0-9]+', '"timestamp":' + "9" * 4301, line)
+        ))
+        lines.insert(data.draw(st.integers(0, len(lines))), bad)
+    damaged = "".join(line + "\n" for line in lines)
+    shapes = {}
+    read = read_evidence(io.BytesIO(text.encode("utf-8")))[0]
+    assert read_evidence(io.BytesIO(damaged.encode("utf-8")), strict=False, shapes=shapes)[0] == read
+    assert library_body(ctx, read, shapes) == library_body(ctx, read)
+    assert cli_body(ctx, damaged, "--lenient") == cli_body(ctx, text)
