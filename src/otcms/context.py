@@ -18,7 +18,7 @@ from typing import Annotated
 
 from otcms.catalog import SL_LEVELS, AttributeKind
 from otcms.evidence import IdScheme
-from otcms.jsonfield import at_least, check_ranges, from_json, load, read, to_json
+from otcms.jsonfield import at_least, check_ranges, from_json, load, one_of, read, to_json
 
 logger = logging.getLogger(__name__)
 
@@ -64,8 +64,11 @@ class RateLimit:
 
 @dataclass(frozen=True)
 class PasswordPolicy:
-    min_length: int = 8
+    min_length: Annotated[int, at_least(1)] = 8
     max_lifetime_days: int | None = None
+
+    def __post_init__(self) -> None:
+        check_ranges(self, ContextError)
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class ContextSpec:
     human_identifiers: frozenset[str] = frozenset()
     mobile_device_identifiers: frozenset[str] = frozenset()
     zone_map: dict[str, str] = field(default_factory=dict)
-    zone_sl_target: dict[str, int] = field(default_factory=dict)
+    zone_sl_target: dict[str, Annotated[int, one_of(*SL_LEVELS)]] = field(default_factory=dict)
     trusted_zones: frozenset[str] = frozenset()
     control_zones: frozenset[str] = frozenset()
     external_prefixes: tuple[str, ...] = ()
@@ -108,22 +111,13 @@ class ContextSpec:
     management_protocols: frozenset[str] = DEFAULT_MANAGEMENT_PROTOCOLS
     rate_spec: dict[tuple[str, str], RateLimit] = field(default_factory=dict)
     password_policy: PasswordPolicy | None = None
-    max_failed_attempts: int | None = None
-    session_max_ms: int = DEFAULT_SESSION_MAX_MS
+    max_failed_attempts: Annotated[int | None, at_least(0)] = None
+    session_max_ms: Annotated[int, at_least(1)] = DEFAULT_SESSION_MAX_MS
     crypto_policy: CryptoPolicy | None = None
     p2p_bandwidth_limit_bytes_per_s: Annotated[int | None, at_least(0)] = None
 
     def __post_init__(self) -> None:
         check_ranges(self, ContextError)
-        for zone, target in self.zone_sl_target.items():
-            if target not in SL_LEVELS:
-                raise ContextError(f"zone_sl_target for {zone!r} must be 1..4, got {target}")
-        if self.password_policy is not None and self.password_policy.min_length < 1:
-            raise ContextError("password_policy.min_length must be >= 1")
-        if self.max_failed_attempts is not None and self.max_failed_attempts < 0:
-            raise ContextError("max_failed_attempts must be >= 0")
-        if self.session_max_ms <= 0:
-            raise ContextError("session_max_ms must be positive")
         networks = []
         for prefix in self.external_prefixes:
             try:

@@ -28,11 +28,13 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Annotated, BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
-from otcms.jsonfield import at_least, from_json, one_of, reader, unreadable, within_depth, writer
+from otcms.jsonfield import at_least, at_most, from_json, one_of, reader, unreadable, within_depth, writer
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SESSION_GAP_MS = 60_000
+#: The largest integer a capture format's signed 64-bit counter carries: the most ``bytes`` an event may give.
+INT64_MAX = 2**63 - 1
 
 
 class EvidenceError(ValueError):
@@ -91,7 +93,7 @@ class EvidenceEvent(NamedTuple):
     session_id: str | None = None
     error_code: str | None = None
     fragmented: bool = False
-    bytes: Annotated[int, at_least(0)] = 0
+    bytes: Annotated[int, at_least(0), at_most(INT64_MAX)] = 0
     direction_external: bool | None = None
     access_list_transfer: bool = False
     mobile_code: bool = False
@@ -145,8 +147,8 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
     ``"timestamp":`` (:data:`_RUNS`), is read from the shape's template: the
     event of its second line, admitted only if :func:`_template` finds each
     run read into its own field alone. A hit takes the line's ``timestamp``,
-    ``bytes`` and position; a run past Python's digit limit, and every line
-    of a refused shape, is read as above. Shapes are kept up to
+    ``bytes`` and position (a run has at most 18 digits, so it is in range);
+    every line of a refused shape is read as above. Shapes are kept up to
     :data:`_SHAPE_ROOM` characters, and cutting stops once lines of a new or
     refused shape outnumber hits by more than :data:`_MISSES`. Events,
     refusals, line numbers and warnings are the same either way.
@@ -188,18 +190,14 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
             template = templates.get(shape)
             if template:
                 values = template[0].copy()
-                try:  # every run, ``seq``'s too, so one past Python's digit limit takes the path below
-                    for field, at in template[1]:
-                        values[field] = int(parts[at])
-                except ValueError:
-                    pass
-                else:
-                    values[0] = position = len(events)  # ``seq``, the event's position
-                    events.append(tuple.__new__(EvidenceEvent, values))
-                    if shapes is not None:
-                        template[2].append(position)
-                    lead -= 1
-                    continue
+                for field, at in template[1]:
+                    values[field] = int(parts[at])
+                values[0] = position = len(events)  # ``seq``, the event's position
+                events.append(tuple.__new__(EvidenceEvent, values))
+                if shapes is not None:
+                    template[2].append(position)
+                lead -= 1
+                continue
             if template is not False:  # a shape's second line, which may admit it, counts on neither side
                 if template is None and len(stripped) <= room:
                     templates[shape] = False
@@ -225,9 +223,11 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
 
 
 #: Splits an evidence line into its text between runs, each run's key with
-#: its colon, and the run: a JSON integer of no sign, fraction or exponent.
-#: Compiled on first use, as the reader is, so importing compiles nothing.
-_RUNS = r'("(?:bytes|seq|timestamp)":)(0|[1-9][0-9]*)(?![0-9.eE])'
+#: its colon, and the run: a JSON integer of no sign, fraction or exponent,
+#: and of at most 18 digits, so below ``INT64_MAX`` and every field's bound;
+#: a longer integer stays in the line's shape. Compiled on first use, as the
+#: reader is, so importing compiles nothing.
+_RUNS = r'("(?:bytes|seq|timestamp)":)(0|[1-9][0-9]{0,17})(?![0-9.eE])'
 #: The fields whose integers a shape leaves out, in key order.
 _RUN_NAMES = ("bytes", "seq", "timestamp")
 #: The field each run's key names.

@@ -10,14 +10,15 @@ A field's annotation names the JSON values it takes, by exact type, so
 * a dataclass: a JSON object, read field by field;
 * ``tuple[X, ...]`` and ``frozenset[X]``: a list of ``X``;
   ``tuple[X, Y]``: a list of exactly an ``X`` and a ``Y``;
-* ``dict[str, X]``: an object whose values are ``X``.
+* ``dict[str, X]``: an object whose values are ``X``;
+* ``Annotated[X, check, ...]``, at any depth: an ``X`` that each ``check``
+  (:func:`at_least`, :func:`at_most`, :func:`one_of`) then narrows.
 
 Null is accepted only where the field's default is null, and never for an
 object, which is either given or left out. An absent field
 takes its default, a field without one is required, and keys naming no
-field are ignored. :func:`at_least` and :func:`one_of` narrow a scalar
-field's values as the metadata of its ``Annotated`` annotation, and a
-dataclass that calls :func:`check_ranges` applies them on construction. Every
+field are ignored. A dataclass that calls :func:`check_ranges` applies
+this rule, type included, to each narrowed field on construction. Every
 failure raises the error class the loader passes in, with the path to the
 value: ``rate_spec[0]: pair``, ``frs[FR1]: srs[SR1.1]: bindings[0]: min_sl``.
 :func:`from_json` is the one read that words a failure. For a NamedTuple
@@ -118,6 +119,11 @@ def _spec(hint) -> tuple[tuple[type, ...], typing.Callable | None, str, typing.C
     ValueError on a value it refuses."""
     hint = _unnulled(hint)  # null follows the field's default
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated:  # X's spec, each check then applied in turn
+        kinds, convert, what, write = _spec(args[0])
+        for check in args[1:]:
+            convert = check if convert is None else lambda value, first=convert, then=check: then(first(value))
+        return kinds, convert, what, write
     if hint is float:
         return (int, float), _float, "a number", None
     if hint in _WORDS:
@@ -249,10 +255,10 @@ def read(value, hint, error: type[ValueError], label: str):
 def _fields(cls: type) -> tuple[dict[str, tuple], frozenset[str], tuple[tuple, ...], tuple[tuple, ...]]:
     """Per JSON key: (field name, its spec as :func:`_check` takes it); the
     names of required fields; per field in order: (name, the default left
-    out or MISSING, write conversion or None); and (name, check) per field
-    annotated ``Annotated[X, check]``, which is read as an ``X`` that
-    ``check`` then narrows. ``cls`` is a dataclass or a NamedTuple."""
-    hints = typing.get_type_hints(cls, include_extras=True)
+    out or MISSING, write conversion or None); and (name, spec) per field
+    whose annotation holds an ``Annotated`` narrowing at any depth. ``cls``
+    is a dataclass or a NamedTuple."""
+    hints, plain = typing.get_type_hints(cls, include_extras=True), typing.get_type_hints(cls)
     if is_dataclass(cls):  # a default factory is a default that is never left out
         names = [f.name for f in fields(cls)]
         defaults = {
@@ -262,17 +268,15 @@ def _fields(cls: type) -> tuple[dict[str, tuple], frozenset[str], tuple[tuple, .
         names, defaults = cls._fields, cls._field_defaults
     specs, required, writes, narrowings = {}, set(), [], []
     for name in names:
-        hint, check = hints[name], None
-        if typing.get_origin(hint) is typing.Annotated:
-            hint, check = typing.get_args(hint)
-            narrowings.append((name, check))
-        kinds, convert, what, write = _spec(hint)
+        kinds, convert, what, write = _spec(hints[name])
         default = defaults.get(name, MISSING)
         if default is None and dict not in kinds:  # an object section is given or left out
             kinds, what = (*kinds, _NULL), f"{what} or null"
         elif name not in defaults:
             required.add(name)
-        specs[name] = (name, (kinds, check or convert, what, None))
+        specs[name] = (name, (kinds, convert, what, None))
+        if hints[name] != plain[name]:  # the annotation without its narrowings differs
+            narrowings.append(specs[name])
         omit = default is None or default is False or isinstance(default, Enum)
         writes.append((name, default if omit else MISSING, write))
     return specs, frozenset(required), tuple(writes), tuple(narrowings)
@@ -448,17 +452,15 @@ def writer(cls: type, *slots: str) -> typing.Callable:
 
 
 def check_ranges(obj, error: type[ValueError]) -> None:
-    """Apply to dataclass ``obj`` the ``Annotated`` checks of its fields, so a
-    value a file is refused for is refused on construction too; a null is
-    not checked. Raises ``error`` naming the field:
-    ``window_ms: expected at least 1, got 0``."""
-    for name, check in _fields(type(obj))[3]:
-        value = getattr(obj, name)
-        if value is not None:
-            try:
-                check(value)
-            except ValueError as exc:
-                raise error(_under(name, exc)) from None
+    """Apply to dataclass ``obj`` a file's rule, type included, for each field
+    narrowed by ``Annotated`` at any depth, so a value a file is refused for
+    is refused on construction too. Raises ``error`` naming the field and
+    the value: ``zone_sl_target[cell]: expected one of 1, 2, 3, 4, got 0``."""
+    for name, spec in _fields(type(obj))[3]:
+        try:
+            _check(getattr(obj, name), spec)
+        except ValueError as exc:
+            raise error(_under(name, exc)) from None
 
 
 def at_least(low: int) -> typing.Callable:
@@ -467,6 +469,17 @@ def at_least(low: int) -> typing.Callable:
     def check(value: int) -> int:
         if value < low:
             raise _wrong(f"at least {low}", value)
+        return value
+
+    return check
+
+
+def at_most(high: int) -> typing.Callable:
+    """``Annotated`` metadata of a field admitting only integers up to ``high``."""
+
+    def check(value: int) -> int:
+        if value > high:
+            raise _wrong(f"at most {high}", value)
         return value
 
     return check

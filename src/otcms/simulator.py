@@ -23,6 +23,7 @@ The default plant is defined once, by the bundled ``scenario-example.json``.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -32,8 +33,8 @@ from typing import Annotated, Callable
 
 from otcms.catalog import SL_LEVELS, Catalog, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
-from otcms.evidence import EvidenceEvent, IdScheme, write_evidence
-from otcms.jsonfield import from_json, load, one_of, read, to_json
+from otcms.evidence import INT64_MAX, EvidenceEvent, IdScheme, write_evidence
+from otcms.jsonfield import at_least, at_most, check_ranges, from_json, load, one_of, read, to_json
 
 PLC1 = "10.0.1.10"
 PLC2 = "10.0.1.11"
@@ -100,7 +101,10 @@ class Injection:
     """Targeted violation (or positive pattern) to weave into the stream."""
 
     attribute_id: str
-    at_ms: int | None = None
+    at_ms: Annotated[int | None, at_least(0)] = None
+
+    def __post_init__(self) -> None:
+        check_ranges(self, ScenarioError)
 
 
 @dataclass
@@ -108,26 +112,23 @@ class Scenario:
     name: str
     seed: int
     spec: ContextSpec
-    duration_ms: int = 20_000
-    sl_target: int = 2
+    duration_ms: Annotated[int, at_least(1), at_most(INT64_MAX)] = 20_000
+    sl_target: Annotated[int, one_of(*SL_LEVELS)] = 2
     traffic_profile: tuple[TrafficPattern, ...] = ()
     injections: tuple[Injection, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration_ms <= 0:
-            raise ScenarioError("duration_ms must be positive")
+        check_ranges(self, ScenarioError)
         for index, pattern in enumerate(self.traffic_profile):
-            if not pattern.rate_per_s > 0:
+            # A pattern's events are counted as a float, which must be finite.
+            if not 0 < pattern.rate_per_s * self.duration_ms < math.inf:
                 raise ScenarioError(
-                    f"traffic_profile[{index}]: rate_per_s: expected a positive number, got {pattern.rate_per_s}"
+                    f"traffic_profile[{index}]: rate_per_s: expected a positive number whose events over "
+                    f"duration_ms {self.duration_ms} can be counted, got {pattern.rate_per_s}"
                 )
-        if self.sl_target not in SL_LEVELS:
-            raise ScenarioError("sl_target must be 1..4")
-        for index, injection in enumerate(self.injections):
+        for injection in self.injections:
             if injection.attribute_id not in INJECTIONS:
                 raise ScenarioError(f"unknown injection attribute_id {injection.attribute_id!r}")
-            if injection.at_ms is not None and injection.at_ms < 0:
-                raise ScenarioError(f"injections[{index}]: at_ms: expected at least 0, got {injection.at_ms}")
             if injection.at_ms is not None and injection.at_ms > self.duration_ms:
                 raise ScenarioError(
                     f"injection {injection.attribute_id!r} at_ms {injection.at_ms} beyond scenario "

@@ -1,18 +1,25 @@
 import gc
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import otcms
 from otcms.cli import main
 from otcms.compliance import parse_report
 from otcms.evidence import load_evidence, write_evidence
-from otcms.simulator import Injection, default_scenario, scenario_to_dict
+from otcms.simulator import Injection, default_scenario, load_scenario, save_scenario_outputs, scenario_to_dict
 
 
 class JsonText(str):
@@ -285,27 +292,37 @@ def test_malformed_context_exit_two(scenario_dir, tmp_path, capsys, case):
     assert "otcms: error: cannot load context" in capsys.readouterr().err
 
 
+# Per context threshold: how a value is set, its lowest admitted value, and its range as a refusal words it.
 NEGATIVE_THRESHOLD = {
-    "rate_spec[0]: max_events_per_window": lambda ctx, value: ctx["rate_spec"][0].update(max_events_per_window=value),
-    "rate_spec[0]: max_bytes_per_window": lambda ctx, value: ctx["rate_spec"][0].update(max_bytes_per_window=value),
-    "crypto_policy: min_key_bits": lambda ctx, value: ctx["crypto_policy"].update(min_key_bits=value),
-    "p2p_bandwidth_limit_bytes_per_s": lambda ctx, value: ctx.update(p2p_bandwidth_limit_bytes_per_s=value),
+    "rate_spec[0]: max_events_per_window": (
+        lambda ctx, value: ctx["rate_spec"][0].update(max_events_per_window=value), 0, "at least 0"),
+    "rate_spec[0]: max_bytes_per_window": (
+        lambda ctx, value: ctx["rate_spec"][0].update(max_bytes_per_window=value), 0, "at least 0"),
+    "crypto_policy: min_key_bits": (lambda ctx, value: ctx["crypto_policy"].update(min_key_bits=value), 0, "at least 0"),
+    "p2p_bandwidth_limit_bytes_per_s": (
+        lambda ctx, value: ctx.update(p2p_bandwidth_limit_bytes_per_s=value), 0, "at least 0"),
+    "max_failed_attempts": (lambda ctx, value: ctx.update(max_failed_attempts=value), 0, "at least 0"),
+    "session_max_ms": (lambda ctx, value: ctx.update(session_max_ms=value), 1, "at least 1"),
+    "password_policy: min_length": (lambda ctx, value: ctx["password_policy"].update(min_length=value), 1, "at least 1"),
+    "zone_sl_target[cell]": (lambda ctx, value: ctx["zone_sl_target"].update(cell=value), 1, "one of 1, 2, 3, 4"),
 }
 
 
-@pytest.mark.parametrize("value", [-1, 0])
+@pytest.mark.parametrize("value", [-1, 0], ids=["-1", "0"])
 @pytest.mark.parametrize("path", sorted(NEGATIVE_THRESHOLD))
 def test_negative_context_threshold_exit_two_naming_it(scenario_dir, tmp_path, capsys, path, value):
+    """``value`` is tried as an offset from the threshold's lowest admitted value."""
     evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
     data = json.loads(context.read_text())
-    NEGATIVE_THRESHOLD[path](data, value)
+    update, low, expected = NEGATIVE_THRESHOLD[path]
+    update(data, low + value)
     context.write_text(json.dumps(data))
     capsys.readouterr()
     code = main(["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(tmp_path / "r.json")])
     err = capsys.readouterr().err
     if value < 0:
         assert code == 2
-        assert err == f"otcms: error: cannot load context {context}: {path}: expected at least 0, got {value}\n"
+        assert err == f"otcms: error: cannot load context {context}: {path}: expected {expected}, got {low + value}\n"
     else:
         assert code in (0, 1) and "error" not in err
 
@@ -365,6 +382,9 @@ MALFORMED_SCENARIO = {
     "injection_without_attribute_id": lambda sc: sc["injections"].append({"at_ms": 5}),
     "profile_without_protocol": lambda sc: sc["traffic_profile"][0].pop("protocol"),
     "rate_beyond_float_range": lambda sc: sc["traffic_profile"][0].update(rate_per_s=10**400),
+    # Events counted as a float: a count past float range, from the rate or from the duration.
+    "rate_uncountable": lambda sc: sc["traffic_profile"][0].update(rate_per_s=1e308),
+    "duration_beyond_float_range": lambda sc: sc.update(duration_ms=10**400),
     "rate_infinite": lambda sc: sc["traffic_profile"][0].update(rate_per_s=float("inf")),
     "rate_zero": lambda sc: sc["traffic_profile"][0].update(rate_per_s=0),
     "rate_negative": lambda sc: sc["traffic_profile"][0].update(rate_per_s=-1),
@@ -396,6 +416,7 @@ MALFORMED_EVIDENCE = {
     "tls_present": "no",
     "src_id": 7,
     "timestamp": True,
+    "bytes": 2**63,
     # JSON Python's reader cannot hold: the line is malformed, but no field is named.
     "key_bits": TOO_MANY_DIGITS,
     "error_code": NESTED_TOO_DEEPLY,
@@ -735,3 +756,110 @@ class TestCatalog:
         out = capsys.readouterr().out
         for i in range(1, 8):
             assert f"FR{i}" in out
+
+
+# The exit-code contract over mutated input files: whatever the bundled
+# example's evidence, context or scenario is mutated into, no exception
+# escapes; exit 2 prints one ``otcms: error:`` line, nothing on stdout, and
+# leaves no report; exit 0 or 1 leaves a report whose verdict is the code's.
+EXAMPLE = Path(otcms.__file__).with_name("data") / "scenario-example.json"
+#: A JSON number given as an object member's value.
+NUMBER = re.compile(rb"(?<=:)\s*-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+#: Over-long integers and huge floats a number is replaced by: past float
+#: range, at and past Python's digit limit, and floats at or past the largest.
+OVERSIZED = [b"9" * 400, b"-" + b"9" * 400, b"9" * 4300, b"9" * 4301, b"1e308", b"-1e308", b"1.7976931348623157e308",
+             b"1e309"]
+
+
+@cache
+def example_inputs() -> dict[str, bytes]:
+    """The bundled example scenario, and the evidence and context
+    ``otcms simulate --emit-context`` writes from it."""
+    with tempfile.TemporaryDirectory() as out:
+        save_scenario_outputs(load_scenario(EXAMPLE), out, emit_context=True)
+        written = {role: (Path(out) / name).read_bytes() for role, name in
+                   (("evidence", "evidence.jsonl"), ("context", "context.json"))}
+    return {**written, "scenario": EXAMPLE.read_bytes()}
+
+
+@st.composite
+def mutated_inputs(draw) -> dict[str, bytes]:
+    """One of the example's files with one to three mutations: a flipped,
+    deleted or repeated byte, a truncation, or a number replaced by an
+    over-long integer or a huge float."""
+    role = draw(st.sampled_from(["evidence", "context", "scenario"]))
+    data = example_inputs()[role]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "delete", "repeat", "truncate", "number"]))
+        numbers = [match.span() for match in NUMBER.finditer(data)]
+        if kind == "number" and numbers:
+            start, end = draw(st.sampled_from(numbers))
+            data = data[:start] + draw(st.sampled_from(OVERSIZED)) + data[end:]
+        elif data and kind != "number":
+            at = draw(st.integers(0, len(data) - 1))
+            head, byte, tail = data[:at], data[at:at + 1], data[at + 1:]
+            if kind == "flip":
+                data = head + bytes([byte[0] ^ 1 << draw(st.integers(0, 7))]) + tail
+            elif kind == "delete":
+                data = head + tail
+            elif kind == "repeat":
+                data = head + byte * 2 + tail
+            else:
+                data = head
+    return {role: data}
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refused_alone(err: str) -> bool:
+    """True when ``err`` is exactly one ``otcms: error:`` line."""
+    return err.startswith("otcms: error: ") and err.endswith("\n") and "\n" not in err[:-1]
+
+
+def _evaluate_keeps_the_contract(evidence: Path, context: Path, report: Path) -> None:
+    code, out, err = _run(["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(report),
+                           "--generated-at", "0"])
+    assert out == ""
+    if code == 2:
+        assert _refused_alone(err), err
+        assert not report.exists()
+    else:
+        assert code in (0, 1) and "otcms: error:" not in err, err
+        assert bool(parse_report(report.read_text(encoding="utf-8")).noncompliant_sr_ids()) is (code == 1)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(files=mutated_inputs())
+# A rate whose events over the duration pass float range, and a duration past it.
+@example(files={"scenario": EXAMPLE.read_bytes().replace(b'"rate_per_s": 1.0', b'"rate_per_s": 1e308', 1)})
+@example(files={"scenario": EXAMPLE.read_bytes().replace(b'"duration_ms": 20000', b'"duration_ms": 1' + b"0" * 400, 1)})
+# Two events whose byte total in one rate window is past Python's digit limit.
+@example(files={
+    "evidence": b"".join(
+        b'{"bytes":' + b"9" * 4300 + b',"dst_id":"b","protocol":"MQTT","src_id":"a","timestamp":%d}\n' % t for t in (0, 1)
+    ),
+    "context": b'{"rate_spec":[{"pair":["a","b"],"window_ms":1000,"max_bytes_per_window":10}]}',
+})
+def test_exit_code_contract_holds_for_mutated_inputs(files):
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        for role, data in {**example_inputs(), **files}.items():
+            (work / role).write_bytes(data)
+        if "scenario" not in files:
+            _evaluate_keeps_the_contract(work / "evidence", work / "context", work / "report.json")
+            return
+        out = work / "out"
+        code, stdout, err = _run(["simulate", str(work / "scenario"), "--out-dir", str(out), "--emit-context"])
+        assert stdout == ""
+        if code == 2:
+            assert _refused_alone(err), err
+            assert not out.exists() or not any(out.iterdir())
+            return
+        assert code == 0, err
+        _evaluate_keeps_the_contract(out / "evidence.jsonl", out / "context.json", work / "report.json")

@@ -7,6 +7,7 @@ from otcms.context import (
     ContextError,
     ContextSpec,
     CryptoPolicy,
+    PasswordPolicy,
     RateLimit,
     classify_entity,
     context_from_dict,
@@ -48,7 +49,7 @@ class TestLoadContext:
     def test_zone_sl_target_zero_rejected(self, tmp_path):
         path = tmp_path / "ctx.json"
         path.write_text(json.dumps({"zone_sl_target": {"cell": 0}}))
-        with pytest.raises(ContextError, match="1..4"):
+        with pytest.raises(ContextError, match=r"^zone_sl_target\[cell\]: expected one of 1, 2, 3, 4, got 0$"):
             load_context(path)
 
     def test_human_list_loaded(self, tmp_path):
@@ -68,7 +69,16 @@ class TestLoadContext:
         (lambda: RateLimit(window_ms=1000, max_bytes_per_window=-1), "max_bytes_per_window: expected at least 0, got -1"),
         (lambda: CryptoPolicy(min_key_bits=-5), "min_key_bits: expected at least 0, got -5"),
         (lambda: ContextSpec(p2p_bandwidth_limit_bytes_per_s=-1), "p2p_bandwidth_limit_bytes_per_s: expected at least 0, got -1"),
-    ], ids=["window_ms", "max_events_per_window", "max_bytes_per_window", "min_key_bits", "p2p_bandwidth"])
+        (lambda: ContextSpec(max_failed_attempts=-1), "max_failed_attempts: expected at least 0, got -1"),
+        (lambda: ContextSpec(session_max_ms=0), "session_max_ms: expected at least 1, got 0"),
+        (lambda: ContextSpec(zone_sl_target={"cell": 2, "eng": 0}), "zone_sl_target[eng]: expected one of 1, 2, 3, 4, got 0"),
+        (lambda: PasswordPolicy(min_length=0), "min_length: expected at least 1, got 0"),
+        # The file's rule, type included: a value of another type is refused as a file's would be.
+        (lambda: RateLimit(window_ms=1.5), "window_ms: expected an integer, got 1.5"),
+        (lambda: ContextSpec(session_max_ms=None), "session_max_ms: expected an integer, got null"),
+    ], ids=["window_ms", "max_events_per_window", "max_bytes_per_window", "min_key_bits", "p2p_bandwidth",
+            "max_failed_attempts", "session_max_ms", "zone_sl_target", "min_length", "window_ms_float",
+            "session_max_ms_null"])
     def test_ranges_applied_on_construction(self, build, message):
         with pytest.raises(ContextError) as refused:
             build()

@@ -538,7 +538,11 @@ NUMBER_KEYS = st.sampled_from(
 NUMBER_PLACES = st.sampled_from(["{}", '"extra":{{{}}}', '"extra":[{{{}}}]', '"extra":{{"deeper":{{{}}}}}'])
 # Members naming a run key inside a string.
 STRING_MEMBERS = st.sampled_from(['"note":"\\"bytes\\":5"', '"src_id":"\\"seq\\":1,"', '"\\"timestamp\\":7":"x"'])
-RUNS = st.integers(0, 10**12).map(str) | st.sampled_from(["0", "9" * 4301])
+# Runs around the 18-digit cap of a cut and the bound of ``bytes``, 2**63 - 1,
+# which a longer run, read in full, may pass.
+RUNS = st.integers(0, 10**12).map(str) | st.integers(10**17, 10**20).map(str) | st.sampled_from(
+    ["0", "9" * 4301, "9" * 18, "1" + "0" * 18, str(2**63 - 1), str(2**63), "9" * 400]
+)
 # Texts replacing a run in a later line: runs of other lengths, none (the
 # text a key of joined pieces would take for the template's), and numbers
 # and values that are no run.
@@ -612,6 +616,8 @@ def read_together(lines: list[str], strict: bool):
          strict=True)
 @example(lines=['{"timestamp":1,"timestamp":2}', '{"timestamp":3,"timestamp":4}', '{"timestamp":5,"timestamp":6}'],
          strict=True)
+@example(lines=['{"bytes":%s,"dst_id":"b","protocol":"","src_id":"a","timestamp":1}' % run
+                for run in ("1", "2", str(2**63 - 1), str(2**63), "9" * 18)], strict=False)
 @example(lines=['{"dst_id":"b","protocol":"","seq":%s,"src_id":"a","timestamp":2}' % run
                 for run in ("1", "1", "9" * 4301, "")], strict=False)
 def test_template_hit_parses_as_each_line_read_alone(lines, strict):

@@ -101,7 +101,7 @@ class TestInjections:
             default_scenario(injections=(Injection(attribute_id="weak_encryption", at_ms=99_999),))
 
     def test_at_ms_before_start_rejected(self):
-        with pytest.raises(ScenarioError, match=r"injections\[1\]: at_ms: expected at least 0, got -5000"):
+        with pytest.raises(ScenarioError, match=r"^at_ms: expected at least 0, got -5000$"):
             default_scenario(injections=(Injection("weak_encryption"), Injection("weak_encryption", at_ms=-5000)))
 
     def test_record_naming_no_event_field_refused(self, monkeypatch, catalog):
@@ -198,6 +198,58 @@ class TestScenarioFiles:
             Scenario(name="x", seed=0, spec=default_context(), traffic_profile=profile)
 
 
+def _at_rate(rate: float) -> tuple:
+    """The default plant's first traffic pattern alone, at ``rate`` events per second."""
+    return (replace(default_profile()[0], rate_per_s=rate),)
+
+
+# The scenario twin of the context's range tables (``test_context.py``,
+# ``test_cli.py``): each field built in a program, then given in a file.
+@pytest.mark.parametrize("build, message", [
+    (lambda: default_scenario(duration_ms=0), "duration_ms: expected at least 1, got 0"),
+    (lambda: default_scenario(duration_ms=2**63), "duration_ms: expected at most 9223372036854775807, got 9223372036854775808"),
+    (lambda: default_scenario(sl_target=0), "sl_target: expected one of 1, 2, 3, 4, got 0"),
+    (lambda: Injection("weak_encryption", at_ms=-1), "at_ms: expected at least 0, got -1"),
+    # The file's rule, type included.
+    (lambda: default_scenario(sl_target=2.0), "sl_target: expected an integer, got 2.0"),
+    (lambda: Injection("weak_encryption", at_ms=True), "at_ms: expected an integer or null, got true"),
+    # Events are counted as a float: a rate whose events over the duration pass float range.
+    (lambda: Scenario(name="x", seed=0, spec=default_context(), traffic_profile=_at_rate(1e308)),
+     "traffic_profile[0]: rate_per_s: expected a positive number whose events over duration_ms 20000 can be counted, "
+     "got 1e+308"),
+    (lambda: Scenario(name="x", seed=0, spec=default_context(), duration_ms=2**63 - 1, traffic_profile=_at_rate(1e300)),
+     "traffic_profile[0]: rate_per_s: expected a positive number whose events over duration_ms 9223372036854775807 "
+     "can be counted, got 1e+300"),
+], ids=["duration_ms", "duration_ms_past_int64", "sl_target", "at_ms", "sl_target_float", "at_ms_bool",
+        "rate_uncountable", "rate_uncountable_over_int64_ms"])
+def test_scenario_ranges_applied_on_construction(build, message):
+    with pytest.raises(ScenarioError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+# Per scenario field: how a value is set, its lowest admitted value, and its range as a refusal words it.
+SCENARIO_THRESHOLD = {
+    "duration_ms": (lambda sc, value: sc.update(duration_ms=value), 1, "at least 1"),
+    "sl_target": (lambda sc, value: sc.update(sl_target=value), 1, "one of 1, 2, 3, 4"),
+    "injections[1]: at_ms": (lambda sc, value: sc["injections"][1].update(at_ms=value), 0, "at least 0"),
+}
+
+
+@pytest.mark.parametrize("offset", [-1, 0])
+@pytest.mark.parametrize("path", sorted(SCENARIO_THRESHOLD))
+def test_scenario_threshold_refused_from_a_file_naming_it(path, offset):
+    data = scenario_to_dict(default_scenario(injections=(Injection("weak_encryption"), Injection("weak_encryption", 0))))
+    update, low, expected = SCENARIO_THRESHOLD[path]
+    update(data, low + offset)
+    if offset == 0:
+        assert scenario_from_dict(data)
+        return
+    with pytest.raises(ScenarioError) as refused:
+        scenario_from_dict(data)
+    assert str(refused.value) == f"{path}: expected {expected}, got {low + offset}"
+
+
 def test_parse_of_simulator_output_is_lossless(catalog):
     sc = default_scenario(seed=31, injections=(Injection(attribute_id="password_policy"),))
     events, _ = generate_scenario(sc, catalog)
@@ -257,9 +309,9 @@ class TestDefaultPlant:
         assert default_scenario().spec == again
 
     def test_arguments_validated_as_before(self):
-        with pytest.raises(ScenarioError, match="sl_target must be 1..4"):
+        with pytest.raises(ScenarioError, match=r"^sl_target: expected one of 1, 2, 3, 4, got 7$"):
             default_scenario(sl_target=7)
-        with pytest.raises(ScenarioError, match="duration_ms must be positive"):
+        with pytest.raises(ScenarioError, match=r"^duration_ms: expected at least 1, got 0$"):
             default_scenario(duration_ms=0)
 
     def test_import_reads_no_scenario_file(self):
