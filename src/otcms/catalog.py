@@ -23,10 +23,12 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Annotated, Mapping
 
-from otcms.jsonfield import from_json, loads, one_of, to_json
+from otcms.jsonfield import from_json, loads, one_of, read, to_json
 
 #: The security levels of IEC 62443-3-3, lowest first.
 SL_LEVELS = (1, 2, 3, 4)
+#: An SL target or minimum, as a file gives it.
+SLTarget = Annotated[int, one_of(*SL_LEVELS)]
 
 
 class CatalogError(ValueError):
@@ -59,7 +61,7 @@ class AttributeBinding:
 
     attribute_id: str
     kind: AttributeKind
-    min_sl: Annotated[int, one_of(*SL_LEVELS)] = 1
+    min_sl: SLTarget = 1
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class RequirementEnhancement:
     """An SR add-on mandatory only from ``min_sl`` upward."""
 
     id: str
-    min_sl: Annotated[int, one_of(*SL_LEVELS)]
+    min_sl: SLTarget
     bindings: tuple[AttributeBinding, ...] = ()
 
 
@@ -231,8 +233,7 @@ def required_attributes(catalog: Catalog, sr_id: str, sl_target: int) -> list[At
     level at which the attribute is required. Result is ordered by
     attribute_id; the required set grows monotonically with ``sl_target``.
     """
-    if sl_target not in SL_LEVELS:
-        raise ValueError(f"sl_target must be 1..4, got {sl_target}")
+    read(sl_target, SLTarget, ValueError, "sl_target")
     return [binding for binding in all_bindings(catalog.sr(sr_id)) if binding.min_sl <= sl_target]
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Annotated
 
-from otcms.catalog import SL_LEVELS, AttributeKind
+from otcms.catalog import AttributeKind, SLTarget
 from otcms.evidence import IdScheme
-from otcms.jsonfield import at_least, check_ranges, from_json, load, one_of, read, to_json
+from otcms.jsonfield import at_least, check_ranges, from_json, load, read, to_json
 
 logger = logging.getLogger(__name__)
 
@@ -100,7 +100,7 @@ class ContextSpec:
     human_identifiers: frozenset[str] = frozenset()
     mobile_device_identifiers: frozenset[str] = frozenset()
     zone_map: dict[str, str] = field(default_factory=dict)
-    zone_sl_target: dict[str, Annotated[int, one_of(*SL_LEVELS)]] = field(default_factory=dict)
+    zone_sl_target: dict[str, SLTarget] = field(default_factory=dict)
     trusted_zones: frozenset[str] = frozenset()
     control_zones: frozenset[str] = frozenset()
     external_prefixes: tuple[str, ...] = ()

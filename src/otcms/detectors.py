@@ -49,12 +49,12 @@ from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import attrgetter, le, lt, sub
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import attrgetter, itemgetter, le, lt, sub
 
 from otcms.catalog import AttributeKind
 from otcms.context import ContextSpec, RateLimit, classify_entity
-from otcms.evidence import EvidenceEvent, IdScheme, Session, Shapes, group_shapes
+from otcms.evidence import EvidenceEvent, IdScheme, Session, Shapes, gaps_over, group_shapes
 
 #: Length of the protocol run taken as evidence of a directory-backed
 #: account/identifier/authenticator management system. Matches the packet
@@ -400,8 +400,8 @@ def _window_violations(
     every anchor is checked. :class:`RateLimit` refuses a negative limit.
     """
     window_ms, max_events, max_bytes = limit.window_ms, limit.max_events_per_window, limit.max_bytes_per_window
-    times = [timestamp for timestamp, _, _ in items]
-    byte_sums = list(accumulate((size for _, size, _ in items), initial=0))
+    times = list(map(itemgetter(0), items))
+    byte_sums = list(accumulate(map(itemgetter(1), items), initial=0))
     m = len(items) if max_events is None else min(max_events, len(items))
     anchors: Iterable[int] = range(len(items))
     if max_bytes is None or (
@@ -430,9 +430,8 @@ def detect_abnormal_behavior(sessions: list[Session], ctx: ContextSpec) -> list[
         per_pair: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
         for session in sessions:
             if session.participants in ctx.rate_spec:
-                per_pair.setdefault(session.participants, []).extend(
-                    (e.timestamp, e.bytes, e.seq) for e in session.events
-                )
+                items = map(attrgetter("timestamp", "bytes", "seq"), session.events)
+                per_pair.setdefault(session.participants, []).extend(items)
         for pair in sorted(ctx.rate_spec):
             finding = _window_violations(sorted(per_pair.get(pair, ())), ctx.rate_spec[pair], "abnormal_behavior", pair)
             if finding is not None:
@@ -589,39 +588,41 @@ def detect_session_violations(sessions: list[Session], ctx: ContextSpec) -> list
         if s.duration_ms > ctx.session_max_ms
     ]
 
-    occurrences: dict[str, list[tuple[int, tuple[str, str], int]]] = {}
+    # Per session id, the events of each pair using it.
+    uses: dict[str, dict[tuple[str, str], list[EvidenceEvent]]] = {}
     for session in sessions:
-        for e in session.events:
-            if e.session_id is not None:
-                occurrences.setdefault(e.session_id, []).append((e.timestamp, session.participants, e.seq))
+        for sid, run in groupby(session.events, attrgetter("session_id")):
+            if sid is not None:
+                uses.setdefault(sid, {}).setdefault(session.participants, []).extend(run)
 
     id_offenders: list[Finding] = []
-    for sid in sorted(occurrences):
-        uses = sorted(occurrences[sid])
-        pairs = {pair for _, pair, _ in uses}
-        if len(pairs) > 1:
+    for sid in sorted(uses):
+        if len(uses[sid]) > 1:
+            first = sorted((e.timestamp, pair, e.seq) for pair, events in uses[sid].items() for e in events)[:2]
             id_offenders.append(
                 _violation(
                     "session_id_integrity",
-                    f"session id {sid!r} used by disjoint participant pairs {sorted(pairs)}",
-                    *[seq for _, _, seq in uses[:2]],
+                    f"session id {sid!r} used by disjoint participant pairs {sorted(uses[sid])}",
+                    *[seq for _, _, seq in first],
                 )
             )
             continue
-        for (t_prev, _, _), (t_next, _, seq_next) in zip(uses, uses[1:]):
-            if t_next - t_prev > ctx.session_max_ms:
-                id_offenders.append(
-                    _violation(
-                        "session_id_integrity",
-                        f"session id {sid!r} reused after a {t_next - t_prev} ms gap, "
-                        f"over the allowed {ctx.session_max_ms} ms",
-                        seq_next,
-                    )
+        [events] = uses[sid].values()
+        times = sorted(map(attrgetter("timestamp"), events))
+        late = next(gaps_over(times, ctx.session_max_ms), None)
+        if late is not None:
+            id_offenders.append(
+                _violation(
+                    "session_id_integrity",
+                    f"session id {sid!r} reused after a {times[late] - times[late - 1]} ms gap, "
+                    f"over the allowed {ctx.session_max_ms} ms",
+                    # the gap is positive, so the use it ends is the least seq at its timestamp
+                    min(e.seq for e in events if e.timestamp == times[late]),
                 )
-                break
+            )
     return [
         _judge("session_termination", offenders, bool(sessions)),
-        _judge("session_id_integrity", id_offenders, bool(occurrences)),
+        _judge("session_id_integrity", id_offenders, bool(uses)),
     ]
 
 

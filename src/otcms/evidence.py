@@ -23,8 +23,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from itertools import chain, pairwise
-from operator import itemgetter
+from itertools import chain, compress, islice, pairwise, repeat
+from operator import gt, itemgetter, sub
 from pathlib import Path
 from typing import Annotated, BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
@@ -412,6 +412,11 @@ def write_evidence(events: Iterable[EvidenceEvent], path: str | Path) -> None:
     Path(path).write_text(to_jsonl(events), encoding="utf-8")
 
 
+def gaps_over(times: list[int], limit: int) -> Iterator[int]:
+    """Each position, ascending, whose time follows its predecessor's by more than ``limit``."""
+    return compress(range(1, len(times)), map(gt, map(sub, islice(times, 1, None), times), repeat(limit)))
+
+
 def assemble_sessions(
     events: list[EvidenceEvent],
     gap_ms: int = DEFAULT_SESSION_GAP_MS,
@@ -441,7 +446,7 @@ def assemble_sessions(
     for (pair, sid), runs in groups.items():
         # timsort merges the ascending runs into stream order, then sorts by (timestamp, seq), stably
         members = sorted(map(events.__getitem__, sorted(chain.from_iterable(runs))), key=itemgetter(1, 0))
-        cuts = [i for i in range(1, len(members)) if members[i].timestamp - members[i - 1].timestamp > gap_ms]
+        cuts = gaps_over(list(map(itemgetter(1), members)), gap_ms)
         base = f"{pair[0]}|{pair[1]}" + (f"|{sid}" if sid is not None else "")
         for index, (start, stop) in enumerate(pairwise([0, *cuts, len(members)])):
             sessions.append(Session(session_key=f"{base}#{index}", participants=pair, events=members[start:stop]))

@@ -27,11 +27,12 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Annotated, Callable
 
-from otcms.catalog import SL_LEVELS, Catalog, default_catalog_path, load_catalog, required_attributes
+from otcms.catalog import Catalog, SLTarget, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
 from otcms.evidence import INT64_MAX, EvidenceEvent, IdScheme, write_evidence
 from otcms.jsonfield import at_least, at_most, check_ranges, from_json, load, one_of, read, to_json
@@ -72,6 +73,8 @@ _CIPHER = "TLS_AES_128_GCM_SHA256"
 _SECURE = {"tls_present": True, "cert_present": True, "cipher_suite": _CIPHER, "key_bits": 256}
 #: Every event field, in order, holding its default (None where it has none).
 _BLANK = dict.fromkeys(EvidenceEvent._fields) | EvidenceEvent._field_defaults
+#: The slots of an event row, a list of an event's values in field order, that generation sets.
+_SEQ, _TIMESTAMP, _SESSION_ID, _BYTES = map(EvidenceEvent._fields.index, ("seq", "timestamp", "session_id", "bytes"))
 
 
 class ScenarioError(ValueError):
@@ -95,6 +98,9 @@ class TrafficPattern:
     session_id: str | None = None
     flavor: Annotated[str, one_of("data", "process", "auth")] = "data"
 
+    def __post_init__(self) -> None:
+        check_ranges(self, ScenarioError)
+
 
 @dataclass(frozen=True)
 class Injection:
@@ -113,7 +119,7 @@ class Scenario:
     seed: int
     spec: ContextSpec
     duration_ms: Annotated[int, at_least(1), at_most(INT64_MAX)] = 20_000
-    sl_target: Annotated[int, one_of(*SL_LEVELS)] = 2
+    sl_target: SLTarget = 2
     traffic_profile: tuple[TrafficPattern, ...] = ()
     injections: tuple[Injection, ...] = ()
 
@@ -199,28 +205,37 @@ def _secure(t: int, src: str, dst: str, protocol: str, port: int | None, sid: st
             "protocol_version": _VERSIONS.get(protocol), **_SECURE, **kw}
 
 
-def _baseline_records(scenario: Scenario, rng: random.Random) -> list[dict]:
-    """Compliant traffic. Each stream takes a fresh session id for every
-    ``session_max_ms`` window after the first, so no baseline session
-    outlives the limit however long the scenario runs."""
-    records: list[dict] = []
+def _rows(records: list[dict]) -> list[list]:
+    """Each record's values over the defaults, as an event row; refuses the least field no event has."""
+    rows = [[*{**_BLANK, **record}.values()] for record in records]
+    if max(map(len, rows), default=0) > len(_BLANK):
+        raise TypeError(f"no event field {min(set().union(*records) - _BLANK.keys())!r}")
+    return rows
+
+
+def _baseline_rows(scenario: Scenario, rng: random.Random) -> list[list]:
+    """Compliant traffic as event rows: each a copy of its stream's row for its direction, built
+    once by ``_secure``, with timestamp, session id and bytes set. A stream takes a fresh session
+    id for every ``session_max_ms`` window after the first, so no baseline session outlives the
+    limit however long the scenario runs."""
+    rows: list[list] = []
     window_ms = scenario.spec.session_max_ms
     for pattern in scenario.traffic_profile:
         count = max(1, round(pattern.rate_per_s * scenario.duration_ms / 1000))
         spacing = scenario.duration_ms / count
         stream = pattern.session_id or f"{pattern.src}|{pattern.dst}"
+        extra = {"auth_result": "Success"} if pattern.flavor == "auth" else {}
+        ends = ((pattern.src, pattern.dst), (pattern.dst, pattern.src))
+        forward, backward = _rows([_secure(0, *pair, pattern.protocol, pattern.port, None, 0, **extra) for pair in ends])
         for k in range(count):
             t = (k + 0.5) * spacing + rng.uniform(-0.3, 0.3) * spacing
             t = min(max(int(t), 0), scenario.duration_ms - 1)
-            nbytes = rng.randint(64, 512)
-            window = t // window_ms
-            sid = f"{stream}~{window}" if window else pattern.session_id
-            src, dst = pattern.src, pattern.dst
-            if k % 2 and pattern.flavor not in ("auth", "process"):
-                src, dst = dst, src  # data streams alternate direction
-            extra = {"auth_result": "Success"} if pattern.flavor == "auth" else {}
-            records.append(_secure(t, src, dst, pattern.protocol, pattern.port, sid, nbytes, **extra))
-    return records
+            row = (backward if k % 2 and pattern.flavor not in ("auth", "process") else forward).copy()
+            row[_TIMESTAMP] = t
+            row[_SESSION_ID] = f"{stream}~{t // window_ms}" if t >= window_ms else pattern.session_id
+            row[_BYTES] = rng.randint(64, 512)
+            rows.append(row)
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -441,23 +456,19 @@ def generate_scenario(scenario: Scenario, catalog: Catalog | None = None) -> tup
     Identical scenarios produce byte-identical streams. Combined injections
     compose by union, both in events and in labels.
     """
-    rng = random.Random(scenario.seed)
-    records = _baseline_records(scenario, rng)
+    injected = [(INJECTIONS[i.attribute_id], scenario.duration_ms if i.at_ms is None else i.at_ms)
+                for i in scenario.injections]
+    # The injected records are a temporary: once rows, their dicts are freed before the events are made.
+    rows = _baseline_rows(scenario, random.Random(scenario.seed))
+    rows += _rows([record for spec, t0 in injected for record in spec.build(scenario, t0)])
+    violated = frozenset().union(*(spec.violates for spec, _ in injected))
+    fulfilled = frozenset().union(*(spec.fulfills for spec, _ in injected))
 
-    violated: frozenset[str] = frozenset()
-    fulfilled: frozenset[str] = frozenset()
-    for injection in scenario.injections:
-        spec = INJECTIONS[injection.attribute_id]
-        t0 = injection.at_ms if injection.at_ms is not None else scenario.duration_ms
-        records.extend(spec.build(scenario, t0))
-        violated |= spec.violates
-        fulfilled |= spec.fulfills
-
-    records.sort(key=itemgetter("timestamp"))
-    # Built as the parse builds events, from the values in field order: each record's over the defaults.
-    events = [tuple.__new__(EvidenceEvent, {**_BLANK, **record, "seq": seq}.values()) for seq, record in enumerate(records)]
-    if max(map(len, events), default=0) > len(_BLANK):
-        raise TypeError(f"no event field {min(set().union(*records) - _BLANK.keys())!r}")
+    rows.sort(key=itemgetter(_TIMESTAMP))
+    for seq, row in enumerate(rows):
+        row[_SEQ] = seq
+    # Each numbered row becomes an event as the parse builds one, from its values in field order.
+    events = list(map(tuple.__new__, repeat(EvidenceEvent), rows))
     truth = ground_truth_for(violated, fulfilled, scenario.sl_target, catalog)
     return events, truth
 

@@ -14,6 +14,8 @@ from otcms.catalog import (
     validate_catalog,
 )
 from otcms.detectors import REGISTRY, registry_kinds
+from otcms.engine import run_evaluation
+from otcms.simulator import default_context, default_scenario, generate_scenario
 
 
 def minimal_catalog_dict():
@@ -166,6 +168,17 @@ class TestRequiredAttributes:
                 current = {b.attribute_id for b in required_attributes(catalog, sr.id, sl)}
                 assert previous <= current, f"{sr.id}: required set shrank from SL {sl - 1} to {sl}"
                 previous = current
+
+    @pytest.mark.parametrize("sl_target, message", [
+        (7, "sl_target: expected one of 1, 2, 3, 4, got 7"),
+        (0, "sl_target: expected one of 1, 2, 3, 4, got 0"),
+        (2.0, "sl_target: expected an integer, got 2.0"),
+    ])
+    def test_sl_target_refused_in_the_range_rules_words(self, catalog, sl_target, message):
+        events, _ = generate_scenario(default_scenario())
+        with pytest.raises(ValueError) as refused:
+            run_evaluation(catalog, default_context(), events, sl_target=sl_target)
+        assert str(refused.value) == message
 
     def test_unknown_sr(self, catalog):
         with pytest.raises(KeyError):

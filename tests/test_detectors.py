@@ -152,6 +152,14 @@ class TestAbnormalBehavior:
         assert by_id(detect_abnormal_behavior(sessions, self._ctx(max_events=10)))[
             "abnormal_behavior"].status is Status.VIOLATED
 
+    def test_anchor_at_equal_timestamps_follows_bytes_then_seq(self):
+        # three events at t=0 over the byte limit: the anchor is the least (timestamp, bytes, seq)
+        events = [ev(seq=0, t=0, bytes=90, src="a", dst="b"), ev(seq=1, t=0, bytes=30, src="b", dst="a"),
+                  ev(seq=2, t=0, bytes=30, src="a", dst="b"), ev(seq=3, t=5000, bytes=1, src="a", dst="b")]
+        verdict = by_id(detect_abnormal_behavior(assemble_sessions(events), self._ctx(max_events=None, max_bytes=100)))[
+            "abnormal_behavior"]
+        assert [(f.message, f.seq_refs) for f in verdict.findings] == [("a<->b: 150 bytes in 1000 ms exceeds 100", (1,))]
+
     def test_matches_quadratic_recount(self):
         rng = random.Random(4)
         for trial in range(15):
@@ -375,6 +383,31 @@ class TestSessionViolations:
         sessions = assemble_sessions(events, gap_ms=100)
         got = by_id(detect_session_violations(sessions, ctx))
         assert got["session_id_integrity"].status is Status.VIOLATED
+
+    def test_shared_id_cites_first_uses_in_timestamp_pair_seq_order(self):
+        # both first uses at t=100: the pair breaks the tie, so the later seq is cited first
+        events = [
+            ev(seq=0, t=100, src="c", dst="b", session_id="S1"),
+            ev(seq=1, t=100, src="a", dst="b", session_id="S1"),
+            ev(seq=2, t=50, src="e", dst="f", session_id="S2"),
+            ev(seq=3, t=50, src="e", dst="f", session_id="S2"),
+        ]
+        finding, = by_id(detect_session_violations(assemble_sessions(events), self._ctx()))["session_id_integrity"].findings
+        assert finding.message == "session id 'S1' used by disjoint participant pairs [('a', 'b'), ('b', 'c')]"
+        assert finding.seq_refs == (1, 0)
+
+    @pytest.mark.parametrize("later", [1000, 1001])
+    def test_reuse_gap_of_the_limit_allowed_and_one_more_refused(self, later):
+        # seq 2 and 3 share the later timestamp; the finding cites the lesser seq of the two
+        events = [ev(seq=1, t=0, session_id="S1"), ev(seq=3, t=later, session_id="S1"),
+                  ev(seq=2, t=later, session_id="S1")]
+        verdict = by_id(detect_session_violations(assemble_sessions(events, gap_ms=100), self._ctx(max_ms=1000)))[
+            "session_id_integrity"]
+        if later == 1000:
+            assert verdict.status is Status.FULFILLED
+            return
+        assert [(f.message, f.seq_refs) for f in verdict.findings] == [
+            ("session id 'S1' reused after a 1001 ms gap, over the allowed 1000 ms", (2,))]
 
     def test_no_sessions_indeterminate(self):
         got = by_id(detect_session_violations([], self._ctx()))

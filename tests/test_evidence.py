@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from test_detectors import shape_streams
 
 from otcms import evidence
+from otcms.context import ContextSpec
+from otcms.detectors import detect_session_violations
 from otcms.engine import run_evaluation
 from otcms.evidence import (
     DEFAULT_SESSION_GAP_MS,
@@ -194,6 +196,26 @@ class TestSessions:
         # partition: every event exactly once
         all_seqs = sorted(seq for s in sessions for seq in (e.seq for e in s.events))
         assert all_seqs == [e.seq for e in events]
+
+    def test_gap_of_exactly_gap_ms_does_not_split(self):
+        events = [ev(seq=0, t=0), ev(seq=1, t=1000), ev(seq=2, t=2001), ev(seq=3, t=2001)]
+        sessions = assemble_sessions(events, gap_ms=1000)
+        assert [[e.seq for e in s.events] for s in sessions] == [[0, 1], [2, 3]]
+
+    def test_sessions_without_explicit_ids_interleave_them(self):
+        # one pair alternating two ids: one session each side of the gap, its events in (timestamp, seq) order
+        events = [ev(seq=0, t=0, session_id="s1"), ev(seq=2, t=10, session_id="s2"), ev(seq=1, t=10, session_id="s1"),
+                  ev(seq=3, t=20, session_id=None), ev(seq=4, t=5000, session_id="s2"), ev(seq=5, t=5000, session_id="s1")]
+        sessions = assemble_sessions(events, gap_ms=1000, explicit_ids=False)
+        assert [(s.session_key, [e.seq for e in s.events]) for s in sessions] == [
+            ("10.0.0.1|10.0.0.2#0", [0, 1, 2, 3]), ("10.0.0.1|10.0.0.2#1", [4, 5])]
+        # each id is reused after a 4,990 ms gap: s1 from seq 1 to 5, s2 from seq 2 to 4
+        verdict = {v.attribute_id: v for v in detect_session_violations(sessions, ContextSpec(session_max_ms=4000))}[
+            "session_id_integrity"]
+        assert [(f.message, f.seq_refs) for f in verdict.findings] == [
+            ("session id 's1' reused after a 4990 ms gap, over the allowed 4000 ms", (5,)),
+            ("session id 's2' reused after a 4990 ms gap, over the allowed 4000 ms", (4,)),
+        ]
 
     def test_determinism(self):
         events = [ev(seq=i, t=i * 100, src="a", dst="b") for i in range(20)]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,12 +11,13 @@ from otcms import simulator
 from otcms.compliance import build_report
 from otcms.detectors import REGISTRY, Status
 from otcms.engine import evaluate_verdicts
-from otcms.evidence import parse_evidence, to_jsonl
+from otcms.evidence import EvidenceEvent, jsonl_digest, parse_evidence, to_jsonl
 from otcms.simulator import (
     INJECTIONS,
     Injection,
     Scenario,
     ScenarioError,
+    TrafficPattern,
     default_context,
     default_profile,
     default_scenario,
@@ -107,6 +109,16 @@ class TestInjections:
     def test_record_naming_no_event_field_refused(self, monkeypatch, catalog):
         def build(sc, t0):
             return [simulator._record(t0, simulator.PLC1, simulator.HMI1, "Telnet", colour="red")]
+
+        monkeypatch.setitem(INJECTIONS, "unknown_protocol", replace(INJECTIONS["unknown_protocol"], build=build))
+        with pytest.raises(TypeError, match="^no event field 'colour'$"):
+            generate_scenario(default_scenario(injections=(Injection("unknown_protocol"),)), catalog)
+
+    def test_least_unknown_field_over_all_records_named(self, monkeypatch, catalog):
+        # the earlier record names the greater field, so the least is not the first met
+        def build(sc, t0):
+            return [simulator._record(t0, simulator.PLC1, simulator.HMI1, "Telnet", zebra=1),
+                    simulator._record(t0 + 1, simulator.PLC1, simulator.HMI1, "Telnet", colour="red")]
 
         monkeypatch.setitem(INJECTIONS, "unknown_protocol", replace(INJECTIONS["unknown_protocol"], build=build))
         with pytest.raises(TypeError, match="^no event field 'colour'$"):
@@ -220,8 +232,11 @@ def _at_rate(rate: float) -> tuple:
     (lambda: Scenario(name="x", seed=0, spec=default_context(), duration_ms=2**63 - 1, traffic_profile=_at_rate(1e300)),
      "traffic_profile[0]: rate_per_s: expected a positive number whose events over duration_ms 9223372036854775807 "
      "can be counted, got 1e+300"),
+    # A pattern its scenario's loader would refuse is refused on construction too.
+    (lambda: TrafficPattern(simulator.PLC1, simulator.HMI1, "OPCUA", flavor="bogus"),
+     'flavor: expected one of data, process, auth, got "bogus"'),
 ], ids=["duration_ms", "duration_ms_past_int64", "sl_target", "at_ms", "sl_target_float", "at_ms_bool",
-        "rate_uncountable", "rate_uncountable_over_int64_ms"])
+        "rate_uncountable", "rate_uncountable_over_int64_ms", "flavor"])
 def test_scenario_ranges_applied_on_construction(build, message):
     with pytest.raises(ScenarioError) as refused:
         build()
@@ -343,3 +358,81 @@ class TestDefaultPlant:
         sc = default_scenario()
         used = {r[side] for spec in INJECTIONS.values() for r in spec.build(sc, 0) for side in ("src_id", "dst_id")}
         assert used - known == {simulator.ROGUE_PROC, simulator.BT_DEV}
+
+
+# The equivalence pin: the first ten hex digits of each stream's ``jsonl_digest`` over seeds 0-3 at
+# 20 s, then at 700 s, per mix of injections placed as in ``_mix``, so a rewrite of the generator
+# must give the same bytes.
+PINNED_DIGESTS = """
+baseline                 e64b4e5fb2 e5a6493430 05e3920cb1 6f862e265d 7d0a38d283 3f2e306a36 4222a7a9e4 332b409a8d
+abnormal_behavior        bdc66b0e51 1893ff9936 3e7ad95b52 6ced09f4b2 38c65dcfc6 82ce95fc02 4787366b98 86c0487cce
+audit_log_exists         44dac1a4b8 408a470956 165107a551 a13e4fee71 e11d8db611 2ddb00d297 0f46726e17 0ca63253db
+audit_timestamped        648501563f 310f4b6c16 a9aeb8a12a ddf8bfc803 5591863fbe fb4096796a 90075a706f 8829b78415
+authenticator_obscured   6647760234 a1f8920fd1 11601f42dd 6d81f2484c bbe72ae035 d475f70c20 e00404696b 8a345ba872
+authorization_enforced   5b6c7b15b7 dab9906e81 a80a49368e ca57cda837 8214c1ff57 3ca53cf52c c4b24b61f7 02913b1a90
+boundary_default_deny    90e8176d84 2b316f6888 92af2962d0 be14ffdf0e b132b66d80 b91ff1e429 64359e0962 babf52b65d
+continuous_monitoring    62dd29f468 d5cb7d2383 53acfcd01e 58f8def811 f9a5c3173c 56a1faef20 2bd9427006 086f61ea2f
+data_integrity           29735b04a0 db8b5b325c 18177c65a1 31a28feed4 9d7ec7a51e 824feb5fe0 06dad8357d 31793d7c60
+data_partitioning        e4eaaa32e8 f5c53edae4 5e4eb0cc7d 1d817c914f 4321f786d7 c1975b173c 888e96c78a 53be25cb4f
+iac_management           84b26a6455 96c29bd977 fcfd942d03 cff190ed61 bb10c67dab 04e5409308 e54b76a916 56903ceb40
+insecure_protocol        ded7e41747 3152b7fd4b 0d67f793e0 4e9e77f750 da1144596a 84403fa025 948c6406a1 8eb8509753
+least_functionality      167d300a66 031591aad7 ea08d22485 0066d86b73 9c7017ff7d b91a6a8391 701e2411d9 fb138c5e58
+logical_segmentation     8f853de34d 5d938c0bef 5f5905fd71 07c401deac fe823ca852 2e85c6bd6b a482c0938f 010b7c6528
+login_attempt_limit      a7db0f5c8c 7fe9637dc2 5269871e54 6161f0f133 8d47c1cfcd cbf979b2ac 76f1549ebb 4b032a6e6e
+mobile_code_control      9a07829431 ae2b68e355 76079ba038 c5f74ee627 f4838f42b7 205b79b898 7112f7aab0 b3e641afb4
+non_control_independence cd3621945d 295520a990 faf4a0ea71 724982b8db 7a7bb28798 9ca59c2846 ba5ee878e5 565bd195b8
+p2p_restriction          bc421e3414 87f997fed2 7f04aeffcf f5dd771ce2 e7b9033a51 0fb0b06abc 1d84d113d8 afa7f60ed9
+password_policy          9cb0780b49 7732b94c52 902c3b230b 3fff2177e7 317de22365 675ddc61f3 f09996edc7 b368da4417
+pki_best_practice        1ee285c3a5 6c14a94427 a3eefddba6 e6b8c50b45 b0d4a1e706 015dcbe365 22cfe54ee6 1a78e5dd93
+pki_present              0331a6dc7f 9bd3eb1b11 e36d25f063 a8e96ed66b 15cdaa4eff 9165a13575 7c383b5470 ab4a084ec2
+session_id_integrity     78c3dd1a9f 90754d7fa9 7389c34ad0 4bee67b2d4 980b9fc7eb 94ae58f0a1 aa3d0f816b 9767aba90d
+session_termination      a604b90c4b 11f85686a2 fea4a95247 a8eee06add 9a6ea350f2 adade6727d b49cdfb1cb f95f60503e
+unknown_communication    13ca276fef 1a8ceaee9a b1a08d6c04 db92ebd387 049701efb1 5d1df1eb60 361dd9de34 3b9395de40
+unknown_protocol         ab2cc8ada3 3e1c631769 8421773b04 d7a05500cd 0a0a053f03 5425aefddd dc834e2041 9a54a48af2
+unknown_software_process fab6f0cc22 8882ea7929 a88b7bfef0 efbb3b4343 cef0b49f62 498b3e5eb9 5f4e3dc543 c03732e0fa
+untrusted_access_control ad6608925f 345e96120d 1c15b17e03 bd50e47e1f 19fe69378f 113147115c fad92a396f 9e3d2641cd
+weak_encryption          1c2cf9a271 e4bea3b06e 334e1bb501 a135a75c13 87e9593792 d78e9da390 8ed3bcc6e7 6a85fda2de
+wireless_iac             958a2753c9 b78fdab682 f6ffec7cc3 f1c2376f22 29cfc38d39 86120b61d8 0cc7a984d5 68867d3b30
+all                      16dd20f6ba 2c4f6a0e95 b671da36a4 bcc1f02254 422e6113fd cd6ae776b8 51309a1712 d78fdbd93e
+"""
+#: The two mixes pinned at 2 h, seed 0, in full.
+PINNED_LONG_DIGESTS = {
+    "baseline": "sha256:b538f89a77b96ce5dbceb2577a49b13168043270f8c85e0583d6087a3e99796e",
+    "all": "sha256:58caac819e462e01bd32da072c8b899c763b67bc6eb2f7437025482cd1f96eaf",
+}
+MIXES = {"baseline": (), **{name: (name,) for name in sorted(INJECTIONS)}, "all": tuple(sorted(INJECTIONS))}
+
+
+def _mix(seed: int, duration_ms: int, mix: str) -> list:
+    """The events of the default plant with ``mix``'s injections spread evenly over the window."""
+    names = MIXES[mix]
+    injections = tuple(Injection(name, at_ms=duration_ms * (i + 1) // (len(names) + 1)) for i, name in enumerate(names))
+    return generate_scenario(default_scenario(seed=seed, injections=injections, duration_ms=duration_ms))[0]
+
+
+def _assert_annotated_types(events: list) -> None:
+    """Every event is an EvidenceEvent whose fields hold their annotated types exactly."""
+    kinds = [typing.get_args(hint) or (hint,) for hint in typing.get_type_hints(EvidenceEvent).values()]
+    for event in events:
+        assert type(event) is EvidenceEvent
+        for name, value, allowed in zip(EvidenceEvent._fields, event, kinds):
+            assert type(value) in allowed, (event.seq, name, value)
+
+
+@pytest.mark.parametrize("mix", list(MIXES))
+def test_generated_streams_match_their_pinned_digests(mix):
+    pinned = dict(line.split(maxsplit=1) for line in PINNED_DIGESTS.strip().splitlines())[mix].split()
+    got = []
+    for duration_ms in (20_000, 700_000):
+        for seed in range(4):
+            events = _mix(seed, duration_ms, mix)
+            _assert_annotated_types(events)
+            got.append(jsonl_digest(events)[len("sha256:"):][:10])
+    assert got == pinned
+
+
+@pytest.mark.parametrize("mix", sorted(PINNED_LONG_DIGESTS))
+def test_two_hour_streams_match_their_pinned_digests(mix):
+    events = _mix(0, 7_200_000, mix)
+    _assert_annotated_types(events)
+    assert jsonl_digest(events) == PINNED_LONG_DIGESTS[mix]
