@@ -13,13 +13,12 @@ a distinction the 1..4 scale itself cannot carry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from otcms.catalog import SL_LEVELS, Catalog, SecurityRequirement, all_bindings, required_attributes
 from otcms.detectors import AttributeVerdict, Finding, Severity, Status
-from otcms.jsonfield import canonical, from_json, to_json
+from otcms.jsonfield import canonical, from_json, loads, to_json
 
 
 class ComplianceStatus(str, Enum):
@@ -182,8 +181,10 @@ def report_body(report: ComplianceReport) -> bytes:
 
 def parse_report(text: str) -> ComplianceReport:
     """Inverse of ``render_report(..., "structured")``; raises ValueError
-    naming the field for a report that does not match its dataclasses."""
-    return from_json(ComplianceReport, json.loads(text), ValueError)
+    naming the field for a report that does not match its dataclasses, and
+    for a text :func:`~otcms.jsonfield.loads` refuses (invalid JSON, a key
+    given twice, nesting too deep)."""
+    return from_json(ComplianceReport, loads(text, ValueError), ValueError)
 
 
 _GLYPHS = {

@@ -28,7 +28,7 @@ from operator import gt, itemgetter, sub
 from pathlib import Path
 from typing import Annotated, BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
-from otcms.jsonfield import at_least, at_most, from_json, one_of, reader, unreadable, within_depth, writer
+from otcms.jsonfield import at_least, at_most, canonical, from_json, one_of, reader, to_json, unreadable, within_depth
 
 logger = logging.getLogger(__name__)
 
@@ -225,8 +225,9 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
 #: Splits an evidence line into its text between runs, each run's key with
 #: its colon, and the run: a JSON integer of no sign, fraction or exponent,
 #: and of at most 18 digits, so below ``INT64_MAX`` and every field's bound;
-#: a longer integer stays in the line's shape. Compiled on first use, as the
-#: reader is, so importing compiles nothing.
+#: a longer integer stays in the line's shape. The parse cuts read lines by
+#: it, and :func:`_lines` the written lines it makes templates of. Compiled
+#: on first use, as the reader is, so importing compiles nothing.
 _RUNS = r'("(?:bytes|seq|timestamp)":)(0|[1-9][0-9]{0,17})(?![0-9.eE])'
 #: The fields whose integers a shape leaves out, in key order.
 _RUN_NAMES = ("bytes", "seq", "timestamp")
@@ -336,19 +337,19 @@ def load_evidence(path: str | Path, strict: bool = True) -> list[EvidenceEvent]:
 
 def to_jsonl(events: Iterable[EvidenceEvent]) -> str:
     """Canonical JSON Lines serialization: one line per event, each ended by
-    a line feed, written by the :func:`~otcms.jsonfield.writer` compiled for
-    :class:`EvidenceEvent`: the :func:`~otcms.jsonfield.canonical` text of
-    its :func:`~otcms.jsonfield.to_json` record. An event repeating an
-    earlier one's shape is written from that shape's template (see
-    :func:`_lines`), to the same text."""
+    a line feed, the :func:`~otcms.jsonfield.canonical` text of its
+    :func:`~otcms.jsonfield.to_json` record. An event repeating an earlier
+    one's shape is written from that shape's template (see :func:`_lines`),
+    to the same text."""
     return "".join(_lines(events))
 
 
 def jsonl_digest(events: Iterable[EvidenceEvent]) -> str:
     """The :func:`evidence_digest` of ``to_jsonl(events)`` in UTF-8, hashed
     line by line as :func:`read_evidence` hashes a file, so the text is
-    never held whole; lines come from :func:`_lines`, as there. It refuses
-    at the first line it cannot write or encode."""
+    never held whole; lines come from :func:`_lines`, as there, each the
+    canonical JSON of its event's record. It refuses at the first line it
+    cannot write or encode."""
     sha256 = hashlib.sha256()
     update = sha256.update
     for line in _lines(events):
@@ -368,17 +369,19 @@ def _annotated() -> list[frozenset]:
 
 
 def _lines(events: Iterable[EvidenceEvent]) -> Iterator[str]:
-    """Each event's line and its line feed, as the writer compiled for
-    :class:`EvidenceEvent` writes it. A shape's first event, if its fields
-    hold their annotated types, is written by that writer cut at ``bytes``,
-    ``seq`` and ``timestamp``: the pieces, joined by ``%d``, are the shape's
-    template, and the three integers are formatted into it. A later event
-    holding the same type in every field is written from the template, as
-    equal values of other types write other text (``True == 1``,
-    ``IdScheme.IP == "IP"``); any other event is written whole. Templates
-    are kept up to :data:`_SHAPE_ROOM` characters, and templating stops once
-    events missing a template outnumber hits by more than :data:`_MISSES`."""
-    cut, annotated = writer(EvidenceEvent, *_RUN_NAMES), _annotated()
+    """Each event's line and its line feed: ``canonical(to_json(event))``.
+    A shape's first event, if its fields hold their annotated types, is
+    written so and its text cut by the parse's rule, :data:`_RUNS`: if the
+    cut finds the runs of ``bytes``, ``seq`` and ``timestamp``, each a
+    non-negative integer of at most 18 digits, the pieces between them,
+    joined by ``%d``, are the shape's template. A later event holding the
+    same type in every field is written by formatting its three integers
+    into the template, as equal values of other types write other text
+    (``True == 1``, ``IdScheme.IP == "IP"``); any other event is written in
+    full. Templates are kept up to :data:`_SHAPE_ROOM` characters, and
+    templating stops once events missing a template outnumber hits by more
+    than :data:`_MISSES`."""
+    cut, annotated = re.compile(_RUNS).subn, _annotated()
     # Per shape: the field types of its first event, and its template.
     templates, lead, room = {}, 0, _SHAPE_ROOM
     events = iter(events)
@@ -392,20 +395,18 @@ def _lines(events: Iterable[EvidenceEvent]) -> Iterator[str]:
             lead -= 1
             yield template[1] % _RUN_VALUES(event)
             continue
+        text = canonical(to_json(event)) + "\n"
         if template is None and all(map(frozenset.__contains__, annotated, kinds)):
-            text = "%d".join(piece.replace("%", "%%") for piece in cut(event)) + "\n"
-            if len(text) <= room:
-                templates[shape] = kinds, text
-                room -= len(text)
-            yield text % _RUN_VALUES(event)
-        else:
-            yield writer(EvidenceEvent)(event) + "\n"
+            pieces, runs = cut(r"\1%d", text.replace("%", "%%"))
+            if runs == len(_RUN_NAMES) and len(pieces) <= room:
+                templates[shape] = kinds, pieces
+                room -= len(pieces)
+        yield text
         lead += 1
         if lead > _MISSES:
             break
-    write = writer(EvidenceEvent)
     for event in events:
-        yield write(event) + "\n"
+        yield canonical(to_json(event)) + "\n"
 
 
 def write_evidence(events: Iterable[EvidenceEvent], path: str | Path) -> None:

@@ -32,20 +32,9 @@ deeply (see :func:`within_depth`).
 its value, a frozenset as a sorted list, a tuple as a list, a dataclass or
 NamedTuple as an object. A field that holds a null, false or enum default
 is left out, which :func:`from_json` restores from the absent key; every
-other field is written, other defaults included.
-
-:func:`writer` compiles, once per NamedTuple of scalar fields, a function
-giving the text ``canonical(to_json(obj))`` without building the dict: its
-keys are sorted when it is compiled, and a field holding its omitted default
-is left out by the same rule. A value of its field's type is written
-directly: a ``str`` by ``json.encoder.encode_basestring``, an ``int`` by
-``int.__repr__``, a ``bool`` as ``true`` or ``false``, a member of the
-field's enum as its value's text. Any other value is written by
-:func:`canonical`, so ``port=True`` writes ``true``, and one it cannot write
-raises its TypeError. A class that is no NamedTuple, or a field annotated
-other than ``str``, ``int``, ``bool`` or an enum, each alone or with null,
-raises TypeError when the writer is compiled. Compiled with slots, fields
-never left out, it gives the same text cut around their values.
+other field is written, other defaults included. Every otcms output,
+evidence lines included, is the :func:`canonical` text of that form; the
+only code compiled here is :func:`reader`'s.
 """
 
 from __future__ import annotations
@@ -59,7 +48,6 @@ from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from itertools import repeat
-from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
 
@@ -311,12 +299,6 @@ def from_json(cls: type, raw, error: type[ValueError], **given):
     return cls(**values)
 
 
-def _require_named_tuple(cls: type) -> None:
-    """Raise TypeError unless ``cls`` is a NamedTuple class: only one gets compiled code."""
-    if not (issubclass(cls, tuple) and hasattr(cls, "_field_defaults")):
-        raise TypeError(f"{cls.__name__}: no compiled JSON form for a class that is no NamedTuple")
-
-
 @cache
 def reader(cls: type, *given: str) -> typing.Callable:
     """``read(raw, strings, **given)``, compiled on first use for the
@@ -331,7 +313,8 @@ def reader(cls: type, *given: str) -> typing.Callable:
     share equal strings, and the record is built with one
     ``tuple.__new__(cls, values)``, without the class's argument handling.
     """
-    _require_named_tuple(cls)
+    if not (issubclass(cls, tuple) and hasattr(cls, "_field_defaults")):
+        raise TypeError(f"{cls.__name__}: no compiled JSON form for a class that is no NamedTuple")
     specs = _fields(cls)[0]
     hints = typing.get_type_hints(cls)
     env = {"_new": tuple.__new__, "_cls": cls, "_M": MISSING}
@@ -393,62 +376,6 @@ def to_json(obj) -> dict:
         if value is not omitted:
             record[name] = value if write is None else write(value)
     return record
-
-
-@cache
-def writer(cls: type, *slots: str) -> typing.Callable:
-    """``write(obj)``: the :func:`canonical` text of :func:`to_json` for an
-    instance of the NamedTuple ``cls``, from a function written for ``cls``
-    (see the module docstring); any other class, or a field annotated other
-    than ``str``, ``int``, ``bool`` or an enum, alone or with null, raises
-    TypeError here.
-
-    The function reads every field with one unpacking, and writes a member
-    of an enum field's own enum from a table of each member's text, made
-    here. Given ``slots``, names of fields that are never left out, it
-    gives that text cut around each slot's value instead: one piece more
-    than ``slots``, in key order, each slot's key and colon ending the
-    piece before its value."""
-    _require_named_tuple(cls)
-    if not set(slots) <= set(cls._fields):
-        raise TypeError(f"{cls.__name__}: no field {sorted(set(slots) - set(cls._fields))[0]!r} to cut at")
-    hints = typing.get_type_hints(cls)
-    writes = _fields(cls)[2]
-    env = {"_str": encode_basestring, "_int": int.__repr__, "_canonical": canonical}
-    body, cuts = [f"({', '.join(f'_{index}' for index in range(len(writes)))},) = _obj"], 0
-    for index, (name, omitted, _) in sorted(enumerate(writes), key=lambda item: item[1][0]):
-        hint, var, key = _unnulled(hints[name]), f"_{index}", encode_basestring(name) + ":"
-        if name in slots:
-            if omitted is not MISSING:
-                raise TypeError(f"{cls.__name__}.{name}: a slot must be a field that is never left out")
-            opening, cuts = "," if cuts else "{", cuts + 1
-            body += [f"_append({key!r})", f'_pieces.append({opening!r} + ",".join(_parts))', "_parts.clear()"]
-            continue
-        if hint is str or hint is int:
-            text = f"_{hint.__name__}({var}) if type({var}) is {hint.__name__} else _canonical({var})"
-        elif hint is bool:
-            text = f'"false" if {var} is False else "true" if {var} is True else _canonical({var})'
-        elif isinstance(hint, type) and issubclass(hint, Enum):
-            env[f"_t{index}"], env[f"_e{index}"] = hint, {member: canonical(member.value) for member in hint}
-            text = f"_e{index}[{var}] if type({var}) is _t{index} else _canonical({var}.value)"
-        else:
-            raise TypeError(f"{cls.__name__}.{name}: no compiled JSON form for {hint!r}")
-        append = f"_append({key!r} + ({text}))"
-        if omitted is MISSING:
-            body.append(append)
-        else:
-            env[f"_o{index}"] = omitted
-            body += [f"if {var} is not _o{index}:", f"    {append}"]
-    source = "\n".join([
-        "def write(_obj):",
-        "    _parts, _pieces = [], []" if slots else "    _parts = []",
-        "    _append = _parts.append",
-        *(f"    {line}" for line in body),
-        *(['    _pieces.append("," + ",".join(_parts) + "}" if _parts else "}")', "    return _pieces"] if slots
-          else ['    return "{" + ",".join(_parts) + "}"']),
-    ])
-    exec(source, env)
-    return env["write"]
 
 
 def check_ranges(obj, error: type[ValueError]) -> None:

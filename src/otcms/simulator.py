@@ -34,7 +34,7 @@ from typing import Annotated, Callable
 
 from otcms.catalog import Catalog, SLTarget, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
-from otcms.evidence import INT64_MAX, EvidenceEvent, IdScheme, write_evidence
+from otcms.evidence import INT64_MAX, EvidenceEvent, IdScheme, to_jsonl
 from otcms.jsonfield import at_least, at_most, check_ranges, from_json, load, one_of, read, to_json
 
 PLC1 = "10.0.1.10"
@@ -516,15 +516,19 @@ def save_scenario_outputs(
     emit_context: bool = False,
 ) -> list[Path]:
     """Write ``evidence.jsonl`` and ``ground_truth.json`` (optionally also the
-    scenario's context as ``context.json``) into ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    scenario's context as ``context.json``) into ``out_dir``. Every file is
+    encoded before ``out_dir`` is made, so a text UTF-8 cannot encode (a
+    lone surrogate in an id) raises its ValueError with nothing written."""
     events, truth = generate_scenario(scenario, catalog)
 
     documents = {"ground_truth.json": ground_truth_to_dict(scenario, truth)}
     if emit_context:
         documents["context.json"] = context_to_dict(scenario.spec)
-    write_evidence(events, out / "evidence.jsonl")
-    for name, document in documents.items():
-        (out / name).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return [out / name for name in ("evidence.jsonl", *documents)]
+    texts = {"evidence.jsonl": to_jsonl(events)}
+    texts.update((name, json.dumps(document, indent=2, sort_keys=True) + "\n") for name, document in documents.items())
+    encoded = {name: text.encode("utf-8") for name, text in texts.items()}
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in encoded.items():
+        (out / name).write_bytes(data)
+    return [out / name for name in encoded]

@@ -759,62 +759,94 @@ class TestCatalog:
 
 
 # The exit-code contract over mutated input files: whatever the bundled
-# example's evidence, context or scenario is mutated into, no exception
-# escapes; exit 2 prints one ``otcms: error:`` line, nothing on stdout, and
-# leaves no report; exit 0 or 1 leaves a report whose verdict is the code's.
+# example's evidence, context, scenario, catalog or manual file is mutated
+# into, no exception escapes; exit 2 prints one ``otcms: error:`` line,
+# nothing on stdout, and leaves no report; exit 0 or 1 leaves a report whose
+# verdict is the code's. ``catalog validate`` refuses a catalog with exit 1.
 EXAMPLE = Path(otcms.__file__).with_name("data") / "scenario-example.json"
+CATALOG = Path(otcms.__file__).with_name("data") / "catalog-62443-3-3.json"
+#: Manual entries for two attributes the bundled catalog binds as manual.
+MANUAL = {"entries": {"multifactor_auth": {"value": True, "set_by": "auditor", "date": "2024-05-01", "note": "token"},
+                      "hardware_security": False}}
 #: A JSON number given as an object member's value.
 NUMBER = re.compile(rb"(?<=:)\s*-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 #: Over-long integers and huge floats a number is replaced by: past float
 #: range, at and past Python's digit limit, and floats at or past the largest.
 OVERSIZED = [b"9" * 400, b"-" + b"9" * 400, b"9" * 4300, b"9" * 4301, b"1e308", b"-1e308", b"1.7976931348623157e308",
              b"1e309"]
+#: An object member's key with its colon.
+KEY = re.compile(rb'"[A-Za-z_]+"\s*:')
+#: A string, number or literal given as an object member's value.
+SCALAR = re.compile(rb'(?<=:)\s*(?:"(?:[^"\\]|\\.)*"|-?[0-9][-+.eE0-9]*|true|false|null)')
+#: Nesting past Python's recursion limit.
+DEEP = b"[" * 3000 + b"]" * 3000
 
 
 @cache
 def example_inputs() -> dict[str, bytes]:
-    """The bundled example scenario, and the evidence and context
-    ``otcms simulate --emit-context`` writes from it."""
+    """The bundled example scenario, the evidence and context ``otcms
+    simulate --emit-context`` writes from it, the bundled catalog and a
+    manual file."""
     with tempfile.TemporaryDirectory() as out:
         save_scenario_outputs(load_scenario(EXAMPLE), out, emit_context=True)
         written = {role: (Path(out) / name).read_bytes() for role, name in
                    (("evidence", "evidence.jsonl"), ("context", "context.json"))}
-    return {**written, "scenario": EXAMPLE.read_bytes()}
+    return {**written, "scenario": EXAMPLE.read_bytes(), "catalog": CATALOG.read_bytes(),
+            "manual": json.dumps(MANUAL, indent=2).encode()}
+
+
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` with one mutation: a flipped, deleted or repeated byte, a
+    truncation, a number replaced by an over-long integer or a huge float,
+    a BOM, CRLF line ends, a key given twice, or a value replaced by a
+    string of a lone surrogate escape or by lists nested 3,000 deep."""
+    kind = draw(st.sampled_from(["flip", "delete", "repeat", "truncate", "number", "bom", "crlf", "repeated_key",
+                                 "surrogate", "deep"]))
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    spans = [match.span() for match in {"number": NUMBER, "repeated_key": KEY}.get(kind, SCALAR).finditer(data)]
+    if kind in ("number", "repeated_key", "surrogate", "deep"):
+        if not spans:
+            return data
+        start, end = draw(st.sampled_from(spans))
+        if kind == "number":
+            return data[:start] + draw(st.sampled_from(OVERSIZED)) + data[end:]
+        if kind == "repeated_key":
+            value = draw(st.sampled_from([b"null", b"0", b'"x"', b"[]"]))
+            return data[:start] + data[start:end] + value + b"," + data[start:]
+        return data[:start] + (b'"\\ud800"' if kind == "surrogate" else DEEP) + data[end:]
+    if not data:
+        return data
+    at = draw(st.integers(0, len(data) - 1))
+    head, byte, tail = data[:at], data[at:at + 1], data[at + 1:]
+    if kind == "flip":
+        return head + bytes([byte[0] ^ 1 << draw(st.integers(0, 7))]) + tail
+    if kind == "delete":
+        return head + tail
+    if kind == "repeat":
+        return head + byte * 2 + tail
+    return head
 
 
 @st.composite
 def mutated_inputs(draw) -> dict[str, bytes]:
-    """One of the example's files with one to three mutations: a flipped,
-    deleted or repeated byte, a truncation, or a number replaced by an
-    over-long integer or a huge float."""
-    role = draw(st.sampled_from(["evidence", "context", "scenario"]))
+    """One of the example's files with one to three mutations (see :func:`_mutated`)."""
+    role = draw(st.sampled_from(["evidence", "context", "scenario", "catalog", "manual"]))
     data = example_inputs()[role]
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["flip", "delete", "repeat", "truncate", "number"]))
-        numbers = [match.span() for match in NUMBER.finditer(data)]
-        if kind == "number" and numbers:
-            start, end = draw(st.sampled_from(numbers))
-            data = data[:start] + draw(st.sampled_from(OVERSIZED)) + data[end:]
-        elif data and kind != "number":
-            at = draw(st.integers(0, len(data) - 1))
-            head, byte, tail = data[:at], data[at:at + 1], data[at + 1:]
-            if kind == "flip":
-                data = head + bytes([byte[0] ^ 1 << draw(st.integers(0, 7))]) + tail
-            elif kind == "delete":
-                data = head + tail
-            elif kind == "repeat":
-                data = head + byte * 2 + tail
-            else:
-                data = head
+        data = _mutated(draw, data)
     return {role: data}
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
-    """``main(argv)``'s exit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
+    """``main(argv)``'s exit code, stdout (which takes text and UTF-8 bytes) and stderr."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 def _refused_alone(err: str) -> bool:
@@ -822,9 +854,11 @@ def _refused_alone(err: str) -> bool:
     return err.startswith("otcms: error: ") and err.endswith("\n") and "\n" not in err[:-1]
 
 
-def _evaluate_keeps_the_contract(evidence: Path, context: Path, report: Path) -> None:
+def _evaluate_keeps_the_contract(evidence: Path, context: Path, work: Path) -> int:
+    """``evaluate``'s exit code, with ``work``'s catalog and manual file."""
+    report = work / "report.json"
     code, out, err = _run(["evaluate", "--evidence", str(evidence), "--context", str(context), "--out", str(report),
-                           "--generated-at", "0"])
+                           "--catalog", str(work / "catalog"), "--manual", str(work / "manual"), "--generated-at", "0"])
     assert out == ""
     if code == 2:
         assert _refused_alone(err), err
@@ -832,9 +866,25 @@ def _evaluate_keeps_the_contract(evidence: Path, context: Path, report: Path) ->
     else:
         assert code in (0, 1) and "otcms: error:" not in err, err
         assert bool(parse_report(report.read_text(encoding="utf-8")).noncompliant_sr_ids()) is (code == 1)
+    return code
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def _catalog_keeps_the_contract(catalog: Path) -> int:
+    """``catalog validate``'s exit code, once ``catalog list`` has kept the contract too."""
+    code, out, err = _run(["catalog", "list", "--catalog", str(catalog)])
+    if code == 2:
+        assert _refused_alone(err) and out == "", err
+    else:
+        assert code == 0 and err == "" and out, err
+    code, out, err = _run(["catalog", "validate", "--catalog", str(catalog)])
+    if err:  # refused: exit 1, not 2
+        assert code == 1 and _refused_alone(err) and out == "", err
+    else:
+        assert code in (0, 1) and out.endswith(": no issues\n") is (code == 0), out
+    return code
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(files=mutated_inputs())
 # A rate whose events over the duration pass float range, and a duration past it.
 @example(files={"scenario": EXAMPLE.read_bytes().replace(b'"rate_per_s": 1.0', b'"rate_per_s": 1e308', 1)})
@@ -846,13 +896,22 @@ def _evaluate_keeps_the_contract(evidence: Path, context: Path, report: Path) ->
     ),
     "context": b'{"rate_spec":[{"pair":["a","b"],"window_ms":1000,"max_bytes_per_window":10}]}',
 })
+# A session id UTF-8 cannot encode: simulate refuses it before making its output directory.
+@example(files={"scenario": EXAMPLE.read_bytes().replace(b'"session_id": "sess-cell"', b'"session_id": "\\ud800"', 1)})
+@example(files={"catalog": b"\xef\xbb\xbf" + CATALOG.read_bytes()})
+@example(files={"catalog": CATALOG.read_bytes().replace(b'"title": "', b'"title": "\\ud800', 1)})
+@example(files={"manual": json.dumps({"entries": {"multifactor_auth": True}}).encode().replace(b"true", DEEP)})
 def test_exit_code_contract_holds_for_mutated_inputs(files):
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         for role, data in {**example_inputs(), **files}.items():
             (work / role).write_bytes(data)
+        if "catalog" in files and _catalog_keeps_the_contract(work / "catalog") == 1:
+            # what validate refuses, evaluate refuses
+            assert _evaluate_keeps_the_contract(work / "evidence", work / "context", work) == 2
+            return
         if "scenario" not in files:
-            _evaluate_keeps_the_contract(work / "evidence", work / "context", work / "report.json")
+            _evaluate_keeps_the_contract(work / "evidence", work / "context", work)
             return
         out = work / "out"
         code, stdout, err = _run(["simulate", str(work / "scenario"), "--out-dir", str(out), "--emit-context"])
@@ -862,4 +921,4 @@ def test_exit_code_contract_holds_for_mutated_inputs(files):
             assert not out.exists() or not any(out.iterdir())
             return
         assert code == 0, err
-        _evaluate_keeps_the_contract(out / "evidence.jsonl", out / "context.json", work / "report.json")
+        _evaluate_keeps_the_contract(out / "evidence.jsonl", out / "context.json", work)

@@ -216,6 +216,20 @@ class TestRendering:
         with pytest.raises(ValueError, match=named):
             parse_report(json.dumps(data))
 
+    @pytest.mark.parametrize(
+        "damage, refusal",
+        [
+            (lambda text: "[" * 100_000 + "]" * 100_000, "^invalid JSON: nested too deeply$"),
+            (lambda text: text.replace('"sl_target":', '"sl_target":3,"sl_target":', 1), "^repeated key 'sl_target'$"),
+        ],
+        ids=["nested_too_deeply", "repeated_key"],
+    )
+    def test_parse_unreadable_report_raises_value_error(self, catalog, damage, refusal):
+        text = render_report(self._report(catalog), "structured")
+        assert '"sl_target":' in text
+        with pytest.raises(ValueError, match=refusal):
+            parse_report(damage(text))
+
     def test_render_deterministic(self, catalog):
         report = self._report(catalog)
         assert render_report(report, "structured") == render_report(report, "structured")

@@ -1,9 +1,9 @@
 """The reader ``jsonfield`` compiles for a NamedTuple, against the
 field-by-field walk of ``from_json``, which reads what it refuses, and the
 evidence parse built on it, with the templates it reads repeated lines
-from; and the writer it compiles, against ``json.dumps`` of ``to_json``,
-with the templates ``to_jsonl`` writes repeated shapes from, against that
-writer."""
+from; and the evidence writer, against ``json.dumps`` of ``to_json``,
+with the templates ``to_jsonl`` writes repeated shapes from, against the
+text's definition, ``canonical(to_json(event))``."""
 
 import gc
 import hashlib
@@ -15,6 +15,7 @@ import tracemalloc
 import typing
 from enum import Enum
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -173,7 +174,10 @@ def test_streamed_read_of_template_hits_peaks_near_what_its_events_retain(tmp_pa
     assert events[-1].port is events[-106].port  # a hit shares the template's objects
 
 
-write = jsonfield.writer(EvidenceEvent)
+def write(event: EvidenceEvent) -> str:
+    """The evidence text of ``event`` by its definition."""
+    return jsonfield.canonical(jsonfield.to_json(event))
+
 
 # Strings with characters a JSON writer escapes or must leave raw.
 texts = st.text(
@@ -219,10 +223,15 @@ def dumped(event: EvidenceEvent) -> str | None:
         return None
 
 
+def written(event: EvidenceEvent) -> str:
+    """The line ``to_jsonl`` writes for ``event`` alone, without its line feed."""
+    return evidence.to_jsonl([event]).removesuffix("\n")
+
+
 def assert_written_alike(event: EvidenceEvent) -> None:
     expected = dumped(event)
     if expected is not None:  # where json.dumps raises, the writer may raise too
-        assert write(event) == expected
+        assert written(event) == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -254,7 +263,7 @@ def test_writer_writes_constructed_events_as_json_dumps_does(changes, text):
 def test_writer_writes_each_value_by_its_own_type(changes, text):
     (full,) = parse_evidence([json.dumps(FULL)])
     event = full._replace(**changes)
-    assert text in write(event) and "True" not in write(event)
+    assert text in written(event) and "True" not in written(event)
     assert_written_alike(event)
 
 
@@ -263,8 +272,8 @@ def test_writer_writes_each_value_by_its_own_type(changes, text):
 def test_writer_writes_every_scheme_member_as_json_dumps_does(field, scheme):
     (full,) = parse_evidence([json.dumps(FULL)])
     event = full._replace(**{field: scheme})
-    assert write(event) == dumped(event)
-    assert (f'"{field}":"{scheme.value}"' in write(event)) is (scheme is not IdScheme.OTHER)
+    assert written(event) == dumped(event)
+    assert (f'"{field}":"{scheme.value}"' in written(event)) is (scheme is not IdScheme.OTHER)
 
 
 class Plain(Enum):
@@ -278,41 +287,17 @@ def test_writer_writes_a_scheme_field_holding_no_scheme_member_as_to_json_does(f
     (full,) = parse_evidence([json.dumps(FULL)])
     event = full._replace(**{field: value})
     if isinstance(value, Enum):
-        assert write(event) == dumped(event)
-        assert f'"{field}":"{value.value}"' in write(event)
-    else:  # a string has no ``value``: both ways of writing refuse it alike
+        assert written(event) == dumped(event)
+        assert f'"{field}":"{value.value}"' in written(event)
+    else:  # a string has no ``value``: the writer refuses it as ``to_json`` does
         with pytest.raises(AttributeError):
             jsonfield.to_json(event)
         with pytest.raises(AttributeError):
-            write(event)
-
-
-def test_writer_refuses_a_field_that_is_no_scalar_when_compiled():
-    from otcms.context import ContextSpec
-
-    with pytest.raises(TypeError, match="no compiled JSON form"):
-        jsonfield.writer(ContextSpec)
-
-
-class Listed(typing.NamedTuple):
-    name: str
-    tags: tuple[str, ...] = ()
-
-
-def test_writer_refuses_a_named_tuple_field_that_is_no_scalar_when_compiled():
-    with pytest.raises(TypeError, match="Listed.tags: no compiled JSON form"):
-        jsonfield.writer(Listed)
-
-
-def test_writer_refuses_a_dataclass_of_scalar_fields_when_compiled():
-    from otcms.context import RateLimit
-
-    with pytest.raises(TypeError, match="RateLimit: no compiled JSON form for a class that is no NamedTuple"):
-        jsonfield.writer(RateLimit)
+            written(event)
 
 
 class Named(str):
-    """A ``str`` subclass: equal to its text, but no exact ``str`` to the writer."""
+    """A ``str`` subclass: equal to its text, but no exact ``str`` to the writer's templates."""
 
 
 # Values one field of a repeated shape takes from line to line: equal, and
@@ -379,59 +364,67 @@ def outcome(produce):
         return type(exc), str(exc)
 
 
+ROOM = evidence._SHAPE_ROOM
+PLAIN = {"seq": 0, "timestamp": 1, "src_id": "a", "dst_id": "b", "protocol": "P"}
+
+
 @settings(max_examples=600, deadline=None)
-@given(events=repeated_shapes())
-@example(events=[EvidenceEvent(seq=0, timestamp=1, src_id="a", dst_id="b", protocol="P", port=port, bytes=9)
-                 for port in (1, True, 1.0)])
-@example(events=[EvidenceEvent(seq=seq, timestamp=1, src_id="a", dst_id="b", protocol="P%d") for seq in (5, 10, True)])
-@example(events=[EvidenceEvent(seq=seq, timestamp=1, src_id="a", dst_id="b", protocol="P") for seq in (True, True)])
-@example(events=[EvidenceEvent(seq=0, timestamp=1, src_id="a", dst_id="b", protocol="P", port=[1, 2])] * 2)
-@example(events=[EvidenceEvent(seq=0, timestamp=1, src_id="a", dst_id="b", protocol="P", port=port)
-                 for port in (0.0, -0.0)])
-@example(events=[EvidenceEvent(seq=0, timestamp=1, src_id="a", dst_id="b", protocol="P", id_scheme_src=scheme)
-                 for scheme in (IdScheme.IP, "IP")])
-@example(events=Events(EvidenceEvent(seq=0, timestamp=timestamp, src_id="\ud800", dst_id="b", protocol="P")
-                       for timestamp in (1, 10**4300)))
-def test_templated_writer_writes_each_event_as_written_alone(events):
+@given(events=repeated_shapes(), room=st.just(ROOM) | st.integers(0, 600))
+@example(events=[EvidenceEvent(**{**PLAIN, "port": port, "bytes": 9}) for port in (1, True, 1.0)], room=ROOM)
+@example(events=[EvidenceEvent(**{**PLAIN, "seq": seq, "protocol": "P%d"}) for seq in (5, 10, True)], room=ROOM)
+@example(events=[EvidenceEvent(**{**PLAIN, "seq": seq}) for seq in (True, True)], room=ROOM)
+@example(events=[EvidenceEvent(**PLAIN, port=[1, 2])] * 2, room=ROOM)
+@example(events=[EvidenceEvent(**PLAIN, port=port) for port in (0.0, -0.0)], room=ROOM)
+@example(events=[EvidenceEvent(**PLAIN, id_scheme_src=scheme) for scheme in (IdScheme.IP, "IP")], room=ROOM)
+@example(events=Events(EvidenceEvent(**{**PLAIN, "src_id": "\ud800", "timestamp": timestamp})
+                       for timestamp in (1, 10**4300)), room=ROOM)
+# The cut's edges: a run of 19 digits or a negative one is no run, so its
+# shape's first write leaves no template and the next one does; a ``%`` and
+# run keys inside strings; a first write longer than the room for templates.
+@example(events=[EvidenceEvent(**PLAIN, bytes=size) for size in (2**63 - 1, 5, 2**63 - 1, 10**18)], room=ROOM)
+@example(events=[EvidenceEvent(**{**PLAIN, "timestamp": timestamp}) for timestamp in (-5, 5, -50)], room=ROOM)
+@example(events=[EvidenceEvent(**PLAIN, cipher_suite="100%", error_code="%(x)s %%d", bytes=size) for size in (1, 2)],
+         room=ROOM)
+@example(events=[EvidenceEvent(**{**PLAIN, "src_id": '"bytes":1', "dst_id": '{"seq":2,"timestamp":3}', "seq": seq})
+                 for seq in (7, 8, 9)], room=ROOM)
+@example(events=[EvidenceEvent(**{**PLAIN, "seq": seq}) for seq in (1, 2, 3)], room=40)
+def test_templated_writer_writes_each_event_as_written_alone(events, room):
     """``to_jsonl`` and ``jsonl_digest``, which write a repeated shape from
-    its template, give the lines the writer gives each event alone, joined
+    its template, give the lines of each event's text written alone, joined
     and hashed, or raise what writing, and for the digest encoding, raises
     first event by event in stream order: a lone surrogate in an earlier
-    line is refused by the digest before a later line's 4,301-digit integer."""
+    line is refused by the digest before a later line's 4,301-digit integer.
+    Templates are kept within ``room`` characters, ``_SHAPE_ROOM``."""
     joined = outcome(lambda: "".join(write(event) + "\n" for event in events))
     expected = [joined, outcome(lambda: hashed(events))]
-    assert [outcome(lambda: evidence.to_jsonl(events)), outcome(lambda: evidence.jsonl_digest(events))] == expected
+    with mock.patch.object(evidence, "_SHAPE_ROOM", room):
+        assert [outcome(lambda: evidence.to_jsonl(events)), outcome(lambda: evidence.jsonl_digest(events))] == expected
 
 
 def test_repeated_shape_is_cut_once(monkeypatch):
     """Events of one shape but for their ``seq``, ``timestamp`` and
-    ``bytes`` are written by the cut writer once, then from the shape's
-    template; none is written whole."""
-    written = []
-
-    def counted(cls, *slots):
-        """The writer for ``cls`` and ``slots``, noting each event it writes."""
-        return lambda event: written.append((slots, event)) or jsonfield.writer(cls, *slots)(event)
-
-    monkeypatch.setattr(evidence, "writer", counted)
+    ``bytes`` are written in full once, then from the shape's template."""
+    recorded = []
+    monkeypatch.setattr(evidence, "to_json", lambda event: recorded.append(event) or jsonfield.to_json(event))
     (full,) = parse_evidence([json.dumps(FULL)])
     events = [full._replace(seq=i, timestamp=10**i, bytes=i % 7) for i in range(50)]
     assert evidence.to_jsonl(events) == "".join(write(event) + "\n" for event in events)
-    assert written == [(("bytes", "seq", "timestamp"), events[0])]
+    assert recorded == [events[0]]
 
 
-def test_writer_cut_at_slots_gives_the_text_around_their_values():
-    (full,) = parse_evidence([json.dumps(FULL)])
-    event = full._replace(seq=3)  # bytes 10, timestamp 5
-    pieces = jsonfield.writer(EvidenceEvent, "bytes", "seq", "timestamp")(event)
-    assert [piece.rsplit(",", 1)[-1] for piece in pieces] == ['"bytes":', '"seq":', '"timestamp":', '"tls_present":true}']
-    assert "10".join(pieces[:2]) + "3" + "5".join(pieces[2:]) == write(event)
-
-
-@pytest.mark.parametrize("slot, refusal", [("port", "EvidenceEvent.port: a slot must be"), ("size", "no field 'size'")])
-def test_writer_refuses_a_slot_it_cannot_cut_at(slot, refusal):
-    with pytest.raises(TypeError, match=refusal):
-        jsonfield.writer(EvidenceEvent, slot)
+@pytest.mark.parametrize(
+    "first", [{"bytes": 2**63 - 1}, {"timestamp": -5}, {"seq": 10**18}, {"timestamp": True}],
+    ids=["19_digits", "negative", "seq_of_19_digits", "boolean"],
+)
+def test_first_write_without_three_runs_leaves_no_template(monkeypatch, first):
+    """A shape's first event whose text the parse's rule would not cut at
+    all three runs is written in full and leaves no template; the next
+    event of the shape leaves one, which the rest are written from."""
+    recorded = []
+    monkeypatch.setattr(evidence, "to_json", lambda event: recorded.append(event) or jsonfield.to_json(event))
+    events = [EvidenceEvent(**{**PLAIN, **first})] + [EvidenceEvent(**{**PLAIN, "seq": seq}) for seq in (1, 2, 3)]
+    assert evidence.to_jsonl(events) == "".join(write(event) + "\n" for event in events)
+    assert recorded == events[:2]
 
 
 # Whitespace ``str.strip`` removes from the ends of a line, JSON's own and
