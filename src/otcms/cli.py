@@ -22,7 +22,7 @@ from otcms.context import load_context, load_manual_attributes
 from otcms.detectors import registry_kinds
 from otcms.engine import run_evaluation
 from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceError, read_evidence
-from otcms.jsonfield import quoted
+from otcms.jsonfield import quoted, utf8
 from otcms.simulator import load_scenario, save_scenario_outputs
 
 CATALOG_ENV = "CMS_CATALOG"
@@ -52,10 +52,9 @@ def _emit(text: str, what: str, out="-") -> None:
     ``out``; a lone surrogate, which JSON admits but UTF-8 cannot encode, or
     a failed write is refused as ``cannot write {what}: ...``."""
     try:
-        encoded = text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        surrogate = ascii(exc.object[exc.start])[1:-1]
-        raise _Refusal(f"cannot write {what}: it holds the lone surrogate {surrogate}, which UTF-8 cannot encode") from None
+        encoded = utf8(text, "it")
+    except ValueError as exc:
+        raise _Refusal(f"cannot write {what}: {exc}") from None
     try:
         if out == "-":
             sys.stdout.flush()

@@ -145,10 +145,11 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
     A line repeating an earlier line's shape, its text pieces and key names
     left after cutting the integer runs of ``"bytes":``, ``"seq":`` and
     ``"timestamp":`` (:data:`_RUNS`), is read from the shape's template: the
-    event of its second line, admitted only if :func:`_template` finds each
-    run read into its own field alone. A hit takes the line's ``timestamp``,
-    ``bytes`` and position (a run has at most 18 digits, so it is in range);
-    every line of a refused shape is read as above. Shapes are kept up to
+    event of its first line, admitted then by one re-read if :func:`_template`
+    finds each run read into its own field alone. A hit is one tuple of its
+    position, the line's ``timestamp`` and ``bytes`` (a run has at most 18
+    digits, so it is in range) and the template's other fields; every line
+    of a refused shape is read as above. Shapes are kept up to
     :data:`_SHAPE_ROOM` characters, and cutting stops once lines of a new or
     refused shape outnumber hits by more than :data:`_MISSES`. Events,
     refusals, line numbers and warnings are the same either way.
@@ -178,7 +179,7 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
         # ``strip`` removes JSON's whitespace too, so the scanner reads the whole line or the line is not JSON.
         return read(record, strings, seq=seq) if end == len(text) and type(record) is dict else None
 
-    # Per shape: False once seen, () refused, else its template (see _template).
+    # Per shape: () refused, else its template (see _template).
     cut, templates, lead, room, positions = re.compile(_RUNS).split, {}, 0, _SHAPE_ROOM, None
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -186,25 +187,21 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
             continue
         if cut:
             parts = cut(stripped)
-            shape = (*parts[0::3], *parts[1::3])
+            shape = _THREE_RUN_SHAPE(parts) if len(parts) == 10 else (*parts[0::3], *parts[1::3])
             template = templates.get(shape)
             if template:
-                values = template[0].copy()
-                for field, at in template[1]:
-                    values[field] = int(parts[at])
-                values[0] = position = len(events)  # ``seq``, the event's position
-                events.append(tuple.__new__(EvidenceEvent, values))
+                get, middle, tail, members = template
+                timestamp, size = get(parts)
+                position = len(events)
+                events.append(tuple.__new__(EvidenceEvent, (position, int(timestamp), *middle, int(size), *tail)))
                 if shapes is not None:
-                    template[2].append(position)
+                    members.append(position)
                 lead -= 1
                 continue
-            if template is not False:  # a shape's second line, which may admit it, counts on neither side
-                if template is None and len(stripped) <= room:
-                    templates[shape] = False
-                    room -= len(stripped)
-                lead += 1
-                if lead > _MISSES:
-                    cut = None
+            admit = template is None and len(stripped) <= room
+            lead += 1
+            if lead > _MISSES:
+                cut = templates = None
         event = parse(stripped, len(events))
         if event is None:
             event = _reread(stripped, len(events))
@@ -217,7 +214,8 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
             if shapes is not None:
                 positions = shapes.setdefault(event[SHAPE_START:SHAPE_GAP] + event[SHAPE_GAP + 1:], [])
                 positions.append(event.seq)
-        if cut and template is False:
+        if cut and admit:
+            room -= len(stripped)
             templates[shape] = () if type(event) is str else _template(event, parts, parse, positions)
     return events
 
@@ -236,6 +234,8 @@ _RUN_FIELDS = {f'"{name}":': EvidenceEvent._fields.index(name) for name in _RUN_
 #: An event's shape, ``e[SHAPE_START:SHAPE_GAP] + e[SHAPE_GAP + 1:]``: every field but the
 #: runs', whose fields are the leading ones and one more.
 SHAPE_START, SHAPE_GAP = len(_RUN_NAMES) - 1, max(_RUN_FIELDS.values())
+#: The shape of a line cut into three runs: its text pieces, then its keys.
+_THREE_RUN_SHAPE = itemgetter(0, 3, 6, 9, 1, 4, 7)
 Shapes = Mapping[tuple, list[int]]  #: shape -> stream positions, as :func:`group_shapes` gives them
 #: Most characters of line text one parse, or one write, keeps in its shapes.
 _SHAPE_ROOM = 2**20
@@ -246,25 +246,29 @@ _MISSES = 512
 
 def _template(event: EvidenceEvent, parts: list[str], parse, positions: list[int] | None) -> tuple:
     """The template of the evidence line cut into ``parts`` and read as
-    ``event``: the event's fields as a list, (field, index in ``parts``) per
-    run, and ``positions``. It is () if ``parse``, given the line with one
-    run changed, reads an event changed otherwise than in that run's field,
-    or at all for a ``seq`` run, whose field is the event's position. This
-    refuses a run key given twice, nested in an unknown value or ending an
-    unknown key after an escaped quote."""
-    slots = []
-    for index in range(2, len(parts), 3):
-        field = _RUN_FIELDS[parts[index - 1]]
-        changed = parts.copy()
-        # Unlike the field's value, so a run the field does not read from shows.
+    ``event``: a getter of its ``timestamp`` and ``bytes`` run texts, the
+    event's fields between those two and after ``bytes``, and ``positions``.
+    A field without a run is a constant of the shape, which the getter
+    gives. It is () if the cut names a run key twice, or if ``parse``,
+    given the line with every run changed to a value unlike its field's,
+    reads an event changed otherwise than in exactly the ``timestamp`` and
+    ``bytes`` runs' fields. One re-read suffices: a changed run keeps the
+    parse tree, its leaf is read into its own key's top-level field or into
+    nothing, and the keys differ, so a run nested in an unknown value or
+    ending an unknown key after an escaped quote leaves its field as it was."""
+    runs = dict(zip(map(_RUN_FIELDS.get, parts[1::3]), range(2, len(parts), 3)))
+    if 3 * len(runs) + 1 < len(parts):  # a run key cut twice
+        return ()
+    changed, expected = parts.copy(), list(event)
+    for field, index in runs.items():
         changed[index] = "1" if event[field] == 0 else "0"
-        expected = list(event)
-        if parts[index - 1] != '"seq":':
+        if field:  # not ``seq``, whose field is the event's position
             expected[field] = int(changed[index])
-        if parse("".join(changed), event.seq) != tuple(expected):
-            return ()
-        slots.append((field, index))
-    return list(event), tuple(slots), positions
+    if parse("".join(changed), event.seq) != tuple(expected):
+        return ()
+    at, values = (runs.get(SHAPE_START - 1), runs.get(SHAPE_GAP)), (event.timestamp, event.bytes)
+    get = itemgetter(*at) if all(at) else lambda parts: [parts[i] if i else v for i, v in zip(at, values)]
+    return get, event[SHAPE_START:SHAPE_GAP], event[SHAPE_GAP + 1:], positions
 
 
 def group_shapes(events: list[EvidenceEvent]) -> dict[tuple, list[int]]:

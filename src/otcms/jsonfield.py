@@ -72,6 +72,17 @@ def quoted(text: str) -> str:
     return text if len(text) <= _QUOTED else text[:_QUOTED] + "..."
 
 
+def utf8(text: str, what: object) -> bytes:
+    """``text`` in UTF-8; a lone surrogate, which JSON admits but UTF-8
+    cannot encode, raises ValueError ``{what} holds the lone surrogate \\ud800,
+    which UTF-8 cannot encode``."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        surrogate = ascii(exc.object[exc.start])[1:-1]
+        raise ValueError(f"{what} holds the lone surrogate {surrogate}, which UTF-8 cannot encode") from None
+
+
 def _wrong(what: str, value) -> ValueError:
     return ValueError(f"expected {what}, got {quoted(json.dumps(value))}")
 

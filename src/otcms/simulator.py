@@ -27,15 +27,15 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Annotated, Callable
+from typing import Annotated, Callable, Iterable
 
 from otcms.catalog import Catalog, SLTarget, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
 from otcms.evidence import INT64_MAX, EvidenceEvent, IdScheme, to_jsonl
-from otcms.jsonfield import at_least, at_most, check_ranges, from_json, load, one_of, read, to_json
+from otcms.jsonfield import at_least, at_most, check_ranges, from_json, load, one_of, read, to_json, utf8
 
 PLC1 = "10.0.1.10"
 PLC2 = "10.0.1.11"
@@ -75,6 +75,8 @@ _SECURE = {"tls_present": True, "cert_present": True, "cipher_suite": _CIPHER, "
 _BLANK = dict.fromkeys(EvidenceEvent._fields) | EvidenceEvent._field_defaults
 #: The slots of an event row, a list of an event's values in field order, that generation sets.
 _SEQ, _TIMESTAMP, _SESSION_ID, _BYTES = map(EvidenceEvent._fields.index, ("seq", "timestamp", "session_id", "bytes"))
+#: Records :func:`_rows` turns into rows at once, and rows :func:`generate_scenario` into events.
+_CHUNK = 1024
 
 
 class ScenarioError(ValueError):
@@ -205,11 +207,15 @@ def _secure(t: int, src: str, dst: str, protocol: str, port: int | None, sid: st
             "protocol_version": _VERSIONS.get(protocol), **_SECURE, **kw}
 
 
-def _rows(records: list[dict]) -> list[list]:
-    """Each record's values over the defaults, as an event row; refuses the least field no event has."""
-    rows = [[*{**_BLANK, **record}.values()] for record in records]
-    if max(map(len, rows), default=0) > len(_BLANK):
-        raise TypeError(f"no event field {min(set().union(*records) - _BLANK.keys())!r}")
+def _rows(records: Iterable[dict]) -> list[list]:
+    """Each record's values over the defaults, as an event row, made a chunk of records at a time, so
+    records given lazily are freed as their rows are made; refuses the least field no event has."""
+    rows, records = [], iter(records)
+    while chunk := list(islice(records, _CHUNK)):
+        made = [[*{**_BLANK, **record}.values()] for record in chunk]
+        if max(map(len, made)) > len(_BLANK):  # the records of earlier chunks named only event fields
+            raise TypeError(f"no event field {min(set().union(*chunk, *records) - _BLANK.keys())!r}")
+        rows += made
     return rows
 
 
@@ -458,19 +464,21 @@ def generate_scenario(scenario: Scenario, catalog: Catalog | None = None) -> tup
     """
     injected = [(INJECTIONS[i.attribute_id], scenario.duration_ms if i.at_ms is None else i.at_ms)
                 for i in scenario.injections]
-    # The injected records are a temporary: once rows, their dicts are freed before the events are made.
+    # The injected records are built one injection at a time, and freed as their rows are made.
     rows = _baseline_rows(scenario, random.Random(scenario.seed))
-    rows += _rows([record for spec, t0 in injected for record in spec.build(scenario, t0)])
+    rows += _rows(record for spec, t0 in injected for record in spec.build(scenario, t0))
     violated = frozenset().union(*(spec.violates for spec, _ in injected))
     fulfilled = frozenset().union(*(spec.fulfills for spec, _ in injected))
 
     rows.sort(key=itemgetter(_TIMESTAMP))
     for seq, row in enumerate(rows):
         row[_SEQ] = seq
-    # Each numbered row becomes an event as the parse builds one, from its values in field order.
-    events = list(map(tuple.__new__, repeat(EvidenceEvent), rows))
+    # Each numbered row becomes an event as the parse builds one, from its values in field order: in place,
+    # a chunk at a time, so each row list is freed as its event is made.
+    for start in range(0, len(rows), _CHUNK):
+        rows[start:start + _CHUNK] = map(tuple.__new__, repeat(EvidenceEvent), rows[start:start + _CHUNK])
     truth = ground_truth_for(violated, fulfilled, scenario.sl_target, catalog)
-    return events, truth
+    return rows, truth
 
 
 # --------------------------------------------------------------------------
@@ -518,7 +526,8 @@ def save_scenario_outputs(
     """Write ``evidence.jsonl`` and ``ground_truth.json`` (optionally also the
     scenario's context as ``context.json``) into ``out_dir``. Every file is
     encoded before ``out_dir`` is made, so a text UTF-8 cannot encode (a
-    lone surrogate in an id) raises its ValueError with nothing written."""
+    lone surrogate in an id) raises a ValueError naming the file, with
+    nothing written."""
     events, truth = generate_scenario(scenario, catalog)
 
     documents = {"ground_truth.json": ground_truth_to_dict(scenario, truth)}
@@ -526,8 +535,8 @@ def save_scenario_outputs(
         documents["context.json"] = context_to_dict(scenario.spec)
     texts = {"evidence.jsonl": to_jsonl(events)}
     texts.update((name, json.dumps(document, indent=2, sort_keys=True) + "\n") for name, document in documents.items())
-    encoded = {name: text.encode("utf-8") for name, text in texts.items()}
     out = Path(out_dir)
+    encoded = {name: utf8(text, out / name) for name, text in texts.items()}
     out.mkdir(parents=True, exist_ok=True)
     for name, data in encoded.items():
         (out / name).write_bytes(data)

@@ -700,6 +700,22 @@ class TestSimulate:
         assert main(["simulate", str(scenario_dir / "baseline.json"), "--out-dir", str(afile)]) == 2
         assert capsys.readouterr().err.startswith(f"otcms: error: cannot write simulator outputs to {afile}: ")
 
+    def test_lone_surrogate_in_an_id_exit_two_naming_the_file(self, tmp_path, capsys):
+        """Worded as a report that UTF-8 cannot encode is, naming the output
+        file; nothing is written."""
+        sc = scenario_to_dict(default_scenario(name="bad", seed=1))
+        sc["traffic_profile"][0]["session_id"] = "\ud800"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(sc))
+        out_dir = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["simulate", str(path), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"otcms: error: cannot write simulator outputs to {out_dir}: {out_dir / 'evidence.jsonl'} "
+            "holds the lone surrogate \\ud800, which UTF-8 cannot encode\n"
+        )
+        assert not out_dir.exists()
+
     def test_unknown_injection_exit_two(self, tmp_path, capsys):
         sc = scenario_to_dict(default_scenario(name="bad", seed=1))
         sc["injections"] = [{"attribute_id": "nonsense"}]

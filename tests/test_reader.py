@@ -599,6 +599,24 @@ def read_together(lines: list[str], strict: bool):
         log.removeHandler(handler)
 
 
+# Streams whose shape is refused a template on its first line: a run key
+# cut twice, nested before and after the top-level one, which is refused
+# before any re-read; and runs the one re-read finds feeding no field: a run
+# nested in an unknown object, and a ``bytes`` run ending an unknown key
+# beside a top-level ``bytes`` that the cut leaves in the shape.
+REFUSED_STREAMS = [
+    ['{"dst_id":"b","extra":{"timestamp":%d},"protocol":"","src_id":"a","timestamp":%d}' % runs
+     for runs in [(1, 1), (2, 3), (5, 4)]],
+    ['{"dst_id":"b","protocol":"","src_id":"a","timestamp":%d,"zzz":{"timestamp":%d}}' % runs
+     for runs in [(1, 1), (2, 3), (5, 4)]],
+    ['{"bytes":%d,"dst_id":"b","protocol":"","src_id":"a","timestamp":1,"zzz":{"bytes":%d}}' % runs
+     for runs in [(0, 0), (7, 0), (0, 9)]],
+    ['{"dst_id":"b","extra":{"bytes":%d},"protocol":"","src_id":"a","timestamp":1}' % n for n in (6, 0, 8)],
+    ['{"bytes": 6,"dst_id":"b","protocol":"","src_id":"a","timestamp":1,"x\\"bytes":%d}' % n for n in (5, 6, 0)],
+    ['{"bytes": 0,"dst_id":"b","protocol":"","src_id":"a","timestamp":1,"x\\"bytes":%d}' % n for n in (0, 6, 0)],
+]
+
+
 @settings(max_examples=600, deadline=None)
 @given(lines=templated_streams(), strict=st.booleans())
 @example(lines=['{"bytes":5,"dst_id":"b","extra":{"bytes":%d},"protocol":"","src_id":"a","timestamp":1}' % n
@@ -613,6 +631,12 @@ def read_together(lines: list[str], strict: bool):
                 for run in ("1", "2", str(2**63 - 1), str(2**63), "9" * 18)], strict=False)
 @example(lines=['{"dst_id":"b","protocol":"","seq":%s,"src_id":"a","timestamp":2}' % run
                 for run in ("1", "1", "9" * 4301, "")], strict=False)
+@example(lines=REFUSED_STREAMS[0], strict=True)
+@example(lines=REFUSED_STREAMS[1], strict=True)
+@example(lines=REFUSED_STREAMS[2], strict=True)
+@example(lines=REFUSED_STREAMS[3], strict=True)
+@example(lines=REFUSED_STREAMS[4], strict=True)
+@example(lines=REFUSED_STREAMS[5], strict=True)
 def test_template_hit_parses_as_each_line_read_alone(lines, strict):
     """A stream whose later lines are template hits, or near misses, reads
     as each line read alone: the same events, or the same refusal in the
@@ -656,3 +680,34 @@ def test_repeated_timestamp_key_admits_no_template(admitted):
              for pair in [(1, 2), (30, 40), (500, 6)]]
     assert [e.timestamp for e in parse_evidence(lines)] == [2, 40, 6]
     assert admitted == [()]
+
+
+@pytest.mark.parametrize("lines", REFUSED_STREAMS)
+def test_one_reread_refuses_a_run_not_read_into_its_own_field_alone(admitted, lines):
+    """Each of these shapes is refused its template when its first line is
+    read, and every line reads as it does alone."""
+    assert read_together(lines, True) == read_alone(lines, True)
+    assert admitted == [()]
+
+
+@pytest.mark.parametrize("line", [
+    '{"bytes":%d,"dst_id":"b","port":502,"protocol":"Modbus","seq":%d,"src_id":"a","timestamp":%d}',
+    '{"bytes":%d,"dst_id":"b","port":502,"protocol":"Modbus","src_id":"a","timestamp":%d}',
+    '{"dst_id":"b","port":502,"protocol":"Modbus","seq":%d,"src_id":"a","timestamp":%d}',
+], ids=["three_runs", "no_seq", "no_bytes"])
+def test_admitted_shape_costs_one_read_and_one_reread(monkeypatch, admitted, line):
+    """A shape's first line is read in full and its template admitted by one
+    re-read of it; every later line of the shape is a hit, read by nobody."""
+    lines = [line % tuple(range(7 * i + 1, 7 * i + 1 + line.count("%d"))) for i in range(5)]
+    expected = read_alone(lines, True)
+    compiled, reads = jsonfield.reader, []
+
+    def counted(*args):
+        read = compiled(*args)
+        return lambda *given, **named: reads.append(given[0]) or read(*given, **named)
+
+    monkeypatch.setattr(evidence, "reader", counted)
+    events = parse_evidence(lines)
+    assert (list(map(typed, events)), []) == expected
+    assert len(reads) == 2 and len(admitted) == 1 and admitted[0]
+    assert events[4].port is events[0].port  # a hit shares the template's objects

@@ -1,6 +1,8 @@
+import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 import typing
 from dataclasses import replace
 from pathlib import Path
@@ -263,6 +265,27 @@ def test_scenario_threshold_refused_from_a_file_naming_it(path, offset):
     with pytest.raises(ScenarioError) as refused:
         scenario_from_dict(data)
     assert str(refused.value) == f"{path}: expected {expected}, got {low + offset}"
+
+
+def test_generation_peaks_near_what_it_retains(catalog):
+    """Records become rows, and rows events, a chunk at a time, so no stage
+    of generation holds a second copy of the stream: here 9,910 events, most
+    of them injected, 50 of each kind over 30 minutes."""
+    window = 1_800_000
+    injections = tuple(Injection(name, at_ms=window * k // 51) for name, _ in list_injections() for k in range(1, 51))
+    scenario = default_scenario(seed=1, injections=injections, duration_ms=window)
+    generate_scenario(scenario, catalog)  # one-time loads fall outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events, truth = generate_scenario(scenario, catalog)
+        gc.collect()
+        retained, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 9910
+    assert peak - retained < retained / 4  # 13% measured with CPython 3.11; 82% with records, then rows, all made at once
 
 
 def test_parse_of_simulator_output_is_lossless(catalog):
