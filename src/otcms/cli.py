@@ -10,7 +10,6 @@ Every refusal of an input is raised to :func:`main`, which prints it as one
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 import time
@@ -21,7 +20,7 @@ from otcms.compliance import render_report
 from otcms.context import load_context, load_manual_attributes
 from otcms.detectors import registry_kinds
 from otcms.engine import run_evaluation
-from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceError, read_evidence
+from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceError, collector_paused, read_evidence
 from otcms.jsonfield import quoted, utf8
 from otcms.simulator import load_scenario, save_scenario_outputs
 
@@ -196,25 +195,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@collector_paused()
 def main(argv: list[str] | None = None) -> int:
     """Run the command ``argv`` names and return its exit code.
 
     The cyclic garbage collector is paused while the command runs and left
-    as it was found: each pass would walk every event, which its enum
-    fields keep tracked, and what a command builds is freed by reference
-    counting when it returns, cycles of a fixed few hundred objects aside.
+    as it was found, by :func:`~otcms.evidence.collector_paused`, which the
+    library entry points it calls apply too: each pass would walk every
+    event, which its enum fields keep tracked, and what a command builds is
+    freed by reference counting when it returns, cycles of a fixed few
+    hundred objects aside.
     """
     args = build_parser().parse_args(argv)
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         return args.func(args)
     except _Refusal as refusal:
         print(f"otcms: error: {refusal}", file=sys.stderr)
         return refusal.code
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def entrypoint() -> None:

@@ -7,7 +7,15 @@ from otcms.catalog import AttributeKind, Catalog, require_valid
 from otcms.compliance import ComplianceReport, build_report
 from otcms.context import ContextSpec, ManualAttributeFile
 from otcms.detectors import AttributeVerdict, Finding, Severity, Status, registry_kinds, run_detectors
-from otcms.evidence import DEFAULT_SESSION_GAP_MS, EvidenceEvent, Shapes, assemble_sessions, group_shapes, jsonl_digest
+from otcms.evidence import (
+    DEFAULT_SESSION_GAP_MS,
+    EvidenceEvent,
+    Shapes,
+    assemble_sessions,
+    collector_paused,
+    group_shapes,
+    jsonl_digest,
+)
 from otcms.evidence import evidence_digest  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 
@@ -57,6 +65,7 @@ def evaluate_verdicts(
     return verdicts
 
 
+@collector_paused()
 def run_evaluation(
     catalog: Catalog,
     ctx: ContextSpec,
@@ -70,12 +79,17 @@ def run_evaluation(
 ) -> ComplianceReport:
     """Run the full pipeline over parsed events and return the report.
 
-    Without a ``digest``, the report's is that of the events' canonical
-    serialisation, :func:`~otcms.evidence.to_jsonl`, hashed line by line.
+    ``shapes`` is the events' :func:`~otcms.evidence.group_shapes`, made
+    here if not given; sessions, detectors and the digest share it. Without
+    a ``digest``, the report's is that of the events' canonical
+    serialisation, :func:`~otcms.evidence.to_jsonl`, hashed line by line
+    from those shapes' templates. The collector is paused while it runs
+    (:func:`~otcms.evidence.collector_paused`).
     """
+    shapes = group_shapes(events) if shapes is None else shapes
     verdicts = evaluate_verdicts(catalog, ctx, events, manual=manual, gap_ms=gap_ms, shapes=shapes)
     if digest is None:
-        digest = jsonl_digest(events)
+        digest = jsonl_digest(events, shapes)
     return build_report(
         catalog,
         verdicts,

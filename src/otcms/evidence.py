@@ -14,12 +14,15 @@ construction of this engine, not of any protocol.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import io
 import json
 import logging
 import re
 import typing
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
@@ -35,6 +38,24 @@ logger = logging.getLogger(__name__)
 DEFAULT_SESSION_GAP_MS = 60_000
 #: The largest integer a capture format's signed 64-bit counter carries: the most ``bytes`` an event may give.
 INT64_MAX = 2**63 - 1
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Python's cyclic garbage collector paused around a block, or, as the
+    decorator ``@collector_paused()``, around each call, and then left as
+    it was found, also when the block raises. The pause is process-global.
+
+    Entry points that build one object per event pause it: each collection
+    would walk every event, which its :class:`IdScheme` fields keep
+    tracked, and what they build is freed by reference counting."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class EvidenceError(ValueError):
@@ -132,6 +153,7 @@ class Session:
         return self.end - self.start
 
 
+@collector_paused()
 def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | None = None) -> list[EvidenceEvent]:
     """Parse a JSON Lines evidence stream into events in file order.
 
@@ -163,7 +185,8 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
 
     An empty dict ``shapes`` is filled with the events' :func:`group_shapes`
     on the way: a template holds its shape's position list, which each hit
-    appends to, and every other event is put in under its shape.
+    appends to, and every other event is put in under its shape. The
+    collector is paused while it runs (:func:`collector_paused`).
     """
     events: list[EvidenceEvent] = []
     strings: dict[str, str] = {}
@@ -240,7 +263,7 @@ Shapes = Mapping[tuple, list[int]]  #: shape -> stream positions, as :func:`grou
 #: Most characters of line text one parse, or one write, keeps in its shapes.
 _SHAPE_ROOM = 2**20
 #: By how many lines those of a new or refused shape may outnumber template
-#: hits before the cut, or the writer's templating, stops.
+#: hits before the parse's cut stops.
 _MISSES = 512
 
 
@@ -342,27 +365,45 @@ def load_evidence(path: str | Path, strict: bool = True) -> list[EvidenceEvent]:
 def to_jsonl(events: Iterable[EvidenceEvent]) -> str:
     """Canonical JSON Lines serialization: one line per event, each ended by
     a line feed, the :func:`~otcms.jsonfield.canonical` text of its
-    :func:`~otcms.jsonfield.to_json` record. An event repeating an earlier
-    one's shape is written from that shape's template (see :func:`_lines`),
-    to the same text."""
-    return "".join(_lines(events))
+    :func:`~otcms.jsonfield.to_json` record. The events are grouped by
+    :func:`group_shapes` and a repeated shape is written from its template
+    (see :func:`_lines`), to the same text. Each line is copied into one
+    growing buffer as it is written, so no line outlives its copy and no
+    list of them is held."""
+    text = io.StringIO()
+    text.writelines(_lines(*_grouped(events)))
+    return text.getvalue()
 
 
-def jsonl_digest(events: Iterable[EvidenceEvent]) -> str:
+def jsonl_digest(events: Iterable[EvidenceEvent], shapes: Shapes | None = None) -> str:
     """The :func:`evidence_digest` of ``to_jsonl(events)`` in UTF-8, hashed
     line by line as :func:`read_evidence` hashes a file, so the text is
     never held whole; lines come from :func:`_lines`, as there, each the
-    canonical JSON of its event's record. It refuses at the first line it
-    cannot write or encode."""
+    canonical JSON of its event's record. ``shapes``, if given, is the
+    :func:`group_shapes` of the list ``events``, trusted as sessions and
+    detectors trust it; else the events are grouped here. It refuses at the
+    first line it cannot write or encode."""
+    if shapes is None:
+        events, shapes = _grouped(events)
     sha256 = hashlib.sha256()
     update = sha256.update
-    for line in _lines(events):
+    for line in _lines(events, shapes):
         update(line.encode("utf-8"))
     return _digest(sha256)
 
 
 #: The values of an event's ``bytes``, ``seq`` and ``timestamp``, in key order.
 _RUN_VALUES = itemgetter(*_RUN_FIELDS.values())
+
+
+def _grouped(events: Iterable[EvidenceEvent]) -> tuple[list[EvidenceEvent], Shapes]:
+    """``events`` as a list, a list itself uncopied, and its :func:`group_shapes`,
+    or no shapes if a field holds a list or dict, so every event is written in full."""
+    events = events if isinstance(events, list) else list(events)
+    try:
+        return events, group_shapes(events)
+    except TypeError:
+        return events, {}
 
 
 @cache
@@ -372,45 +413,44 @@ def _annotated() -> list[frozenset]:
     return [frozenset(typing.get_args(hint) or (hint,)) for hint in typing.get_type_hints(EvidenceEvent).values()]
 
 
-def _lines(events: Iterable[EvidenceEvent]) -> Iterator[str]:
-    """Each event's line and its line feed: ``canonical(to_json(event))``.
-    A shape's first event, if its fields hold their annotated types, is
-    written so and its text cut by the parse's rule, :data:`_RUNS`: if the
-    cut finds the runs of ``bytes``, ``seq`` and ``timestamp``, each a
-    non-negative integer of at most 18 digits, the pieces between them,
-    joined by ``%d``, are the shape's template. A later event holding the
-    same type in every field is written by formatting its three integers
-    into the template, as equal values of other types write other text
-    (``True == 1``, ``IdScheme.IP == "IP"``); any other event is written in
-    full. Templates are kept up to :data:`_SHAPE_ROOM` characters, and
-    templating stops once events missing a template outnumber hits by more
-    than :data:`_MISSES`."""
-    cut, annotated = re.compile(_RUNS).subn, _annotated()
-    # Per shape: the field types of its first event, and its template.
-    templates, lead, room = {}, 0, _SHAPE_ROOM
-    events = iter(events)
-    for event in events:
-        shape, kinds = event[SHAPE_START:SHAPE_GAP] + event[SHAPE_GAP + 1:], [*map(type, event)]
-        try:
-            template = templates.get(shape)
-        except TypeError:  # a list or dict in a field
-            template = False
-        if template and template[0] == kinds:
-            lead -= 1
-            yield template[1] % _RUN_VALUES(event)
-            continue
+def _lines(events: list[EvidenceEvent], shapes: Shapes) -> Iterator[str]:
+    """Each event's line and its line feed: ``canonical(to_json(event))``,
+    in stream order. ``shapes`` groups the events; a shape of one event is
+    written in full. A shape's first event whose fields hold their
+    annotated types is written so and its text cut by the parse's rule,
+    :data:`_RUNS`: if the cut finds the runs of ``bytes``, ``seq`` and
+    ``timestamp``, each a non-negative integer of at most 18 digits, the
+    four pieces around them are the shape's template. A later event of the
+    shape holding the same types in every field as the one cut is written
+    by putting its three integers between the pieces, as equal values of
+    other types write other text (``True == 1``, ``IdScheme.IP == "IP"``);
+    any other event is written in full. Templates are kept up to
+    :data:`_SHAPE_ROOM` characters."""
+    cut, annotated, room = re.compile(_RUNS).split, _annotated(), _SHAPE_ROOM
+    # Per position, its shape's cell: empty until a template is cut, then the field types of the event cut
+    # and the template's pieces; None for a shape of one event.
+    cells: list[list | None] = [None] * len(events)
+    for positions in shapes.values():
+        if len(positions) > 1:
+            cell = []
+            for position in positions:
+                cells[position] = cell
+    for event, cell in zip(events, cells):
+        if cell:
+            kinds, head, after_bytes, after_seq, tail = cell
+            if kinds == [*map(type, event)]:
+                size, seq, timestamp = _RUN_VALUES(event)
+                yield f"{head}{size}{after_bytes}{seq}{after_seq}{timestamp}{tail}"
+                continue
         text = canonical(to_json(event)) + "\n"
-        if template is None and all(map(frozenset.__contains__, annotated, kinds)):
-            pieces, runs = cut(r"\1%d", text.replace("%", "%%"))
-            if runs == len(_RUN_NAMES) and len(pieces) <= room:
-                templates[shape] = kinds, pieces
-                room -= len(pieces)
+        if cell == [] and len(text) <= room:
+            kinds = [*map(type, event)]
+            if all(map(frozenset.__contains__, annotated, kinds)):
+                parts = cut(text)
+                if len(parts) == 3 * len(_RUN_NAMES) + 1:  # text, key and run thrice, then text
+                    cell += kinds, parts[0] + parts[1], parts[3] + parts[4], parts[6] + parts[7], parts[9]
+                    room -= len(text)
         yield text
-        lead += 1
-        if lead > _MISSES:
-            break
-    for event in events:
-        yield canonical(to_json(event)) + "\n"
 
 
 def write_evidence(events: Iterable[EvidenceEvent], path: str | Path) -> None:

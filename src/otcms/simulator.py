@@ -34,7 +34,7 @@ from typing import Annotated, Callable, Iterable
 
 from otcms.catalog import Catalog, SLTarget, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
-from otcms.evidence import INT64_MAX, EvidenceEvent, IdScheme, to_jsonl
+from otcms.evidence import INT64_MAX, EvidenceEvent, IdScheme, collector_paused, to_jsonl
 from otcms.jsonfield import at_least, at_most, check_ranges, from_json, load, one_of, read, to_json, utf8
 
 PLC1 = "10.0.1.10"
@@ -456,11 +456,13 @@ def ground_truth_for(
     )
 
 
+@collector_paused()
 def generate_scenario(scenario: Scenario, catalog: Catalog | None = None) -> tuple[list[EvidenceEvent], GroundTruth]:
     """Materialize a scenario: seed-deterministic events plus ground truth.
 
     Identical scenarios produce byte-identical streams. Combined injections
-    compose by union, both in events and in labels.
+    compose by union, both in events and in labels. The collector is paused
+    while it runs (:func:`~otcms.evidence.collector_paused`).
     """
     injected = [(INJECTIONS[i.attribute_id], scenario.duration_ms if i.at_ms is None else i.at_ms)
                 for i in scenario.injections]

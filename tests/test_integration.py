@@ -1,12 +1,17 @@
 """Whole-pipeline scenarios beyond single-injection oracle checks."""
 
+import gc
 import json
 import random
 
+import pytest
+
+from otcms import engine, evidence, simulator
 from otcms.cli import main
 from otcms.compliance import ComplianceStatus, parse_report
 from otcms.detectors import Status
 from otcms.engine import evaluate_verdicts, run_evaluation
+from otcms.evidence import collector_paused, parse_evidence, to_jsonl
 from otcms.simulator import (
     INJECTIONS,
     Injection,
@@ -115,3 +120,77 @@ def test_manual_file_through_cli(catalog, tmp_path):
     statuses = {s.sr_id: s.status for s in report.per_sr}
     assert statuses["SR1.12"] is ComplianceStatus.COMPLIANT
     assert all(s is not ComplianceStatus.INDETERMINATE for s in statuses.values())
+
+
+def library_calls(catalog, duration_ms: int = 60_000, count: int | None = None) -> dict:
+    """Per library entry point that builds one object per event: the module
+    and name of a callee it calls while it runs, and a call of it over
+    ``count`` events (all) of the default plant's ``duration_ms``."""
+    scenario = default_scenario(name="gc", seed=1, duration_ms=duration_ms)
+    events = generate_scenario(scenario, catalog)[0][:count]
+    lines = to_jsonl(events).splitlines()
+    return {
+        "generate_scenario": (simulator, "_baseline_rows", lambda: generate_scenario(scenario, catalog)),
+        "run_evaluation": (engine, "evaluate_verdicts", lambda: run_evaluation(catalog, scenario.spec, events)),
+        "parse_evidence": (evidence, "reader", lambda: parse_evidence(lines)),
+    }
+
+
+LIBRARY_CALLS = ["generate_scenario", "run_evaluation", "parse_evidence"]
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("name", LIBRARY_CALLS)
+def test_library_call_pauses_the_collector_and_leaves_it_as_found(catalog, monkeypatch, name, collecting):
+    module, callee, call = library_calls(catalog)[name]
+    seen = []
+    original = getattr(module, callee)
+
+    def watched(*args, **kwargs):
+        seen.append(gc.isenabled())
+        if len(seen) > 1:
+            raise RuntimeError("failed inside the call")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, callee, watched)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        call()
+        assert gc.isenabled() is collecting
+        with pytest.raises(RuntimeError):
+            call()
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_nested_pause_leaves_the_collector_as_the_outer_one_found_it(collecting):
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+            with pytest.raises(RuntimeError), collector_paused():
+                raise RuntimeError("failed inside the inner pause")
+            assert not gc.isenabled()
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("name", LIBRARY_CALLS)
+def test_library_pause_holds_no_garbage_growing_with_the_stream(catalog, name):
+    """What one call leaves for the collector is the same few objects over
+    about 100 events and over 10,000."""
+    found = []
+    for duration_ms, count in ((45_000, 100), (4_500_000, 10_000)):
+        call = library_calls(catalog, duration_ms, count)[name][2]
+        gc.collect()
+        call()
+        found.append(gc.collect())
+    assert len(set(found)) == 1 and found[0] < 1_000

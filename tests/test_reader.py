@@ -401,6 +401,47 @@ def test_templated_writer_writes_each_event_as_written_alone(events, room):
         assert [outcome(lambda: evidence.to_jsonl(events)), outcome(lambda: evidence.jsonl_digest(events))] == expected
 
 
+@st.composite
+def interleaved_shapes(draw) -> Events:
+    """Events of up to three repeated shapes, in any order."""
+    shapes = draw(st.lists(repeated_shapes(), min_size=1, max_size=3))
+    return Events(draw(st.permutations([event for shape in shapes for event in shape])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(events=interleaved_shapes(), room=st.just(ROOM) | st.integers(0, 600))
+@example(events=Events(EvidenceEvent(**{**PLAIN, "src_id": "\ud800", "timestamp": timestamp})
+                       for timestamp in (1, 10**4300)), room=ROOM)
+@example(events=Events(EvidenceEvent(**{**PLAIN, "timestamp": timestamp, "src_id": src_id})
+                       for timestamp, src_id in ((1, "a"), (10**4300, "b"), (2, "\ud800"), (3, "b"))), room=ROOM)
+@example(events=[EvidenceEvent(**{**PLAIN, "seq": seq, "port": port}) for seq, port in ((1, 1), (2, 2), (3, True), (4, 1))],
+         room=ROOM)
+def test_grouped_digest_agrees_with_the_bare_digest_and_the_written_text(events, room):
+    """``jsonl_digest`` given the stream's ``group_shapes``, ``jsonl_digest``
+    grouping the stream itself, and ``evidence_digest`` of ``to_jsonl``'s
+    text in UTF-8 agree, refusals included: both digests refuse the first
+    line, in stream order, that they cannot write or encode, as hashing
+    each event written alone does; the text refuses the first line it
+    cannot write, and only then is it encoded, as a whole. A one-shot
+    iterator of the events gives the list's text and digest."""
+    expected = outcome(lambda: hashed(events))
+    with mock.patch.object(evidence, "_SHAPE_ROOM", room):
+        digests = [
+            outcome(lambda: evidence.jsonl_digest(events, evidence.group_shapes(events))),
+            outcome(lambda: evidence.jsonl_digest(events)),
+            outcome(lambda: evidence.jsonl_digest(iter(events))),
+        ]
+        text, text_of_iterator = (outcome(lambda: evidence.to_jsonl(given)) for given in (events, iter(events)))
+    assert digests == [expected] * 3
+    assert text == text_of_iterator == outcome(lambda: "".join(write(event) + "\n" for event in events))
+    if type(text) is str:
+        encoded = outcome(lambda: evidence.evidence_digest(text.encode("utf-8")))
+        # An encoding refusal names the character's place in the whole text, the digest's its place in its line.
+        assert encoded == expected or encoded[0] is expected[0] is UnicodeEncodeError
+    else:  # the digests refuse the same line, or an earlier one they cannot encode
+        assert expected == text or expected[0] is UnicodeEncodeError
+
+
 def test_repeated_shape_is_cut_once(monkeypatch):
     """Events of one shape but for their ``seq``, ``timestamp`` and
     ``bytes`` are written in full once, then from the shape's template."""
