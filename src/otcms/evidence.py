@@ -31,7 +31,7 @@ from operator import gt, itemgetter, sub
 from pathlib import Path
 from typing import Annotated, BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
-from otcms.jsonfield import at_least, at_most, canonical, from_json, one_of, reader, to_json, unreadable, within_depth
+from otcms.jsonfield import at_least, at_most, canonical, from_json, one_of, to_json, unreadable, within_depth
 
 logger = logging.getLogger(__name__)
 
@@ -159,10 +159,11 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
 
     ``seq`` is assigned 0..n-1 over the parsed events; any ``seq`` present
     in the input is ignored. Each line is decoded by the JSON scanner alone,
-    and its record built by the :func:`~otcms.jsonfield.reader` compiled for
-    :class:`EvidenceEvent`. A line that either refuses is read again by
-    :func:`_reread`, which words the refusal. One string memo per call makes
-    equal string values share one object across the stream.
+    and its record built by :func:`~otcms.jsonfield.from_json`. A line that
+    either refuses is read again by :func:`_reread`, which words the refusal
+    and checks the depth first. Each string value of a record passes through
+    one string memo per call, so equal strings share one object across the
+    stream.
 
     A line repeating an earlier line's shape, its text pieces and key names
     left after cutting the integer runs of ``"bytes":``, ``"seq":`` and
@@ -189,18 +190,22 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
     collector is paused while it runs (:func:`collector_paused`).
     """
     events: list[EvidenceEvent] = []
-    strings: dict[str, str] = {}
-    read = reader(EvidenceEvent, "seq")
+    intern = {}.setdefault
     scan = json.JSONDecoder().scan_once
 
     def parse(text: str, seq: int) -> EvidenceEvent | None:
-        """The event of a line read by the scanner and ``read``, or None."""
+        """The event of a line read by the scanner and ``from_json``, or None."""
         try:
             record, end = scan(text, 0)
-        except (StopIteration, ValueError, RecursionError):
+            # ``strip`` removes JSON's whitespace too, so the scanner reads the whole line or the line is not JSON.
+            if end < len(text) or type(record) is not dict:
+                return None
+            for key, value in record.items():
+                if type(value) is str:
+                    record[key] = intern(value, value)
+            return from_json(EvidenceEvent, record, EvidenceError, seq=seq)
+        except (StopIteration, ValueError, RecursionError):  # the scanner, or quoting a deep value, may recurse too far
             return None
-        # ``strip`` removes JSON's whitespace too, so the scanner reads the whole line or the line is not JSON.
-        return read(record, strings, seq=seq) if end == len(text) and type(record) is dict else None
 
     # Per shape: () refused, else its template (see _template).
     cut, templates, lead, room, positions = re.compile(_RUNS).split, {}, 0, _SHAPE_ROOM, None
@@ -248,7 +253,7 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
 #: and of at most 18 digits, so below ``INT64_MAX`` and every field's bound;
 #: a longer integer stays in the line's shape. The parse cuts read lines by
 #: it, and :func:`_lines` the written lines it makes templates of. Compiled
-#: on first use, as the reader is, so importing compiles nothing.
+#: on first use, so importing compiles nothing.
 _RUNS = r'("(?:bytes|seq|timestamp)":)(0|[1-9][0-9]{0,17})(?![0-9.eE])'
 #: The fields whose integers a shape leaves out, in key order.
 _RUN_NAMES = ("bytes", "seq", "timestamp")

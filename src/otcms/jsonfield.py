@@ -21,20 +21,16 @@ field are ignored. A dataclass that calls :func:`check_ranges` applies
 this rule, type included, to each narrowed field on construction. Every
 failure raises the error class the loader passes in, with the path to the
 value: ``rate_spec[0]: pair``, ``frs[FR1]: srs[SR1.1]: bindings[0]: min_sl``.
-:func:`from_json` is the one read that words a failure. For a NamedTuple
-read once per evidence line, :func:`reader` compiles on first use a function
-applying the same rule that returns None for a record it refuses; the
-caller reads only that record again, by :func:`from_json`. A text nesting
-lists and objects more than :data:`MAX_DEPTH` deep is refused as nested too
-deeply (see :func:`within_depth`).
+:func:`from_json` is the one read, and the one that words a failure. A
+text nesting lists and objects more than :data:`MAX_DEPTH` deep is refused
+as nested too deeply (see :func:`within_depth`).
 
 :func:`to_json` writes the same forms back under the same keys: an enum as
 its value, a frozenset as a sorted list, a tuple as a list, a dataclass or
 NamedTuple as an object. A field that holds a null, false or enum default
 is left out, which :func:`from_json` restores from the absent key; every
 other field is written, other defaults included. Every otcms output,
-evidence lines included, is the :func:`canonical` text of that form; the
-only code compiled here is :func:`reader`'s.
+evidence lines included, is the :func:`canonical` text of that form.
 """
 
 from __future__ import annotations
@@ -285,11 +281,8 @@ def from_json(cls: type, raw, error: type[ValueError], **given):
     """Build dataclass or NamedTuple ``cls`` from the JSON object ``raw`` by
     a walk over its keys, checking each against its field; raises ``error``
     with the path to the first value refused. ``given`` fields are passed
-    as they are and their keys in ``raw`` ignored.
-
-    This is the one field-by-field read, and the one that words a refusal:
-    a caller reading many records of a NamedTuple uses its :func:`reader`
-    and reads here only a record that reader refused."""
+    as they are and their keys in ``raw`` ignored. This is the one
+    field-by-field read, and the one that words a refusal."""
     if type(raw) is not dict:
         raise error(str(_wrong("an object", raw)))
     specs, required, _, _ = _fields(cls)
@@ -308,72 +301,6 @@ def from_json(cls: type, raw, error: type[ValueError], **given):
     if not values.keys() >= required:
         raise error("missing " + next(name for name in specs if name in required and name not in values))
     return cls(**values)
-
-
-@cache
-def reader(cls: type, *given: str) -> typing.Callable:
-    """``read(raw, strings, **given)``, compiled on first use for the
-    NamedTuple ``cls`` and the field names ``given``; any other class raises
-    TypeError here.
-
-    The reader makes the checks and conversions of :func:`from_json` on the
-    dict ``raw``, field by field in a function written for ``cls``, and
-    returns None for any value they refuse: the caller reads that record by
-    :func:`from_json`, which words the refusal. Each ``str`` field's value
-    passes through ``strings.setdefault``, so records read with one dict
-    share equal strings, and the record is built with one
-    ``tuple.__new__(cls, values)``, without the class's argument handling.
-    """
-    if not (issubclass(cls, tuple) and hasattr(cls, "_field_defaults")):
-        raise TypeError(f"{cls.__name__}: no compiled JSON form for a class that is no NamedTuple")
-    specs = _fields(cls)[0]
-    hints = typing.get_type_hints(cls)
-    env = {"_new": tuple.__new__, "_cls": cls, "_M": MISSING}
-    body, values = [], []
-    for index, name in enumerate(cls._fields):
-        if name in given:
-            values.append(name)
-            continue
-        var = f"_{index}"
-        values.append(var)
-        kinds, convert, _, _ = specs[name][1]
-        hint = _unnulled(hints[name])
-        nullable = _NULL in kinds
-        kinds = tuple(kind for kind in kinds if kind is not _NULL)
-        env[f"_k{index}"] = kinds[0] if len(kinds) == 1 else kinds
-        steps = [f"if type({var}) {'is not' if len(kinds) == 1 else 'not in'} _k{index}: return None"]
-        if convert is not None:
-            env[f"_convert{index}"] = convert
-            if isinstance(hint, type) and issubclass(hint, Enum) and convert is _spec(hint)[1]:
-                # The enum's conversion, with its common case, a member's value, inlined.
-                env[f"_members{index}"] = {member.value: member for member in hint}
-                steps.append(f"{var} = _members{index}.get({var}) or _convert{index}({var})")
-            else:
-                steps.append(f"{var} = _convert{index}({var})")
-        if hint is str:
-            steps.append(f"{var} = _intern({var}, {var})")
-        default = cls._field_defaults.get(name, MISSING)
-        if nullable:  # the default is null: absent and null read alike
-            body += [f"{var} = _get({name!r})", f"if {var} is not None:", *(f"    {step}" for step in steps)]
-        elif default is MISSING:  # required: the missing marker fails the type test
-            body += [f"{var} = _get({name!r}, _M)", *steps]
-        else:
-            env[f"_d{index}"] = default
-            body += [f"{var} = _get({name!r}, _M)", f"if {var} is _M: {var} = _d{index}", "else:"]
-            body += [f"    {step}" for step in steps]
-    params = ", ".join(["_raw", "_strings", *(["*", *given] if given else [])])
-    source = "\n".join([
-        f"def read({params}):",
-        "    _get = _raw.get",
-        "    _intern = _strings.setdefault",
-        "    try:",
-        *(f"        {line}" for line in body),
-        "    except ValueError:",
-        "        return None",
-        f"    return _new(_cls, ({', '.join(values)},))",
-    ])
-    exec(source, env)
-    return env["read"]
 
 
 def to_json(obj) -> dict:

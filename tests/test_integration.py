@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from otcms import engine, evidence, simulator
+from otcms import engine, simulator
 from otcms.cli import main
 from otcms.compliance import ComplianceStatus, parse_report
 from otcms.detectors import Status
@@ -132,7 +132,8 @@ def library_calls(catalog, duration_ms: int = 60_000, count: int | None = None) 
     return {
         "generate_scenario": (simulator, "_baseline_rows", lambda: generate_scenario(scenario, catalog)),
         "run_evaluation": (engine, "evaluate_verdicts", lambda: run_evaluation(catalog, scenario.spec, events)),
-        "parse_evidence": (evidence, "reader", lambda: parse_evidence(lines)),
+        # Once per call: the JSON scanner (``from_json`` runs once per line read in full).
+        "parse_evidence": (json, "JSONDecoder", lambda: parse_evidence(lines)),
     }
 
 

@@ -1,9 +1,9 @@
-"""The reader ``jsonfield`` compiles for a NamedTuple, against the
-field-by-field walk of ``from_json``, which reads what it refuses, and the
-evidence parse built on it, with the templates it reads repeated lines
-from; and the evidence writer, against ``json.dumps`` of ``to_json``,
-with the templates ``to_jsonl`` writes repeated shapes from, against the
-text's definition, ``canonical(to_json(event))``."""
+"""The evidence parse, which builds each line's record by the
+field-by-field walk of ``from_json``, against ``json.loads`` and that walk,
+with the templates it reads repeated lines from; and the evidence writer,
+against ``json.dumps`` of ``to_json``, with the templates ``to_jsonl``
+writes repeated shapes from, against the text's definition,
+``canonical(to_json(event))``."""
 
 import gc
 import hashlib
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from otcms import evidence, jsonfield
 from otcms.detectors import Severity
 from otcms.evidence import EvidenceError, EvidenceEvent, IdScheme, load_evidence, parse_evidence, write_evidence
-from otcms.jsonfield import from_json, reader
+from otcms.jsonfield import from_json
 
 NAMES = list(EvidenceEvent._fields)
 BASE = {"timestamp": 5, "src_id": "10.0.1.10", "dst_id": "10.0.2.20", "protocol": "MQTT"}
@@ -53,50 +53,6 @@ records = st.builds(
 def typed(event: EvidenceEvent) -> list:
     """Every field of ``event`` with its exact type: ``True == 1`` must not pass."""
     return [(type(getattr(event, name)), getattr(event, name)) for name in NAMES]
-
-
-def walked(raw: dict, **given):
-    """The walk's event for ``raw``, or its error text."""
-    try:
-        return typed(from_json(EvidenceEvent, raw, EvidenceError, **given))
-    except EvidenceError as exc:
-        return str(exc)
-
-
-@settings(max_examples=600, deadline=None)
-@given(raw=records, given_seq=st.booleans())
-def test_compiled_reader_accepts_and_refuses_what_the_walk_does(raw, given_seq):
-    given = {"seq": 7} if given_seq else {}
-    read = reader(EvidenceEvent, *given)
-    expected = walked(raw, **given)
-    made = read(raw, {}, **given)
-    if isinstance(expected, str):
-        assert made is None
-        with pytest.raises(EvidenceError) as refused:
-            from_json(EvidenceEvent, raw, EvidenceError, **given)
-        assert str(refused.value) == expected
-    else:
-        assert made is not None and typed(made) == expected
-        assert typed(from_json(EvidenceEvent, raw, EvidenceError, **given)) == expected
-
-
-def test_only_a_named_tuple_gets_a_reader():
-    from otcms.context import ContextSpec
-
-    for cls in (ContextSpec, tuple):
-        with pytest.raises(TypeError, match=f"^{cls.__name__}: no compiled JSON form for a class that is no NamedTuple$"):
-            reader(cls)
-    assert reader(EvidenceEvent, "seq") is not None
-
-
-def test_no_reader_is_compiled_at_import():
-    import subprocess
-
-    import otcms
-
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import otcms, otcms.jsonfield as j; print(j.reader.cache_info().currsize)"
-    src = str(Path(otcms.__file__).parents[1])
-    assert subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True).stdout == "0\n"
 
 
 FULL = {
@@ -148,7 +104,7 @@ def assert_streamed_read_peaks_near_what_its_events_retain(path: Path, sessions:
         path,
     )
     assert path.stat().st_size >= 2_000_000
-    load_evidence(path)  # the reader is compiled outside the measurement
+    load_evidence(path)  # first-use caches are filled outside the measurement
     gc.collect()
     tracemalloc.start()
     try:
@@ -199,7 +155,7 @@ HINTS = typing.get_type_hints(EvidenceEvent)
 
 
 def accepted(name: str):
-    """Values the reader accepts for field ``name``."""
+    """Values the parse accepts for field ``name``."""
     hint = jsonfield._unnulled(HINTS[name])
     if hint is IdScheme:
         return st.sampled_from([scheme.value for scheme in IdScheme])
@@ -208,7 +164,7 @@ def accepted(name: str):
     return {str: texts, int: st.integers(min_value=1), bool: st.booleans()}[hint]
 
 
-# Records the reader mostly accepts; most of ``records`` it refuses.
+# Records the parse mostly accepts; most of ``records`` it refuses.
 accepted_records = st.fixed_dictionaries(
     {name: accepted(name) for name in BASE},
     optional={name: accepted(name) for name in NAMES if name not in BASE and name != "seq"},
@@ -237,9 +193,11 @@ def assert_written_alike(event: EvidenceEvent) -> None:
 @settings(max_examples=400, deadline=None)
 @given(raw=st.one_of(records, accepted_records), seq=st.integers(min_value=0))
 def test_writer_writes_read_events_as_json_dumps_does(raw, seq):
-    made = reader(EvidenceEvent, "seq")(raw, {}, seq=seq)
-    if made is not None:
-        assert_written_alike(made)
+    try:
+        made = from_json(EvidenceEvent, raw, EvidenceError, seq=seq)
+    except EvidenceError:
+        return
+    assert_written_alike(made)
 
 
 @settings(max_examples=400, deadline=None)
@@ -336,8 +294,10 @@ class Events(list):
 def repeated_shapes(draw) -> Events:
     """Events of one shape, but for one field taking colliding values of
     other types, and for their ``seq``, ``timestamp`` and ``bytes``."""
-    made = reader(EvidenceEvent, "seq")(draw(accepted_records), {}, seq=0)
-    base = made if made is not None else parse_evidence([json.dumps(FULL)])[0]
+    try:
+        base = from_json(EvidenceEvent, draw(accepted_records), EvidenceError, seq=0)
+    except EvidenceError:
+        base = parse_evidence([json.dumps(FULL)])[0]
     field, values = draw(st.sampled_from(SHAPE_NAMES)), draw(COLLIDING)
     return Events(
         base._replace(seq=draw(RUN_VALUES), timestamp=draw(RUN_VALUES), bytes=draw(RUN_VALUES),
@@ -741,13 +701,13 @@ def test_admitted_shape_costs_one_read_and_one_reread(monkeypatch, admitted, lin
     re-read of it; every later line of the shape is a hit, read by nobody."""
     lines = [line % tuple(range(7 * i + 1, 7 * i + 1 + line.count("%d"))) for i in range(5)]
     expected = read_alone(lines, True)
-    compiled, reads = jsonfield.reader, []
+    read, reads = jsonfield.from_json, []
 
-    def counted(*args):
-        read = compiled(*args)
-        return lambda *given, **named: reads.append(given[0]) or read(*given, **named)
+    def counted(cls, raw, *args, **given):
+        reads.append(raw)
+        return read(cls, raw, *args, **given)
 
-    monkeypatch.setattr(evidence, "reader", counted)
+    monkeypatch.setattr(evidence, "from_json", counted)
     events = parse_evidence(lines)
     assert (list(map(typed, events)), []) == expected
     assert len(reads) == 2 and len(admitted) == 1 and admitted[0]

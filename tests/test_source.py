@@ -49,3 +49,15 @@ def test_no_dead_code():
                     and member.name not in read
                 ]
     assert not dead, "defined but never used in src:\n" + "\n".join(dead)
+
+
+def test_no_code_is_compiled_at_run_time():
+    """No ``src`` code calls the builtins ``exec``, ``eval`` or ``compile``:
+    every rule is written out where a reader can see it."""
+    calls = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.func.id}"
+        for path in sorted(ROOT.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in {"exec", "eval", "compile"}
+    ]
+    assert not calls, "code compiled at run time:\n" + "\n".join(calls)
