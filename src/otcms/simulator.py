@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Annotated, Callable, Iterable
+from typing import Annotated, Callable
 
 from otcms.catalog import Catalog, SLTarget, default_catalog_path, load_catalog, required_attributes
 from otcms.context import ContextSpec, context_from_dict, context_to_dict
@@ -75,7 +75,7 @@ _SECURE = {"tls_present": True, "cert_present": True, "cipher_suite": _CIPHER, "
 _BLANK = dict.fromkeys(EvidenceEvent._fields) | EvidenceEvent._field_defaults
 #: The slots of an event row, a list of an event's values in field order, that generation sets.
 _SEQ, _TIMESTAMP, _SESSION_ID, _BYTES = map(EvidenceEvent._fields.index, ("seq", "timestamp", "session_id", "bytes"))
-#: Records :func:`_rows` turns into rows at once, and rows :func:`generate_scenario` into events.
+#: Rows :func:`generate_scenario` turns into events at once.
 _CHUNK = 1024
 
 
@@ -207,15 +207,11 @@ def _secure(t: int, src: str, dst: str, protocol: str, port: int | None, sid: st
             "protocol_version": _VERSIONS.get(protocol), **_SECURE, **kw}
 
 
-def _rows(records: Iterable[dict]) -> list[list]:
-    """Each record's values over the defaults, as an event row, made a chunk of records at a time, so
-    records given lazily are freed as their rows are made; refuses the least field no event has."""
-    rows, records = [], iter(records)
-    while chunk := list(islice(records, _CHUNK)):
-        made = [[*{**_BLANK, **record}.values()] for record in chunk]
-        if max(map(len, made)) > len(_BLANK):  # the records of earlier chunks named only event fields
-            raise TypeError(f"no event field {min(set().union(*chunk, *records) - _BLANK.keys())!r}")
-        rows += made
+def _rows(records: list[dict]) -> list[list]:
+    """Each record's values over the defaults, as an event row; refuses the least field no event has."""
+    rows = [[*{**_BLANK, **record}.values()] for record in records]
+    if max(map(len, rows), default=0) > len(_BLANK):
+        raise TypeError(f"no event field {min(set().union(*records) - _BLANK.keys())!r}")
     return rows
 
 
@@ -248,11 +244,21 @@ def _baseline_rows(scenario: Scenario, rng: random.Random) -> list[list]:
 # Injection registry
 # --------------------------------------------------------------------------
 
+#: Builds an injection's records for a scenario, starting at ``t0`` ms.
 Builder = Callable[[Scenario, int], list[dict]]
 
 
 @dataclass(frozen=True)
 class InjectionSpec:
+    """One injection kind: what it labels, and the builder of its records.
+
+    A builder must shift with its start: its records at ``t0`` are its
+    records at 0 with ``t0`` added to every timestamp. :func:`generate_scenario`
+    builds each kind once, at 0, and places a copy at each injection's
+    ``at_ms``, so a builder may read the scenario but ``t0`` only by adding
+    it: one that clamps a timestamp to the window would be placed wrong.
+    """
+
     description: str
     violates: frozenset[str]
     fulfills: frozenset[str]
@@ -461,16 +467,25 @@ def generate_scenario(scenario: Scenario, catalog: Catalog | None = None) -> tup
     """Materialize a scenario: seed-deterministic events plus ground truth.
 
     Identical scenarios produce byte-identical streams. Combined injections
-    compose by union, both in events and in labels. The collector is paused
-    while it runs (:func:`~otcms.evidence.collector_paused`).
+    compose by union, both in events and in labels. Each injection kind is
+    built once, at 0, and its rows are placed at each of its injections'
+    ``at_ms`` (the shift contract of :class:`InjectionSpec`). The collector
+    is paused while it runs (:func:`~otcms.evidence.collector_paused`).
     """
-    injected = [(INJECTIONS[i.attribute_id], scenario.duration_ms if i.at_ms is None else i.at_ms)
-                for i in scenario.injections]
-    # The injected records are built one injection at a time, and freed as their rows are made.
+    # The kinds' records become rows together, so a refusal names the least unknown field over all of them.
+    specs = {i.attribute_id: INJECTIONS[i.attribute_id] for i in scenario.injections}
+    built = [spec.build(scenario, 0) for spec in specs.values()]
+    made = iter(_rows([record for records in built for record in records]))
+    placed = {kind: list(islice(made, len(records))) for kind, records in zip(specs, built)}
     rows = _baseline_rows(scenario, random.Random(scenario.seed))
-    rows += _rows(record for spec, t0 in injected for record in spec.build(scenario, t0))
-    violated = frozenset().union(*(spec.violates for spec, _ in injected))
-    fulfilled = frozenset().union(*(spec.fulfills for spec, _ in injected))
+    for injection in scenario.injections:
+        t0 = scenario.duration_ms if injection.at_ms is None else injection.at_ms
+        for row in placed[injection.attribute_id]:
+            row = row.copy()
+            row[_TIMESTAMP] += t0
+            rows.append(row)
+    violated = frozenset().union(*(spec.violates for spec in specs.values()))
+    fulfilled = frozenset().union(*(spec.fulfills for spec in specs.values()))
 
     rows.sort(key=itemgetter(_TIMESTAMP))
     for seq, row in enumerate(rows):

@@ -126,6 +126,16 @@ class TestInjections:
         with pytest.raises(TypeError, match="^no event field 'colour'$"):
             generate_scenario(default_scenario(injections=(Injection("unknown_protocol"),)), catalog)
 
+        # so too when each field is named by a kind of its own, whichever kind comes first
+        def naming(field):
+            return lambda sc, t0: [simulator._record(t0, simulator.PLC1, simulator.HMI1, "Telnet", **{field: 1})]
+
+        for kind, field in (("unknown_protocol", "zebra"), ("weak_encryption", "colour")):
+            monkeypatch.setitem(INJECTIONS, kind, replace(INJECTIONS[kind], build=naming(field)))
+        for kinds in (("unknown_protocol", "weak_encryption"), ("weak_encryption", "unknown_protocol")):
+            with pytest.raises(TypeError, match="^no event field 'colour'$"):
+                generate_scenario(default_scenario(injections=tuple(map(Injection, kinds))), catalog)
+
     def test_combined_injections_union(self, catalog):
         sc = default_scenario(
             injections=(
@@ -268,9 +278,10 @@ def test_scenario_threshold_refused_from_a_file_naming_it(path, offset):
 
 
 def test_generation_peaks_near_what_it_retains(catalog):
-    """Records become rows, and rows events, a chunk at a time, so no stage
-    of generation holds a second copy of the stream: here 9,910 events, most
-    of them injected, 50 of each kind over 30 minutes."""
+    """Each kind's rows are made once and copied to each of its injections,
+    and rows become events a chunk at a time, so no stage of generation holds
+    a second copy of the stream: here 9,910 events, most of them injected, 50
+    of each kind over 30 minutes."""
     window = 1_800_000
     injections = tuple(Injection(name, at_ms=window * k // 51) for name, _ in list_injections() for k in range(1, 51))
     scenario = default_scenario(seed=1, injections=injections, duration_ms=window)
@@ -286,6 +297,42 @@ def test_generation_peaks_near_what_it_retains(catalog):
         tracemalloc.stop()
     assert len(events) == 9910
     assert peak - retained < retained / 4  # 13% measured with CPython 3.11; 82% with records, then rows, all made at once
+
+
+#: Context fields a builder reads, each set apart over the default plant.
+SHIFT_CONTEXTS = ({}, {"max_failed_attempts": None}, {"max_failed_attempts": 0}, {"max_failed_attempts": 7},
+                  {"session_max_ms": 60_000}, {"session_max_ms": 3_600_000})
+
+
+@pytest.mark.parametrize("kind", sorted(INJECTIONS))
+def test_builder_records_shift_with_their_start(kind):
+    """A builder's rows at ``t0`` are its rows at 0 with ``t0`` added to each
+    timestamp, the contract ``generate_scenario`` relies on when it builds a
+    kind once and places a copy at each ``at_ms``."""
+    build, at = INJECTIONS[kind].build, simulator._TIMESTAMP
+    for fields in SHIFT_CONTEXTS:
+        sc = default_scenario()
+        sc = replace(sc, spec=replace(sc.spec, **fields))
+        at_zero = simulator._rows(build(sc, 0))
+        for t0 in (0, 1, sc.duration_ms):
+            shifted = [[*row[:at], row[at] + t0, *row[at + 1:]] for row in at_zero]
+            assert simulator._rows(build(sc, t0)) == shifted, (fields, t0)
+
+
+def test_each_kind_is_built_once_per_scenario(monkeypatch, catalog):
+    calls = []
+    spec = INJECTIONS["weak_encryption"]
+
+    def build(sc, t0):
+        calls.append(t0)
+        return spec.build(sc, t0)
+
+    monkeypatch.setitem(INJECTIONS, "weak_encryption", replace(spec, build=build))
+    starts = [20_000 * k // 51 for k in range(1, 51)]
+    events, _ = generate_scenario(default_scenario(injections=tuple(Injection("weak_encryption", t0) for t0 in starts)),
+                                  catalog)
+    assert len(calls) == 1
+    assert [e.timestamp for e in events if e.key_bits == 64] == starts
 
 
 def test_parse_of_simulator_output_is_lossless(catalog):
@@ -417,13 +464,16 @@ untrusted_access_control ad6608925f 345e96120d 1c15b17e03 bd50e47e1f 19fe69378f 
 weak_encryption          1c2cf9a271 e4bea3b06e 334e1bb501 a135a75c13 87e9593792 d78e9da390 8ed3bcc6e7 6a85fda2de
 wireless_iac             958a2753c9 b78fdab682 f6ffec7cc3 f1c2376f22 29cfc38d39 86120b61d8 0cc7a984d5 68867d3b30
 all                      16dd20f6ba 2c4f6a0e95 b671da36a4 bcc1f02254 422e6113fd cd6ae776b8 51309a1712 d78fdbd93e
+repeated                 9ed320870b 20af5694af 71f5eeced2 359a9144ec b0e699ded7 1ab7bbc8dd 6b3cc32a88 2fc985452a
 """
 #: The two mixes pinned at 2 h, seed 0, in full.
 PINNED_LONG_DIGESTS = {
     "baseline": "sha256:b538f89a77b96ce5dbceb2577a49b13168043270f8c85e0583d6087a3e99796e",
     "all": "sha256:58caac819e462e01bd32da072c8b899c763b67bc6eb2f7437025482cd1f96eaf",
 }
-MIXES = {"baseline": (), **{name: (name,) for name in sorted(INJECTIONS)}, "all": tuple(sorted(INJECTIONS))}
+#: ``repeated`` places every kind three times, so a kind's rows are reused at each of its ``at_ms``.
+MIXES = {"baseline": (), **{name: (name,) for name in sorted(INJECTIONS)}, "all": tuple(sorted(INJECTIONS)),
+         "repeated": tuple(sorted(INJECTIONS)) * 3}
 
 
 def _mix(seed: int, duration_ms: int, mix: str) -> list:
