@@ -26,12 +26,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from itertools import chain, compress, islice, pairwise, repeat
+from itertools import chain, compress, filterfalse, islice, pairwise, repeat
 from operator import gt, itemgetter, sub
 from pathlib import Path
 from typing import Annotated, BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
-from otcms.jsonfield import at_least, at_most, canonical, from_json, one_of, to_json, unreadable, within_depth
+from otcms.jsonfield import _unique, at_least, at_most, canonical, from_json, one_of, to_json, unreadable, within_depth
 
 logger = logging.getLogger(__name__)
 
@@ -153,45 +153,67 @@ class Session:
         return self.end - self.start
 
 
-@collector_paused()
 def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | None = None) -> list[EvidenceEvent]:
     """Parse a JSON Lines evidence stream into events in file order.
 
     ``seq`` is assigned 0..n-1 over the parsed events; any ``seq`` present
-    in the input is ignored. Each line is decoded by the JSON scanner alone,
-    and its record built by :func:`~otcms.jsonfield.from_json`. A line that
-    either refuses is read again by :func:`_reread`, which words the refusal
-    and checks the depth first. Each string value of a record passes through
-    one string memo per call, so equal strings share one object across the
-    stream.
-
-    A line repeating an earlier line's shape, its text pieces and key names
-    left after cutting the integer runs of ``"bytes":``, ``"seq":`` and
-    ``"timestamp":`` (:data:`_RUNS`), is read from the shape's template: the
-    event of its first line, admitted then by one re-read if :func:`_template`
-    finds each run read into its own field alone. A hit is one tuple of its
-    position, the line's ``timestamp`` and ``bytes`` (a run has at most 18
-    digits, so it is in range) and the template's other fields; every line
-    of a refused shape is read as above. Shapes are kept up to
-    :data:`_SHAPE_ROOM` characters, and cutting stops once lines of a new or
-    refused shape outnumber hits by more than :data:`_MISSES`. Events,
-    refusals, line numbers and warnings are the same either way.
+    in the input is ignored. Each line is encoded in UTF-8, a lone surrogate
+    passed through, and read by :func:`_read`: a line read in full is
+    decoded back the same way, so it reads as the line itself.
 
     A line is malformed when its JSON is invalid or too large for Python's
-    reader (nested too deeply, an integer of too many digits) or when its
-    record is refused; a refused record nested more than
-    :data:`~otcms.jsonfield.MAX_DEPTH` deep is refused as nested too deeply.
-    In strict mode a malformed line raises :class:`EvidenceError` naming the
-    line; in lenient mode it is skipped with a warning.
+    reader (nested too deeply, an integer of too many digits), when an
+    object in it gives a key twice, or when its record is refused; a
+    refused record nested more than :data:`~otcms.jsonfield.MAX_DEPTH` deep
+    is refused as nested too deeply. In strict mode a malformed line raises
+    :class:`EvidenceError` naming the line; in lenient mode it is skipped
+    with a warning.
 
     An empty dict ``shapes`` is filled with the events' :func:`group_shapes`
-    on the way: a template holds its shape's position list, which each hit
-    appends to, and every other event is put in under its shape. The
-    collector is paused while it runs (:func:`collector_paused`).
+    on the way. The collector is paused while it runs (:func:`collector_paused`).
     """
+    return _read(map(str.encode, lines, repeat("utf-8"), repeat("surrogatepass")), "surrogatepass", strict, shapes)
+
+
+@collector_paused()
+def _read(lines: Iterable[bytes], errors: str, strict: bool, shapes: dict | None) -> list[EvidenceEvent]:
+    """The events of evidence ``lines``, each a line's bytes, as
+    :func:`parse_evidence` gives them; a line read in full is decoded from
+    UTF-8 by the handler ``errors``.
+
+    A line whose bytes, stripped of ASCII whitespace, repeat an earlier
+    line's shape, its pieces and key names left after cutting the integer
+    runs of ``"bytes":``, ``"seq":`` and ``"timestamp":`` (:data:`_RUNS`),
+    is read from the shape's template (see :func:`_template`), admitted on
+    the shape's first line. A hit is never decoded, as UTF-8 or as JSON: its
+    pieces come from a line that decoded, cut at ASCII bytes, and its runs
+    are ASCII digits, so it is UTF-8 too; and a run is the value of the key
+    its closing quote ends, so the hit's keys are its first line's, none
+    repeated. Its event is the template's field row with its position, its
+    ``timestamp`` and its ``bytes`` set (a run has at most 18 digits, so it
+    is in range), and shares the row's other field objects.
+
+    Every other line is decoded whole, so a line that is not UTF-8 raises
+    :class:`EvidenceError` naming it in lenient mode too, and stripped by
+    ``str.strip``: one blank only then (U+0085, U+2028) is skipped, and one
+    padded so is read in full, as its shape is refused. It is read by the
+    JSON scanner, each object's keys held to one each by
+    :func:`~otcms.jsonfield._unique`, and its record built by
+    :func:`~otcms.jsonfield.from_json`, each string value passing through
+    one memo per call, so equal strings share one object; a line either
+    refuses is read again by :func:`_reread`, which words the refusal and
+    checks the depth first. Shapes are kept up to :data:`_SHAPE_ROOM`
+    bytes, and cutting stops once lines read in full outnumber hits by more
+    than :data:`_MISSES`. Events, refusals, line numbers and warnings are
+    the same either way.
+
+    If ``shapes`` is given, a template holds its shape's position list,
+    which each hit appends to, and every other event is put in under its
+    shape."""
     events: list[EvidenceEvent] = []
-    intern = {}.setdefault
-    scan = json.JSONDecoder().scan_once
+    append, new, intern = events.append, tuple.__new__, {}.setdefault
+    scan = json.JSONDecoder(object_pairs_hook=_unique).scan_once
+    at_timestamp, at_bytes = SHAPE_START - 1, SHAPE_GAP
 
     def parse(text: str, seq: int) -> EvidenceEvent | None:
         """The event of a line read by the scanner and ``from_json``, or None."""
@@ -204,41 +226,49 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
                 if type(value) is str:
                     record[key] = intern(value, value)
             return from_json(EvidenceEvent, record, EvidenceError, seq=seq)
-        except (StopIteration, ValueError, RecursionError):  # the scanner, or quoting a deep value, may recurse too far
+        # the scanner, or quoting a deep value, may recurse too far; ``_unique`` raises KeyError
+        except (StopIteration, KeyError, ValueError, RecursionError):
             return None
 
     # Per shape: () refused, else its template (see _template).
-    cut, templates, lead, room, positions = re.compile(_RUNS).split, {}, 0, _SHAPE_ROOM, None
+    cut, templates, lead, room, positions = re.compile(_RUNS.encode()).split, {}, 0, _SHAPE_ROOM, None
     for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
         if cut:
+            stripped = line.strip()
             parts = cut(stripped)
             shape = _THREE_RUN_SHAPE(parts) if len(parts) == 10 else (*parts[0::3], *parts[1::3])
             template = templates.get(shape)
             if template:
-                get, middle, tail, members = template
+                row, get, members = template
                 timestamp, size = get(parts)
-                position = len(events)
-                events.append(tuple.__new__(EvidenceEvent, (position, int(timestamp), *middle, int(size), *tail)))
+                row[0] = position = len(events)
+                row[at_timestamp] = int(timestamp)
+                row[at_bytes] = int(size)
+                append(new(EvidenceEvent, row))
                 if shapes is not None:
                     members.append(position)
                 lead -= 1
                 continue
+        try:
+            text = line.decode("utf-8", errors).strip()
+        except UnicodeDecodeError as exc:
+            raise EvidenceError(f"line {line_no}: not UTF-8 ({exc.reason})") from None
+        if not text:
+            continue
+        if cut:
             admit = template is None and len(stripped) <= room
             lead += 1
             if lead > _MISSES:
                 cut = templates = None
-        event = parse(stripped, len(events))
+        event = parse(text, len(events))
         if event is None:
-            event = _reread(stripped, len(events))
+            event = _reread(text, len(events))
         if type(event) is str:
             if strict:
                 raise EvidenceError(f"line {line_no}: {event}")
             logger.warning("skipping malformed evidence line %d: %s", line_no, event)
         else:
-            events.append(event)
+            append(event)
             if shapes is not None:
                 positions = shapes.setdefault(event[SHAPE_START:SHAPE_GAP] + event[SHAPE_GAP + 1:], [])
                 positions.append(event.seq)
@@ -251,52 +281,56 @@ def parse_evidence(lines: Iterable[str], strict: bool = True, *, shapes: dict | 
 #: Splits an evidence line into its text between runs, each run's key with
 #: its colon, and the run: a JSON integer of no sign, fraction or exponent,
 #: and of at most 18 digits, so below ``INT64_MAX`` and every field's bound;
-#: a longer integer stays in the line's shape. The parse cuts read lines by
-#: it, and :func:`_lines` the written lines it makes templates of. Compiled
-#: on first use, so importing compiles nothing.
+#: a longer integer stays in the line's shape. The parse cuts read lines'
+#: bytes by it, and :func:`_lines` the written text it makes templates of.
+#: Compiled on first use, so importing compiles nothing.
 _RUNS = r'("(?:bytes|seq|timestamp)":)(0|[1-9][0-9]{0,17})(?![0-9.eE])'
 #: The fields whose integers a shape leaves out, in key order.
 _RUN_NAMES = ("bytes", "seq", "timestamp")
-#: The field each run's key names.
-_RUN_FIELDS = {f'"{name}":': EvidenceEvent._fields.index(name) for name in _RUN_NAMES}
+#: The field each run's key, in UTF-8, names.
+_RUN_FIELDS = {f'"{name}":'.encode(): EvidenceEvent._fields.index(name) for name in _RUN_NAMES}
 #: An event's shape, ``e[SHAPE_START:SHAPE_GAP] + e[SHAPE_GAP + 1:]``: every field but the
 #: runs', whose fields are the leading ones and one more.
 SHAPE_START, SHAPE_GAP = len(_RUN_NAMES) - 1, max(_RUN_FIELDS.values())
 #: The shape of a line cut into three runs: its text pieces, then its keys.
 _THREE_RUN_SHAPE = itemgetter(0, 3, 6, 9, 1, 4, 7)
 Shapes = Mapping[tuple, list[int]]  #: shape -> stream positions, as :func:`group_shapes` gives them
-#: Most characters of line text one parse, or one write, keeps in its shapes.
+#: Most line text one parse keeps in its shapes, counted in bytes, or one
+#: write keeps in its templates, counted in characters.
 _SHAPE_ROOM = 2**20
-#: By how many lines those of a new or refused shape may outnumber template
-#: hits before the parse's cut stops.
+#: By how many lines those read in full may outnumber template hits before
+#: the parse's cut stops.
 _MISSES = 512
 
 
-def _template(event: EvidenceEvent, parts: list[str], parse, positions: list[int] | None) -> tuple:
-    """The template of the evidence line cut into ``parts`` and read as
-    ``event``: a getter of its ``timestamp`` and ``bytes`` run texts, the
-    event's fields between those two and after ``bytes``, and ``positions``.
-    A field without a run is a constant of the shape, which the getter
-    gives. It is () if the cut names a run key twice, or if ``parse``,
-    given the line with every run changed to a value unlike its field's,
-    reads an event changed otherwise than in exactly the ``timestamp`` and
-    ``bytes`` runs' fields. One re-read suffices: a changed run keeps the
-    parse tree, its leaf is read into its own key's top-level field or into
-    nothing, and the keys differ, so a run nested in an unknown value or
-    ending an unknown key after an escaped quote leaves its field as it was."""
+def _template(event: EvidenceEvent, parts: list[bytes], parse, positions: list[int] | None) -> tuple:
+    """The template of the evidence line whose bytes were cut into ``parts``
+    and read as ``event``: the event's fields as a list, the row a hit sets
+    its position, ``timestamp`` and ``bytes`` in; a getter of its
+    ``timestamp`` and ``bytes`` run texts; and ``positions``. A field
+    without a run is a constant of the shape, which the getter gives. It is
+    () if the cut names a run key twice, or if ``parse``, given the line's
+    text with every run changed to a value unlike its field's, reads an
+    event changed otherwise than in exactly the ``timestamp`` and ``bytes``
+    runs' fields. One re-read suffices: a changed run keeps the parse tree,
+    its leaf is read into its own key's top-level field or into nothing, and
+    the keys differ, so a run nested in an unknown value or ending an
+    unknown key after an escaped quote leaves its field as it was. A line
+    padded with whitespace ``bytes.strip`` leaves is not JSON as cut, so
+    its shape is refused."""
     runs = dict(zip(map(_RUN_FIELDS.get, parts[1::3]), range(2, len(parts), 3)))
     if 3 * len(runs) + 1 < len(parts):  # a run key cut twice
         return ()
     changed, expected = parts.copy(), list(event)
     for field, index in runs.items():
-        changed[index] = "1" if event[field] == 0 else "0"
+        changed[index] = b"1" if event[field] == 0 else b"0"
         if field:  # not ``seq``, whose field is the event's position
             expected[field] = int(changed[index])
-    if parse("".join(changed), event.seq) != tuple(expected):
+    if parse(b"".join(changed).decode("utf-8", "surrogatepass"), event.seq) != tuple(expected):
         return ()
     at, values = (runs.get(SHAPE_START - 1), runs.get(SHAPE_GAP)), (event.timestamp, event.bytes)
     get = itemgetter(*at) if all(at) else lambda parts: [parts[i] if i else v for i, v in zip(at, values)]
-    return get, event[SHAPE_START:SHAPE_GAP], event[SHAPE_GAP + 1:], positions
+    return list(event), get, positions
 
 
 def group_shapes(events: list[EvidenceEvent]) -> dict[tuple, list[int]]:
@@ -310,13 +344,15 @@ def group_shapes(events: list[EvidenceEvent]) -> dict[tuple, list[int]]:
 
 
 def _reread(text: str, seq: int) -> EvidenceEvent | str:
-    """The event of the evidence line ``text``, read by ``json.loads`` and
-    :func:`~otcms.jsonfield.from_json`, or why the line is refused, in
-    their words."""
+    """The event of the evidence line ``text``, read by ``json.loads``, each
+    object's keys held to one each, and :func:`~otcms.jsonfield.from_json`,
+    or why the line is refused, in their words."""
     try:
-        record = within_depth(json.loads(text))
+        record = within_depth(json.loads(text, object_pairs_hook=_unique))
     except (ValueError, RecursionError) as exc:
         return f"invalid JSON ({unreadable(exc)})"
+    except KeyError as exc:
+        return f"repeated key {exc.args[0]!r}"
     try:
         return from_json(EvidenceEvent, record, EvidenceError, seq=seq)
     except EvidenceError as exc:
@@ -334,30 +370,22 @@ def _digest(sha256) -> str:
 
 
 def read_evidence(file: BinaryIO, strict: bool = True, *, shapes: dict | None = None) -> tuple[list[EvidenceEvent], str]:
-    """Parse an evidence file opened in binary mode, in one pass: its events
-    (by :func:`parse_evidence`, which fills ``shapes`` if given) and its
-    :func:`evidence_digest`.
+    """Parse an evidence file opened in binary mode, in one pass: its events,
+    as :func:`parse_evidence` gives them from the file's text (and it fills
+    ``shapes`` if given), and its :func:`evidence_digest`.
 
-    Each line is hashed and decoded as it is read, so neither the file's
-    bytes nor its text is ever held whole. Records are separated at line
-    feeds only, as JSON Lines defines them: ``str.splitlines`` would also
-    split at U+2028, U+2029 and U+0085, which :func:`to_jsonl` writes raw
-    inside strings. A carriage return before a line feed is stripped with
-    its line; a bare one separates nothing. A line that is not UTF-8 raises
+    Each line is hashed as the parse pulls it, and decoded only if it is
+    read in full (see :func:`_read`), so neither the file's bytes nor its
+    text is ever held whole. Records are separated at line feeds only, as
+    JSON Lines defines them: ``str.splitlines`` would also split at U+2028,
+    U+2029 and U+0085, which :func:`to_jsonl` writes raw inside strings. A
+    carriage return before a line feed is stripped with its line; a bare
+    one separates nothing. A line that is not UTF-8 raises
     :class:`EvidenceError` naming it in lenient mode too, since a file in
     another encoding has no readable line.
     """
     sha256 = hashlib.sha256()
-
-    def lines() -> Iterator[str]:
-        for line_no, line in enumerate(file, start=1):
-            sha256.update(line)
-            try:
-                yield line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise EvidenceError(f"line {line_no}: not UTF-8 ({exc.reason})") from None
-
-    return parse_evidence(lines(), strict=strict, shapes=shapes), _digest(sha256)
+    return _read(filterfalse(sha256.update, file), "strict", strict, shapes), _digest(sha256)
 
 
 def load_evidence(path: str | Path, strict: bool = True) -> list[EvidenceEvent]:

@@ -438,6 +438,23 @@ def test_malformed_evidence_exit_two_names_line_and_field(scenario_dir, tmp_path
     assert f"otcms: error: {evidence}: line 2: {named}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_repeated_evidence_key_refuses_the_line_naming_the_key(scenario_dir, tmp_path, capsys, caplog, lenient):
+    """An evidence line giving ``protocol`` twice is refused as a config file
+    is, not read with its last value: exit 2 naming line and key, or a
+    warning and a skip under ``--lenient``."""
+    evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")
+    first, second = evidence.read_text().splitlines()[:2]
+    evidence.write_text(f"{first}\n{dumps({**json.loads(second), 'protocol': Repeated(('Telnet', 'MQTT'))})}\n")
+    capsys.readouterr()
+    code = main(["evaluate", "--evidence", str(evidence), "--context", str(context), *(["--lenient"] * lenient)])
+    if lenient:
+        assert code == 0 and "skipping malformed evidence line 2: repeated key 'protocol'" in caplog.text
+    else:
+        assert code == 2
+        assert f"otcms: error: {evidence}: line 2: repeated key 'protocol'\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["x" * 2_000_000, JsonText("[" * 500 + "]" * 500)], ids=["2MB_string", "500_deep_list"])
 def test_refused_value_quoted_short(scenario_dir, tmp_path, capsys, value):
     evidence, context = simulate(scenario_dir / "baseline.json", tmp_path / "sim")

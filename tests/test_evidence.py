@@ -298,7 +298,7 @@ def evidence_texts(draw):
     """The JSON Lines of a ``shape_streams`` stream, whose ``seq``s repeat and
     fall. Some records are written with their keys reversed, some with
     spaces after colons (so no run is cut), and some with a ``"bytes"`` key
-    given twice, which refuses their shape's template; malformed lines, some
+    given twice, which refuses the line, so its shape too; malformed lines, some
     a copy of a written line with a timestamp past the digit limit, go in
     between."""
     events = draw(shape_streams())

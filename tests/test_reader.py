@@ -7,6 +7,7 @@ writes repeated shapes from, against the text's definition,
 
 import gc
 import hashlib
+import io
 import json
 import logging
 import re
@@ -23,7 +24,9 @@ from hypothesis import strategies as st
 
 from otcms import evidence, jsonfield
 from otcms.detectors import Severity
-from otcms.evidence import EvidenceError, EvidenceEvent, IdScheme, load_evidence, parse_evidence, write_evidence
+from otcms.evidence import (
+    EvidenceError, EvidenceEvent, IdScheme, load_evidence, parse_evidence, read_evidence, write_evidence
+)
 from otcms.jsonfield import from_json
 
 NAMES = list(EvidenceEvent._fields)
@@ -430,7 +433,10 @@ def test_first_write_without_three_runs_leaves_no_template(monkeypatch, first):
 
 # Whitespace ``str.strip`` removes from the ends of a line, JSON's own and
 # more (form feed, U+2028, U+3000), and a BOM, which it keeps.
-ENDS = st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x1f\x85\xa0\u2028\u2029\u3000\ufeff", max_size=3)
+END_CHARACTERS = " \t\r\n\x0b\x0c\x1c\x1f\x85\xa0\u2028\u2029\u3000\ufeff"
+ENDS = st.text(alphabet=END_CHARACTERS, max_size=3)
+# The same within one line of a file, which a line feed would end.
+LINE_ENDS = st.text(alphabet=END_CHARACTERS.replace("\n", ""), max_size=3)
 # Value texts ``json.dumps`` never writes for an event field, placed raw.
 RAW_VALUES = st.sampled_from(["NaN", "-Infinity", "9" * 4301, "-0", "1e999", '"\\ud800"', "[" * 40 + "]" * 40])
 # Text after a whole value: JSON's own whitespace, another value, or a stray character.
@@ -455,15 +461,18 @@ def evidence_lines(draw) -> str:
 
 
 def loaded(line: str):
-    """``line`` parsed as ``json.loads`` and the field-by-field walk read it:
-    no event, the event's typed fields, or the refusal's text."""
+    """``line`` parsed as ``json.loads`` and the field-by-field walk read it,
+    a key given twice in one object refused as ``jsonfield.loads`` refuses
+    it: no event, the event's typed fields, or the refusal's text."""
     stripped = line.strip()
     if not stripped:
         return []
     try:
-        record = json.loads(stripped)
+        record = json.loads(stripped, object_pairs_hook=jsonfield._unique)
     except (ValueError, RecursionError) as exc:
         return f"line 1: invalid JSON ({jsonfield.unreadable(exc)})"
+    except KeyError as exc:
+        return f"line 1: repeated key {exc.args[0]!r}"
     if type(record) is not dict:
         return f"line 1: expected an object, got {jsonfield.quoted(json.dumps(record))}"
     try:
@@ -585,19 +594,39 @@ def read_alone(lines: list[str], strict: bool):
     return events, warnings
 
 
-def read_together(lines: list[str], strict: bool):
-    """``lines`` read as one stream, in the form of :func:`read_alone`."""
+def warned(read):
+    """The typed events ``read()`` gives, or its refusal, and the warnings it
+    logs, in the form of :func:`read_alone`."""
     warnings = []
     handler = logging.Handler()
     handler.emit = lambda record: warnings.append(record.getMessage())
     log = logging.getLogger("otcms.evidence")
     log.addHandler(handler)
     try:
-        return list(map(typed, parse_evidence(lines, strict=strict))), warnings
+        return list(map(typed, read())), warnings
     except EvidenceError as exc:
         return str(exc), warnings
     finally:
         log.removeHandler(handler)
+
+
+def read_together(lines: list[str], strict: bool):
+    """``lines`` read as one stream, in the form of :func:`read_alone`."""
+    return warned(lambda: parse_evidence(lines, strict=strict))
+
+
+def read_from_file(lines: list[str], strict: bool, end: str):
+    """``lines`` joined by ``end`` and read from their UTF-8 bytes as a
+    file, in the form of :func:`read_alone`; the digest must be that of
+    the bytes."""
+    data = end.join(lines).encode("utf-8")
+
+    def read():
+        events, digest = read_evidence(io.BytesIO(data), strict=strict)
+        assert digest == evidence.evidence_digest(data)
+        return events
+
+    return warned(read)
 
 
 # Streams whose shape is refused a template on its first line: a run key
@@ -650,6 +679,51 @@ def test_template_hit_parses_as_each_line_read_alone(lines, strict):
     assert read_together(lines, strict) == read_alone(lines, strict)
 
 
+def padded(lines: list[str], pads: list[tuple[str, str]]) -> list[str]:
+    """Each line between the text before and after it in ``pads``, in
+    order; lines past the pads are left bare."""
+    return [head + line + tail for line, (head, tail) in zip(lines, [*pads, *[("", "")] * len(lines)])]
+
+
+# A line of one template, by its ``bytes`` and ``timestamp``.
+TEMPLATE_LINE = '{"bytes":%d,"dst_id":"b","protocol":"MQTT","src_id":"a","timestamp":%d}'
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=templated_streams(), pads=st.lists(st.tuples(LINE_ENDS, LINE_ENDS), max_size=5), strict=st.booleans(),
+       end=st.sampled_from(["\n", "\r\n"]))
+@example(lines=[TEMPLATE_LINE % (1, 2), "\x85", TEMPLATE_LINE % (3, 4), TEMPLATE_LINE % (5, 6)], pads=[], strict=True,
+         end="\n")
+@example(lines=[TEMPLATE_LINE % (n, 7 * n) for n in range(4)], pads=[("", "")] * 3 + [("\x1c", "")], strict=True,
+         end="\n")
+@example(lines=[TEMPLATE_LINE % (n, 7 * n) for n in range(4)], pads=[("", "")] * 2 + [("\u2028", "\u3000")] * 2,
+         strict=False, end="\n")
+@example(lines=[TEMPLATE_LINE % (n, 7 * n) for n in range(4)], pads=[("\u3000", "")], strict=True, end="\n")
+@example(lines=[TEMPLATE_LINE % (n, 7 * n) for n in range(4)], pads=[], strict=True, end="\r\n")
+def test_template_hit_reads_alike_from_a_file(lines, pads, strict, end):
+    """The same streams, their lines padded with whitespace ``str.strip``
+    removes, read as one file of UTF-8 bytes with line feed or CRLF ends,
+    where a hit is never decoded: the same events, refusal and warnings as
+    the stream read as text and each line read alone. A line blank only to
+    ``str.strip``, and a record padded so, whose bare twin is a hit, read as
+    they do alone."""
+    lines = padded(lines, pads)
+    assert read_from_file(lines, strict, end) == read_together(lines, strict) == read_alone(lines, strict)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_line_not_utf8_is_refused_in_the_words_of_its_whole_bytes(strict):
+    """A line is decoded with its line feed: two bytes of a three-byte
+    character before it are an invalid continuation; at the end of the
+    file, the data ends unexpectedly."""
+    first, cut = json.dumps(BASE).encode(), b'{"protocol":"\xe2\x82'
+    for data, reason in [(first + b"\n" + cut + b"\n", "invalid continuation byte"),
+                         (first + b"\n" + cut, "unexpected end of data")]:
+        with pytest.raises(EvidenceError) as refused:
+            read_evidence(io.BytesIO(data), strict=strict)
+        assert str(refused.value) == f"line 2: not UTF-8 ({reason})"
+
+
 @pytest.fixture
 def admitted(monkeypatch) -> list:
     """Every template an evidence parse admits, () for one it refuses."""
@@ -659,28 +733,42 @@ def admitted(monkeypatch) -> list:
     return made
 
 
-def test_repeated_protocol_key_read_from_a_template_keeps_its_last_value(admitted):
-    """A line giving ``protocol`` twice reads, as ``json.loads`` does, its
-    last value, also where later copies are template hits."""
+@pytest.fixture
+def reads(monkeypatch) -> list:
+    """Every record an evidence parse builds an event of by ``from_json``."""
+    read, made = jsonfield.from_json, []
+
+    def counted(cls, raw, *args, **given):
+        made.append(raw)
+        return read(cls, raw, *args, **given)
+
+    monkeypatch.setattr(evidence, "from_json", counted)
+    return made
+
+
+def test_repeated_protocol_key_refuses_the_line_also_where_its_shape_repeats(admitted):
+    """A line giving ``protocol`` twice is refused naming the key, as a
+    config file is, also where its shape repeats; no template is admitted,
+    and a lenient read skips each line."""
     line = '{"bytes":%d,"dst_id":"10.0.2.20","port":4840,"protocol":"Telnet","protocol":"MQTT","seq":%d,' \
            '"src_id":"10.0.1.10","timestamp":%d}'
     lines = [line % runs for runs in [(9, 0, 5), (310, 17, 99_999), (4, 3, 10**13)]]
-    events = parse_evidence(lines)
-    assert (list(map(typed, events)), []) == read_alone(lines, True)
-    assert [(e.protocol, e.timestamp, e.bytes) for e in events] == [
-        ("MQTT", 5, 9), ("MQTT", 99_999, 310), ("MQTT", 10**13, 4)
-    ]
-    assert len(admitted) == 1 and admitted[0]
-    assert events[2].port is events[1].port  # a hit shares the template's objects
+    with pytest.raises(EvidenceError, match="^line 1: repeated key 'protocol'$"):
+        parse_evidence(lines)
+    skipped = [f"skipping malformed evidence line {n}: repeated key 'protocol'" for n in (1, 2, 3)]
+    assert read_together(lines, False) == read_alone(lines, False) == ([], skipped)
+    assert admitted == []
 
 
 def test_repeated_timestamp_key_admits_no_template(admitted):
-    """A line giving ``timestamp`` twice reads its last value; its shape is
-    refused a template, once."""
+    """A line giving ``timestamp`` twice is refused naming the key; its
+    shape admits no template."""
     lines = ['{"dst_id":"b","protocol":"MQTT","src_id":"a","timestamp":%d,"timestamp":%d}' % pair
              for pair in [(1, 2), (30, 40), (500, 6)]]
-    assert [e.timestamp for e in parse_evidence(lines)] == [2, 40, 6]
-    assert admitted == [()]
+    with pytest.raises(EvidenceError, match="^line 1: repeated key 'timestamp'$"):
+        parse_evidence(lines)
+    assert parse_evidence(lines, strict=False) == []
+    assert admitted == []
 
 
 @pytest.mark.parametrize("lines", REFUSED_STREAMS)
@@ -696,19 +784,24 @@ def test_one_reread_refuses_a_run_not_read_into_its_own_field_alone(admitted, li
     '{"bytes":%d,"dst_id":"b","port":502,"protocol":"Modbus","src_id":"a","timestamp":%d}',
     '{"dst_id":"b","port":502,"protocol":"Modbus","seq":%d,"src_id":"a","timestamp":%d}',
 ], ids=["three_runs", "no_seq", "no_bytes"])
-def test_admitted_shape_costs_one_read_and_one_reread(monkeypatch, admitted, line):
+def test_admitted_shape_costs_one_read_and_one_reread(admitted, reads, line):
     """A shape's first line is read in full and its template admitted by one
     re-read of it; every later line of the shape is a hit, read by nobody."""
     lines = [line % tuple(range(7 * i + 1, 7 * i + 1 + line.count("%d"))) for i in range(5)]
     expected = read_alone(lines, True)
-    read, reads = jsonfield.from_json, []
-
-    def counted(cls, raw, *args, **given):
-        reads.append(raw)
-        return read(cls, raw, *args, **given)
-
-    monkeypatch.setattr(evidence, "from_json", counted)
     events = parse_evidence(lines)
     assert (list(map(typed, events)), []) == expected
     assert len(reads) == 2 and len(admitted) == 1 and admitted[0]
     assert events[4].port is events[0].port  # a hit shares the template's objects
+
+
+@pytest.mark.parametrize("blank", ["\x85", "\u2028\u3000", "\x1c"], ids=["u0085", "u2028_u3000", "x1c"])
+def test_line_blank_only_to_str_strip_counts_as_no_miss(monkeypatch, admitted, reads, blank):
+    """A line of whitespace that ``bytes.strip`` keeps is decoded, found
+    blank and skipped, and counts as no line read in full: with ``_MISSES``
+    at 1, the template admitted before it still gives a hit after it."""
+    monkeypatch.setattr(evidence, "_MISSES", 1)
+    lines = [TEMPLATE_LINE % (1, 2), blank, TEMPLATE_LINE % (3, 4)]
+    events, _ = read_evidence(io.BytesIO("\n".join(lines).encode("utf-8")))
+    assert [(e.seq, e.timestamp, e.bytes) for e in events] == [(0, 2, 1), (1, 4, 3)]
+    assert len(reads) == 2 and len(admitted) == 1 and admitted[0]
